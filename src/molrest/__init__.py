@@ -40,7 +40,6 @@ from .angmom import (
     decompose_angmom,
     inertia_at,
     relative_angmom,
-    rest_angmom,
 )
 
 __all__ = [
@@ -82,5 +81,4 @@ __all__ = [
     "decompose_angmom",
     "inertia_at",
     "relative_angmom",
-    "rest_angmom",
 ]

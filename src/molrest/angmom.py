@@ -10,6 +10,10 @@ are symmetric exactly when the mode basis satisfies the rotational sum
 rule; symmetry is asserted, never patched up by symmetrization.  The
 rest-frame angular momentum splits into rigid I(Q) Omega, a
 mode-coupling (deformation) term, and an electronic term.
+
+Every function accepts one frame or a stack of T frames: mode
+amplitudes (K,) or (T, K), particle blocks (N, 3) or (T, N, 3).  All
+three angular-momentum terms go through the one cross-sum ``cross_sum``.
 """
 
 from dataclasses import dataclass
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EckartViolationError, SingularInertiaError
+from .lie_so3 import cross
 from .molecule import equilibrium_inertia
 
 __all__ = [
@@ -24,8 +29,10 @@ __all__ = [
     "build_inertia",
     "inertia_at",
     "pd_bound",
+    "cross_sum",
+    "mode_sum",
     "relative_angmom",
-    "rest_angmom",
+    "deformation_angmom",
     "decompose_angmom",
 ]
 
@@ -69,22 +76,26 @@ def build_inertia(mol, basis, symmetry_tol=1e-10):
 def inertia_at(model, q, checked=False):
     """Instantaneous inertia I0 + sum_alpha Q^alpha I_alpha.
 
-    With ``checked=True`` the smallest eigenvalue is monitored and loss
-    of positive-definiteness raises ``SingularInertiaError`` instead of
+    ``q`` is (K,) for one frame or (T, K) for a stack, giving (3, 3) or
+    (T, 3, 3).  With ``checked=True`` the smallest eigenvalue is
+    monitored and loss of positive-definiteness raises
+    ``SingularInertiaError`` (naming the first such frame) instead of
     being silently passed along.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (model.i_alpha.shape[0],):
-        raise ValueError(
-            f"expected {model.i_alpha.shape[0]} mode amplitudes, got shape {q.shape}"
-        )
-    inertia = model.i0 + np.einsum("a,akl->kl", q, model.i_alpha)
+    k = model.i_alpha.shape[0]
+    if q.shape[-1] != k:
+        raise ValueError(f"expected {k} mode amplitudes, got shape {q.shape}")
+    inertia = model.i0 + np.einsum("...a,akl->...kl", q, model.i_alpha)
     if checked:
-        smallest = float(np.linalg.eigvalsh(inertia)[0])
-        if smallest <= 0.0:
+        smallest = np.linalg.eigvalsh(inertia)[..., 0]
+        lost = smallest <= 0.0
+        if lost.any():
+            i = int(np.flatnonzero(lost)[0])
+            norm = np.linalg.norm(q.reshape(-1, k)[i])
             raise SingularInertiaError(
-                f"instantaneous inertia not positive-definite "
-                f"(smallest eigenvalue {smallest:.3e}) at |Q| = {np.linalg.norm(q):.3e}"
+                f"instantaneous inertia not positive-definite at frame {i} "
+                f"(smallest eigenvalue {smallest.ravel()[i]:.3e}) at |Q| = {norm:.3e}"
             )
     return inertia
 
@@ -103,22 +114,29 @@ def pd_bound(model):
     return np.inf if total == 0.0 else smallest / total
 
 
+def cross_sum(a, b):
+    """sum_mu a_mu x b_mu over the particle axis: (..., M, 3) pairs -> (..., 3)."""
+    return cross(a, b).sum(axis=-2)
+
+
+def mode_sum(coeff, directions):
+    """sum_alpha coeff^alpha directions[:, alpha]: (..., K) -> (..., N, 3)."""
+    return np.einsum("...a,mak->...mk", coeff, directions)
+
+
 def relative_angmom(relative):
-    """Orbital angular momentum of a relative configuration about the COM."""
-    l_vec = np.cross(relative.nuclei_positions, relative.nuclei_momenta).sum(axis=0)
-    if relative.electron_positions.size:
-        l_vec = l_vec + np.cross(relative.electron_positions,
-                                 relative.electron_momenta).sum(axis=0)
-    return l_vec
+    """Orbital angular momentum of a relative configuration about the COM.
 
-
-def rest_angmom(rest):
-    """Orbital angular momentum evaluated on rest-frame data.
-
-    Same classical expression as relative_angmom; the symmetrized
+    On rest-frame data this is the rest angular momentum; the symmetrized
     operator ordering reduces to it on commuting samples.
     """
-    return relative_angmom(rest)
+    return (cross_sum(relative.nuclei_positions, relative.nuclei_momenta)
+            + cross_sum(relative.electron_positions, relative.electron_momenta))
+
+
+def deformation_angmom(basis, amplitudes, momenta):
+    """Mode-coupling term sum_mu (sum_a Q^a X_mu a) x (sum_b P_b X^dual_mu b)."""
+    return cross_sum(mode_sum(amplitudes, basis.x), mode_sum(momenta, basis.x_dual))
 
 
 def decompose_angmom(model, basis, state):
@@ -128,14 +146,10 @@ def decompose_angmom(model, basis, state):
     rotational = I(Q) Omega, deformation the mode-coupling cross term,
     electronic the internal electron term.  Their sum reproduces the
     rest-frame angular momentum of the corresponding configuration.
+    Each term is (3,) for one frame or (T, 3) for a stacked state.
     """
-    rotational = inertia_at(model, state.Q) @ state.angular_velocity
-    deformation = np.cross(
-        np.einsum("a,mak->mk", state.Q, basis.x),
-        np.einsum("a,mak->mk", state.P, basis.x_dual),
-    ).sum(axis=0)
-    if state.q.size:
-        electronic = np.cross(state.q, state.p).sum(axis=0)
-    else:
-        electronic = np.zeros(3)
+    inertia = inertia_at(model, state.Q)
+    rotational = (inertia @ state.angular_velocity[..., None])[..., 0]
+    deformation = deformation_angmom(basis, state.Q, state.P)
+    electronic = cross_sum(state.q, state.p)
     return rotational, deformation, electronic

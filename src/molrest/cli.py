@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
     SingularInertiaError,
 )
-from .frames import analyze, load_trajectory, reconstruct
+from .frames import BLOCKS, analyze, load_trajectory, reconstruct
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
 from .quantum import (
@@ -169,6 +169,8 @@ def _clean(value):
     """Recursively convert report values to plain JSON-friendly types."""
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
+    if isinstance(value, list) and all(type(v) is float for v in value):
+        return value  # already plain: frame rows hold many of these
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -286,62 +288,66 @@ def _cmd_modes(config, mol, rng):
     }
 
 
-def _frame_scale(mol, cfg):
-    return float(
-        np.sum(mol.masses * np.linalg.norm(mol.positions, axis=1)
-               * np.linalg.norm(cfg.nuclei_positions, axis=1))
-    )
-
-
 def _roundtrip_error(cfg, rebuilt):
-    blocks = ("nuclei_positions", "nuclei_momenta", "electron_positions",
-              "electron_momenta")
+    """Largest absolute difference over every block, per frame."""
     worst = 0.0
-    for name in blocks:
-        a, b = getattr(cfg, name), getattr(rebuilt, name)
-        if a.size:
-            worst = max(worst, float(np.abs(a - b).max()))
+    for name in BLOCKS:
+        diff = np.abs(getattr(cfg, name) - getattr(rebuilt, name))
+        worst = np.maximum(worst, diff.max(axis=(-2, -1), initial=0.0))
     return worst
+
+
+def _frame_rows(columns):
+    """One report row per frame from per-frame arrays, via ``.tolist()``."""
+    names = list(columns)
+    lists = [np.asarray(columns[name]).tolist() for name in names]
+    return [{"index": index, **dict(zip(names, values))}
+            for index, values in enumerate(zip(*lists))]
+
+
+def _frame_columns(config, mol, basis):
+    """Per-frame report arrays of the frame command.
+
+    The (T, N, 3) stacks stay local, so they are freed before the rows
+    are rendered.
+    """
+    traj = load_trajectory(mol, config.trajectory_path)
+    state = analyze(mol, basis, traj)
+    frame = state.frame
+    rt = _roundtrip_error(traj, reconstruct(mol, basis, state))
+    rel_residual = frame.relative_residual
+    passed = ((rel_residual <= config.tol_eckart) & (rt <= config.tol_roundtrip)
+              & ~frame.degenerate)
+    return {
+        "orientation": frame.orientation,
+        "residual": frame.residual,
+        "relative_residual": rel_residual,
+        "degenerate": frame.degenerate,
+        "com_position": state.com_position,
+        "com_momentum": state.com_momentum,
+        "mode_amplitudes": state.Q,
+        "mode_momenta": state.P,
+        "electron_positions": state.q,
+        "electron_momenta": state.p,
+        "angular_velocity": state.angular_velocity,
+        "angular_momentum": state.angular_momentum,
+        "roundtrip_error": rt,
+        "passed": passed,
+    }
 
 
 def _cmd_frame(config, mol, rng):
     if not config.trajectory_path:
         raise SchemaError("the frame command needs --trajectory")
-    basis = build_modes(mol, rng=rng)
-    frames = []
-    ok = True
-    for index, cfg in enumerate(load_trajectory(mol, config.trajectory_path)):
-        state = analyze(mol, basis, cfg)
-        frame = state.frame
-        rebuilt = reconstruct(mol, basis, state)
-        rt = _roundtrip_error(cfg, rebuilt)
-        rel_residual = frame.residual / max(_frame_scale(mol, cfg), 1e-300)
-        frame_ok = bool(rel_residual <= config.tol_eckart
-                        and rt <= config.tol_roundtrip and not frame.degenerate)
-        ok = ok and frame_ok
-        frames.append({
-            "index": index,
-            "orientation": frame.orientation,
-            "residual": frame.residual,
-            "relative_residual": rel_residual,
-            "degenerate": frame.degenerate,
-            "com_position": state.com_position,
-            "com_momentum": state.com_momentum,
-            "mode_amplitudes": state.Q,
-            "mode_momenta": state.P,
-            "electron_positions": state.q,
-            "electron_momenta": state.p,
-            "angular_velocity": state.angular_velocity,
-            "angular_momentum": state.angular_momentum,
-            "roundtrip_error": rt,
-            "passed": frame_ok,
-        })
+    columns = _frame_columns(config, mol, build_modes(mol, rng=rng))
+    passed = bool(columns["passed"].all())
+    frames = _frame_rows(columns)
     return {
         "command": "frame",
         "n_frames": len(frames),
         "frames": frames,
         "tolerance": {"eckart": config.tol_eckart, "roundtrip": config.tol_roundtrip},
-        "passed": bool(ok and frames),
+        "passed": passed,
     }
 
 
@@ -350,32 +356,27 @@ def _cmd_decompose(config, mol, rng):
         raise SchemaError("the decompose command needs --trajectory")
     basis = build_modes(mol, rng=rng)
     model = build_inertia(mol, basis)
-    frames = []
-    ok = True
-    for index, cfg in enumerate(load_trajectory(mol, config.trajectory_path)):
-        state = analyze(mol, basis, cfg)
-        rotational, deformation, electronic = decompose_angmom(model, basis, state)
-        total = rotational + deformation + electronic
-        direct = state.angular_momentum
-        residual = float(np.abs(total - direct).max())
-        frame_ok = bool(residual <= config.tol_roundtrip)
-        ok = ok and frame_ok
-        frames.append({
-            "index": index,
-            "rotational": rotational,
-            "deformation": deformation,
-            "electronic": electronic,
-            "total": total,
-            "rest_angular_momentum": direct,
-            "residual": residual,
-            "passed": frame_ok,
-        })
+    state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path), model=model)
+    rotational, deformation, electronic = decompose_angmom(model, basis, state)
+    total = rotational + deformation + electronic
+    direct = state.angular_momentum
+    residual = np.abs(total - direct).max(axis=-1)
+    passed = residual <= config.tol_roundtrip
+    frames = _frame_rows({
+        "rotational": rotational,
+        "deformation": deformation,
+        "electronic": electronic,
+        "total": total,
+        "rest_angular_momentum": direct,
+        "residual": residual,
+        "passed": passed,
+    })
     return {
         "command": "decompose",
         "n_frames": len(frames),
         "frames": frames,
         "tolerance": config.tol_roundtrip,
-        "passed": bool(ok and frames),
+        "passed": bool(passed.all()),
     }
 
 

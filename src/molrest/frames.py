@@ -6,14 +6,30 @@ frame (body axes from the Eckart conditions) -> internal observables
 back.  The forward and backward maps are exact inverses up to round-off
 because the Eckart conditions remove precisely the rotational component
 of the mass-weighted displacement.
+
+Every stage works on a whole trajectory at once: particle blocks are
+(T, N, 3) stacks, rotations (T, 3, 3), per-frame scalars (T,).  A single
+frame, with (N, 3) blocks, runs the same code and gets the same shapes
+without the leading T.  The contractions are einsums over a leading
+ellipsis, which sum in the same order for a stack as for one frame, so
+a trajectory gives the same numbers as its frames one at a time.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angmom import (
+    build_inertia,
+    cross_sum,
+    deformation_angmom,
+    inertia_at,
+    mode_sum,
+    relative_angmom,
+)
 from .errors import EckartSolveError, SchemaError, SingularInertiaError
-from .lie_so3 import log_map
+from .lie_so3 import cross, length, log_map
 
 __all__ = [
     "Configuration",
@@ -31,10 +47,23 @@ __all__ = [
     "write_trajectory",
 ]
 
+BLOCKS = ("nuclei_positions", "nuclei_momenta", "electron_positions", "electron_momenta")
+
+# Largest condition number of I(Q) that is still inverted.
+MAX_INERTIA_COND = 1e12
+
+# Particle rows converted per block by load_trajectory.
+PARSE_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Configuration:
-    """Positions and momenta of every particle, nuclei then electrons."""
+    """Positions and momenta of every particle, nuclei then electrons.
+
+    Each block is (N, 3) for one frame or (T, N, 3) for a stack of T
+    frames, with the same T in every block.  The electron blocks of an
+    electron-free stack may stay at their (0, 3) default.
+    """
 
     nuclei_positions: np.ndarray
     nuclei_momenta: np.ndarray
@@ -42,35 +71,60 @@ class Configuration:
     electron_momenta: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        for name in ("nuclei_positions", "nuclei_momenta", "electron_positions",
-                     "electron_momenta"):
+        arrays = {}
+        for name in BLOCKS:
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError(f"{name} must have shape (*, 3), got {arr.shape}")
+            if arr.ndim not in (2, 3) or arr.shape[-1] != 3:
+                raise ValueError(f"{name} must have shape (*, 3) or (T, *, 3), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} has non-finite entries")
+            arrays[name] = arr
+        frames = arrays["nuclei_positions"].shape[:-2]
+        for name, arr in arrays.items():
+            if arr.shape[:-2] != frames and arr.shape == (0, 3):
+                arr = np.zeros(frames + (0, 3))
+            if arr.shape[:-2] != frames:
+                raise ValueError(f"{name} holds {arr.shape[:-2]} frames, nuclei_positions "
+                                 f"{frames}")
             object.__setattr__(self, name, arr)
         if self.nuclei_positions.shape != self.nuclei_momenta.shape:
             raise ValueError("nuclei position/momentum shapes differ")
         if self.electron_positions.shape != self.electron_momenta.shape:
             raise ValueError("electron position/momentum shapes differ")
 
+    @classmethod
+    def stack(cls, configs):
+        """One (T, N, 3) configuration from a sequence of T single frames."""
+        configs = list(configs)
+        if not configs:
+            raise ValueError("no configurations to stack")
+        return cls(*(np.stack([getattr(c, name) for c in configs]) for name in BLOCKS))
+
 
 @dataclass(frozen=True)
 class EckartFrame:
-    """Solved body orientation.
+    """Solved body orientation, per frame.
 
     rotation : (3, 3) proper orthogonal matrix R mapping body to lab.
     orientation : (3,) rotation vector of R in the canonical ball.
     residual : norm of the orientation condition after the solve.
+    scale : sum_mu M_mu |R0_mu| |R'_mu| over the relative positions,
+        the magnitude the residual is measured against.
     degenerate : True when the orientation is not uniquely determined
         (near-degenerate top eigenvalue of the quaternion problem).
+
+    For a stack every field gains a leading (T,) axis.
     """
 
     rotation: np.ndarray
     orientation: np.ndarray
     residual: float
+    scale: float
     degenerate: bool = False
+
+    @property
+    def relative_residual(self):
+        return self.residual / np.maximum(self.scale, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -83,7 +137,7 @@ class AMatrix:
 
 @dataclass(frozen=True)
 class InternalState:
-    """Internal observables extracted from one configuration.
+    """Internal observables extracted from one configuration or a stack.
 
     Q, P : (K,) mode amplitudes and conjugate momenta.
     q, p : (n, 3) internal electron coordinates and momenta.
@@ -91,6 +145,8 @@ class InternalState:
     com_position, com_momentum : the center-of-mass pair that was split
         off, so the configuration can be rebuilt.
     frame : the EckartFrame used for the extraction.
+
+    For a stack every array gains a leading (T,) axis.
     """
 
     com_position: np.ndarray
@@ -105,16 +161,22 @@ class InternalState:
 
 
 def _check_config(mol, cfg):
-    if cfg.nuclei_positions.shape[0] != mol.n_nuclei:
+    if cfg.nuclei_positions.shape[-2] != mol.n_nuclei:
         raise ValueError(
-            f"configuration has {cfg.nuclei_positions.shape[0]} nuclei, "
+            f"configuration has {cfg.nuclei_positions.shape[-2]} nuclei, "
             f"molecule defines {mol.n_nuclei}"
         )
-    if cfg.electron_positions.shape[0] != mol.electron_count:
+    if cfg.electron_positions.shape[-2] != mol.electron_count:
         raise ValueError(
-            f"configuration has {cfg.electron_positions.shape[0]} electrons, "
+            f"configuration has {cfg.electron_positions.shape[-2]} electrons, "
             f"molecule defines {mol.electron_count}"
         )
+
+
+def _first(bad, *values):
+    """Index of the first flagged frame and each value's entry there."""
+    i = int(np.flatnonzero(bad)[0])
+    return i, [np.reshape(v, (bad.size, -1))[i].squeeze() for v in values]
 
 
 def com_split(mol, cfg):
@@ -126,29 +188,29 @@ def com_split(mol, cfg):
     mass fraction so a uniform boost leaves the relative data unchanged.
     """
     _check_config(mol, cfg)
-    summary = mol.mass_summary()
-    total = summary.total_mass
+    total = mol.mass_summary().total_mass
     com = (mol.masses @ cfg.nuclei_positions
-           + mol.electron_mass * cfg.electron_positions.sum(axis=0)) / total
-    mom = cfg.nuclei_momenta.sum(axis=0) + cfg.electron_momenta.sum(axis=0)
+           + mol.electron_mass * cfg.electron_positions.sum(axis=-2)) / total
+    mom = cfg.nuclei_momenta.sum(axis=-2) + cfg.electron_momenta.sum(axis=-2)
     rel = Configuration(
-        nuclei_positions=cfg.nuclei_positions - com,
-        nuclei_momenta=cfg.nuclei_momenta - np.outer(mol.masses / total, mom),
-        electron_positions=cfg.electron_positions - com,
-        electron_momenta=cfg.electron_momenta - (mol.electron_mass / total) * mom,
+        nuclei_positions=cfg.nuclei_positions - com[..., None, :],
+        nuclei_momenta=cfg.nuclei_momenta - (mol.masses / total)[:, None] * mom[..., None, :],
+        electron_positions=cfg.electron_positions - com[..., None, :],
+        electron_momenta=cfg.electron_momenta - (mol.electron_mass / total) * mom[..., None, :],
     )
     return com, mom, rel
 
 
 def _quaternion_to_matrix(q):
-    w, x, y, z = q
-    return np.array(
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))
 
 
 def solve_eckart(mol, positions):
@@ -156,64 +218,63 @@ def solve_eckart(mol, positions):
 
     Finds the rotation R maximizing sum_mu M_mu R0_mu . (R^T R'_mu),
     whose stationarity condition is sum_mu M_mu R0_mu x (R^T R'_mu) = 0,
-    via the 4x4 symmetric quaternion eigenproblem.
+    via the 4x4 symmetric quaternion eigenproblem, solved for every
+    frame in one stacked ``eigh``.
 
     Parameters
     ----------
     mol : prepared Molecule.
-    positions : (N, 3) relative nuclear positions.
+    positions : (N, 3) or (T, N, 3) relative nuclear positions.
 
     Returns an ``EckartFrame``; ``degenerate`` is set when the top
     eigenvalue is (nearly) repeated and the orientation is arbitrary
-    within the degenerate subspace.
+    within the degenerate subspace.  Raises ``EckartSolveError`` naming
+    the first frame whose residual exceeds 1e-8 of its scale.
     """
     if not mol.prepared:
         raise ValueError("solve_eckart requires a prepared molecule")
     positions = np.asarray(positions, dtype=float)
-    if positions.shape != (mol.n_nuclei, 3):
-        raise ValueError(f"positions must have shape ({mol.n_nuclei}, 3)")
+    if positions.ndim not in (2, 3) or positions.shape[-2:] != (mol.n_nuclei, 3):
+        raise ValueError(f"positions must have shape ({mol.n_nuclei}, 3) or "
+                         f"(T, {mol.n_nuclei}, 3)")
 
-    c = np.einsum("m,mi,mj->ij", mol.masses, mol.positions, positions)
-    sigma = np.trace(c)
-    z = np.array([c[1, 2] - c[2, 1], c[2, 0] - c[0, 2], c[0, 1] - c[1, 0]])
-    k = np.empty((4, 4))
-    k[0, 0] = sigma
-    k[0, 1:] = z
-    k[1:, 0] = z
-    k[1:, 1:] = c + c.T - sigma * np.eye(3)
+    c = np.einsum("m,mi,...mj->...ij", mol.masses, mol.positions, positions)
+    sigma = np.trace(c, axis1=-2, axis2=-1)
+    k = np.empty(c.shape[:-2] + (4, 4))
+    k[..., 0, 0] = sigma
+    k[..., 0, 1:] = k[..., 1:, 0] = np.stack(
+        [c[..., 1, 2] - c[..., 2, 1], c[..., 2, 0] - c[..., 0, 2], c[..., 0, 1] - c[..., 1, 0]],
+        axis=-1)
+    k[..., 1:, 1:] = c + np.swapaxes(c, -1, -2) - sigma[..., None, None] * np.eye(3)
     evals, evecs = np.linalg.eigh(k)
 
-    gap = (evals[3] - evals[2]) / max(1.0, abs(evals[3]))
-    rotation = _quaternion_to_matrix(evecs[:, 3])
+    gap = (evals[..., 3] - evals[..., 2]) / np.maximum(1.0, np.abs(evals[..., 3]))
+    rotation = _quaternion_to_matrix(evecs[..., 3])
 
     body = positions @ rotation
-    residual_vec = np.einsum("m,mk->k", mol.masses, np.cross(mol.positions, body))
-    residual = float(np.linalg.norm(residual_vec))
-    scale = float(
-        np.sum(mol.masses * np.linalg.norm(mol.positions, axis=1)
-               * np.linalg.norm(positions, axis=1))
-    )
-    if not np.isfinite(residual) or residual > 1e-8 * max(scale, 1e-300):
+    residual = length(np.einsum("m,...mk->...k", mol.masses, cross(mol.positions, body)))
+    scale = np.sum(mol.masses * np.linalg.norm(mol.positions, axis=1)
+                   * np.linalg.norm(positions, axis=-1), axis=-1)
+    failed = ~np.isfinite(residual) | (residual > 1e-8 * np.maximum(scale, 1e-300))
+    if failed.any():
+        i, (res, sc) = _first(failed, residual, scale)
         raise EckartSolveError(
-            f"orientation solve failed: residual {residual:.3e} for scale {scale:.3e}"
+            f"orientation solve failed at frame {i}: residual {res:.3e} for scale {sc:.3e} "
+            f"(relative {res / max(sc, 1e-300):.3e} > 1e-8)"
         )
     return EckartFrame(
         rotation=rotation,
         orientation=log_map(rotation),
-        residual=residual,
-        degenerate=bool(gap < 1e-9),
+        residual=residual[()],
+        scale=scale[()],
+        degenerate=(gap < 1e-9)[()],
     )
 
 
 def to_rest(frame, cfg):
     """Rotate a relative configuration into the body (rest) frame."""
     r = frame.rotation
-    return Configuration(
-        nuclei_positions=cfg.nuclei_positions @ r,
-        nuclei_momenta=cfg.nuclei_momenta @ r,
-        electron_positions=cfg.electron_positions @ r,
-        electron_momenta=cfg.electron_momenta @ r,
-    )
+    return Configuration(*(getattr(cfg, name) @ r for name in BLOCKS))
 
 
 def a_matrix(mol):
@@ -236,13 +297,8 @@ def a_matrix(mol):
     )
 
 
-def _instantaneous_inertia(mol, basis, q_amplitudes):
-    from .angmom import build_inertia, inertia_at  # deferred: angmom uses Configuration
-
-    return inertia_at(build_inertia(mol, basis), q_amplitudes)
-
-
-def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=None):
+def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=None,
+                     model=None):
     """Extract internal observables from a rest-frame configuration.
 
     Mode amplitudes pair displacements with the dual directions, mode
@@ -250,36 +306,40 @@ def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=No
     observables are unmixed with the inverse A-matrix; the angular
     velocity inverts the three-term split of the rest-frame angular
     momentum (rigid + mode-coupling + electronic) using the
-    instantaneous inertia tensor.
+    instantaneous inertia tensor.  ``model`` is the basis's
+    ``InertiaModel``; it is built here when not given.
 
-    Raises ``SingularInertiaError`` when the instantaneous inertia is
-    singular or too ill-conditioned to invert trustworthily.
+    Raises ``SingularInertiaError``, naming the first such frame, when
+    the instantaneous inertia is singular or too ill-conditioned to
+    invert trustworthily.
     """
-    from .angmom import rest_angmom  # deferred, see above
-
     _check_config(mol, rest)
+    if model is None:
+        model = build_inertia(mol, basis)
     sqrt_m = np.sqrt(mol.masses)
-    disp = rest.nuclei_positions - mol.positions
-    amp = np.einsum("m,mak,mk->a", sqrt_m, basis.x_dual, disp)
-    mom = np.einsum("m,mak,mk->a", 1.0 / sqrt_m, basis.x, rest.nuclei_momenta)
+    amp = np.einsum("m,mak,...mk->...a", sqrt_m, basis.x_dual,
+                    rest.nuclei_positions - mol.positions)
+    mom = np.einsum("m,mak,...mk->...a", 1.0 / sqrt_m, basis.x, rest.nuclei_momenta)
 
     mix = a_matrix(mol)
     q = mix.a_inv @ rest.electron_positions
     p = mix.a_inv @ rest.electron_momenta
 
-    total_l = rest_angmom(rest)
-    defect = np.cross(np.einsum("a,mak->mk", amp, basis.x),
-                      np.einsum("a,mak->mk", mom, basis.x_dual)).sum(axis=0)
-    electronic = np.cross(q, p).sum(axis=0) if q.size else np.zeros(3)
+    total_l = relative_angmom(rest)
+    internal_l = total_l - deformation_angmom(basis, amp, mom) - cross_sum(q, p)
 
-    inertia = _instantaneous_inertia(mol, basis, amp)
-    if np.linalg.cond(inertia) > 1e12:
+    inertia = inertia_at(model, amp)
+    cond = np.linalg.cond(inertia)
+    singular = cond > MAX_INERTIA_COND
+    if singular.any():
+        i, (value, q_i) = _first(singular, cond, amp)
         raise SingularInertiaError(
-            f"instantaneous inertia is singular (cond > 1e12) for Q = {amp}"
+            f"instantaneous inertia is singular at frame {i} "
+            f"(cond {value:.3e} > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
         )
-    omega = np.linalg.solve(inertia, total_l - defect - electronic)
+    omega = np.linalg.solve(inertia, internal_l[..., None])[..., 0]
 
-    zeros = np.zeros(3)
+    zeros = np.zeros(total_l.shape)
     return InternalState(
         com_position=zeros if com_position is None else np.asarray(com_position, float),
         com_momentum=zeros if com_momentum is None else np.asarray(com_momentum, float),
@@ -303,64 +363,53 @@ def reconstruct(mol, basis, state):
     """
     summary = mol.mass_summary()
     nuclear_mass = summary.nuclear_mass
-    sqrt_m = np.sqrt(mol.masses)
+    sqrt_m = np.sqrt(mol.masses)[:, None]
     mix = a_matrix(mol)
 
-    if state.q.size:
-        r_el = mix.a @ state.q
-        p_el = mix.a @ state.p
-        shift_q = r_el.sum(axis=0) * (mol.electron_mass / nuclear_mass)
-        shift_p = p_el.sum(axis=0) / nuclear_mass
-    else:
-        r_el = state.q
-        p_el = state.p
-        shift_q = np.zeros(3)
-        shift_p = np.zeros(3)
+    r_el = mix.a @ state.q
+    p_el = mix.a @ state.p
+    shift_q = r_el.sum(axis=-2, keepdims=True) * (mol.electron_mass / nuclear_mass)
+    shift_p = p_el.sum(axis=-2, keepdims=True) / nuclear_mass
 
-    rest_pos = (mol.positions
-                + np.einsum("a,mak->mk", state.Q, basis.x) / sqrt_m[:, None]
-                - shift_q)
-    rest_mom = (np.cross(state.angular_velocity, mol.masses[:, None] * mol.positions)
-                + sqrt_m[:, None] * np.einsum("a,mak->mk", state.P, basis.x_dual)
-                - np.outer(mol.masses, shift_p))
+    rest_pos = mol.positions + mode_sum(state.Q, basis.x) / sqrt_m - shift_q
+    rest_mom = (cross(state.angular_velocity[..., None, :], mol.masses[:, None] * mol.positions)
+                + sqrt_m * mode_sum(state.P, basis.x_dual)
+                - mol.masses[:, None] * shift_p)
 
-    r = state.frame.rotation
-    com = state.com_position
-    mom = state.com_momentum
+    r_t = np.swapaxes(state.frame.rotation, -1, -2)
+    com = state.com_position[..., None, :]
+    mom = state.com_momentum[..., None, :]
     return Configuration(
-        nuclei_positions=rest_pos @ r.T + com,
-        nuclei_momenta=rest_mom @ r.T + np.outer(mol.masses / summary.total_mass, mom),
-        electron_positions=r_el @ r.T + com,
-        electron_momenta=p_el @ r.T + (mol.electron_mass / summary.total_mass) * mom,
+        nuclei_positions=rest_pos @ r_t + com,
+        nuclei_momenta=rest_mom @ r_t + (mol.masses / summary.total_mass)[:, None] * mom,
+        electron_positions=r_el @ r_t + com,
+        electron_momenta=p_el @ r_t + (mol.electron_mass / summary.total_mass) * mom,
     )
 
 
-def analyze(mol, basis, cfg):
-    """Full pipeline: split the COM, orient, extract internal observables."""
+def analyze(mol, basis, cfg, model=None):
+    """Full pipeline: split the COM, orient, extract internal observables.
+
+    ``cfg`` is one frame or a (T, N, 3) stack; ``model`` is passed on to
+    ``extract_internal``.
+    """
     com, mom, rel = com_split(mol, cfg)
     frame = solve_eckart(mol, rel.nuclei_positions)
     rest = to_rest(frame, rel)
     return extract_internal(mol, basis, frame, rest,
-                            com_position=com, com_momentum=mom)
+                            com_position=com, com_momentum=mom, model=model)
 
 
 # --- trajectory I/O --------------------------------------------------------
 
 
-def load_trajectory(mol, path):
-    """Read configurations from an extended-xyz style trajectory file.
+def _frame_starts(lines, n_total):
+    """Line index of every frame's count line, and the first header error.
 
-    Each frame is ``count`` / comment / ``count`` particle lines of the
-    form ``species x y z px py pz``.  Nuclei come first (any species
-    label except ``e``), then the electrons (species ``e``).  The count
-    must equal N + n of the molecule.  Raises ``SchemaError`` (with the
-    line number) on any malformed content.
+    Scanning stops at the first malformed header; the error is returned
+    rather than raised so that row errors of earlier frames come first.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    n_total = mol.n_nuclei + mol.electron_count
-    configs = []
+    starts = []
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -369,58 +418,125 @@ def load_trajectory(mol, path):
         try:
             count = int(lines[i].strip())
         except ValueError:
-            raise SchemaError(f"line {i + 1}: expected a particle count")
+            return starts, SchemaError(f"line {i + 1}: expected a particle count")
         if count != n_total:
-            raise SchemaError(
+            return starts, SchemaError(
                 f"line {i + 1}: frame holds {count} particles, molecule needs {n_total}"
             )
         if i + 2 + count > len(lines):
-            raise SchemaError(f"line {i + 1}: truncated frame")
-        rows = []
-        for j in range(count):
-            line_no = i + 3 + j
-            parts = lines[i + 2 + j].split()
+            return starts, SchemaError(f"line {i + 1}: truncated frame")
+        starts.append(i)
+        i += 2 + count
+    return starts, None
+
+
+def _parse_rows(rows, n_total, n_nuclei):
+    """The six numbers of every particle row, as a (rows, 6) array.
+
+    Returns ``None`` when some row is malformed: not seven fields, a
+    coordinate ``float`` rejects, or a species label out of place.
+    """
+    fields = list(map(str.split, rows))
+    if any(map((7).__ne__, map(len, fields))):
+        return None
+    tokens = list(itertools.chain.from_iterable(fields))
+    electron = np.array(tokens[0::7]) == "e"
+    if np.any(electron != (np.arange(len(rows)) % n_total >= n_nuclei)):
+        return None
+    del tokens[0::7]
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        return None
+    return values.reshape(-1, 6)
+
+
+def _row_error(rows, starts, n_total, n_nuclei):
+    """SchemaError for the first malformed row, in file order.
+
+    Within a frame every row's field count and numbers are checked
+    before any species label.
+    """
+    for f, start in enumerate(starts):
+        frame_rows = rows[f * n_total:(f + 1) * n_total]
+        for j, row in enumerate(frame_rows):
+            parts = row.split()
             if len(parts) != 7:
-                raise SchemaError(
-                    f"line {line_no}: expected 'species x y z px py pz' (7 fields)"
-                )
+                return SchemaError(
+                    f"line {start + 3 + j}: expected 'species x y z px py pz' (7 fields)")
             try:
-                rows.append((parts[0], [float(v) for v in parts[1:]]))
+                list(map(float, parts[1:]))
             except ValueError:
-                raise SchemaError(f"line {line_no}: non-numeric coordinate")
-        for j, (species, _) in enumerate(rows):
-            if j < mol.n_nuclei and species == "e":
-                raise SchemaError(
-                    f"line {i + 3 + j}: electron row among the first {mol.n_nuclei} "
+                return SchemaError(f"line {start + 3 + j}: non-numeric coordinate")
+        for j, row in enumerate(frame_rows):
+            species = row.split()[0]
+            if j < n_nuclei and species == "e":
+                return SchemaError(
+                    f"line {start + 3 + j}: electron row among the first {n_nuclei} "
                     "(nuclei must come first)"
                 )
-            if j >= mol.n_nuclei and species != "e":
-                raise SchemaError(f"line {i + 3 + j}: expected electron row (species 'e')")
-        data = np.array([vals for _, vals in rows])
-        configs.append(
-            Configuration(
-                nuclei_positions=data[: mol.n_nuclei, :3],
-                nuclei_momenta=data[: mol.n_nuclei, 3:],
-                electron_positions=data[mol.n_nuclei:, :3],
-                electron_momenta=data[mol.n_nuclei:, 3:],
-            )
-        )
-        i += 2 + count
-    if not configs:
-        raise SchemaError("trajectory holds no frames")
-    return configs
+            if j >= n_nuclei and species != "e":
+                return SchemaError(f"line {start + 3 + j}: expected electron row (species 'e')")
+    raise AssertionError("_parse_rows rejected rows that _row_error accepts")
+
+
+def load_trajectory(mol, path):
+    """Read a whole extended-xyz style trajectory into one stacked Configuration.
+
+    Each frame is ``count`` / comment / ``count`` particle lines of the
+    form ``species x y z px py pz``.  Nuclei come first (any species
+    label except ``e``), then the electrons (species ``e``).  The count
+    must equal N + n of the molecule.  Returns (T, N, 3) blocks, T >= 1.
+    Raises ``SchemaError`` (with the line number of the first problem
+    in the file) on any malformed content.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+
+    n_nuclei = mol.n_nuclei
+    n_total = n_nuclei + mol.electron_count
+    starts, header_error = _frame_starts(lines, n_total)
+    if not starts:
+        raise header_error or SchemaError("trajectory holds no frames")
+    picks = np.asarray(starts)[:, None] + 2 + np.arange(n_total)
+    rows = list(map(lines.__getitem__, picks.ravel().tolist()))
+    # Parsed in blocks of whole frames so the token lists stay small.
+    block = n_total * max(1, PARSE_BLOCK_ROWS // n_total)
+    data = np.empty((len(rows), 6))
+    for lo in range(0, len(rows), block):
+        values = _parse_rows(rows[lo:lo + block], n_total, n_nuclei)
+        if values is None:
+            raise _row_error(rows, starts, n_total, n_nuclei)
+        data[lo:lo + block] = values
+    if header_error is not None:
+        raise header_error
+    data = data.reshape(len(starts), n_total, 6)
+    return Configuration(
+        nuclei_positions=data[:, :n_nuclei, :3],
+        nuclei_momenta=data[:, :n_nuclei, 3:],
+        electron_positions=data[:, n_nuclei:, :3],
+        electron_momenta=data[:, n_nuclei:, 3:],
+    )
 
 
 def write_trajectory(mol, path, configs, comment="frame"):
-    """Write configurations in the format read by load_trajectory."""
+    """Write configurations in the format read by load_trajectory.
+
+    ``configs`` is a Configuration (one frame or a stack) or a sequence
+    of single-frame ones.
+    """
+    if not isinstance(configs, Configuration):
+        configs = Configuration.stack(configs)
+    _check_config(mol, configs)
     n_total = mol.n_nuclei + mol.electron_count
+    nuclei = np.concatenate([configs.nuclei_positions, configs.nuclei_momenta], axis=-1)
+    electrons = np.concatenate([configs.electron_positions, configs.electron_momenta], axis=-1)
+    nuclei = nuclei.reshape((-1,) + nuclei.shape[-2:])
+    electrons = electrons.reshape((len(nuclei),) + electrons.shape[-2:])
     with open(path, "w", encoding="utf-8") as fh:
-        for idx, cfg in enumerate(configs):
-            _check_config(mol, cfg)
+        for idx, (nuc, elec) in enumerate(zip(nuclei, electrons)):
             fh.write(f"{n_total}\n{comment} {idx}\n")
-            for mu in range(mol.n_nuclei):
-                row = [*cfg.nuclei_positions[mu], *cfg.nuclei_momenta[mu]]
+            for mu, row in enumerate(nuc):
                 fh.write(f"X{mu} " + " ".join(repr(float(v)) for v in row) + "\n")
-            for nu in range(mol.electron_count):
-                row = [*cfg.electron_positions[nu], *cfg.electron_momenta[nu]]
+            for row in elec:
                 fh.write("e " + " ".join(repr(float(v)) for v in row) + "\n")

@@ -26,6 +26,8 @@ __all__ = [
     "KillingFrame",
     "skew",
     "vee",
+    "cross",
+    "length",
     "generators",
     "exp_map",
     "log_map",
@@ -106,53 +108,90 @@ def exp_map(omega):
     return np.eye(3) + a * k + b * (k @ k)
 
 
+def _where(bad):
+    """Suffix naming the first flagged matrix of a stack; empty for one matrix."""
+    return "" if bad.ndim == 0 else f" (index {int(np.flatnonzero(bad)[0])})"
+
+
 def _check_rotation(r, atol=1e-8):
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation matrix must have shape (3, 3), got {r.shape}")
-    if not np.allclose(r.T @ r, np.eye(3), atol=atol):
-        raise ValueError("matrix is not orthogonal")
-    if np.linalg.det(r) < 0.0:
-        raise ValueError("matrix is orthogonal but improper (det = -1)")
+    if r.ndim < 2 or r.shape[-2:] != (3, 3):
+        raise ValueError(f"rotation matrix must have shape (..., 3, 3), got {r.shape}")
+    gram = np.swapaxes(r, -1, -2) @ r
+    skewed = ~np.isclose(gram, np.eye(3), atol=atol).all(axis=(-2, -1))
+    if skewed.any():
+        raise ValueError("matrix is not orthogonal" + _where(skewed))
+    improper = np.linalg.det(r) < 0.0
+    if improper.any():
+        raise ValueError("matrix is orthogonal but improper (det = -1)" + _where(improper))
     return r
+
+
+def _dot(a, b):
+    """Dot product over the last axis, by the routine ``a @ b`` uses for one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def length(v):
+    """Euclidean length over the last axis of an (..., 3) array.
+
+    Uses the same dot product as ``np.linalg.norm`` of a single vector,
+    so one vector and a stack of them give bit-identical lengths.
+    """
+    return np.sqrt(_dot(v, v))
+
+
+def cross(a, b):
+    """Broadcasting cross product of (..., 3) arrays, written out by component."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def log_map(r):
     """Rotation vector of a rotation matrix, with norm <= pi.
 
-    Inverse of exp_map on the canonical ball.  Near the angle pi the
-    axis is recovered from the symmetric part of R, which stays
-    well-conditioned where the antisymmetric part vanishes.
+    Inverse of exp_map on the canonical ball.  Accepts one (3, 3) matrix
+    or an (..., 3, 3) stack and returns (3,) or (..., 3).  Near the
+    angle pi the axis is recovered from the symmetric part of R, which
+    stays well-conditioned where the antisymmetric part vanishes; only
+    the matrices that need it take that branch.
     """
     r = _check_rotation(r)
-    c = 0.5 * (np.trace(r) - 1.0)
-    c = min(1.0, max(-1.0, c))
+    c = np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0)
     v = vee(r)  # = sin(theta) * axis
-    s = float(np.linalg.norm(v))
+    s = length(v)
     # atan2 keeps the angle well-conditioned at both ends, where arccos
     # alone would lose half the digits.
-    theta = float(np.arctan2(s, c))
+    theta = np.arctan2(s, c)
 
-    if theta < _SMALL:
-        # omega = v * theta/sin(theta); the quadratic term suffices here.
-        return v * (1.0 + theta * theta / 6.0)
-    if s > _SMALL:
-        return v * (theta / s)
+    small = theta < _SMALL
+    seam = ~small & (s <= _SMALL)  # theta within ~1e-4 of pi
+    # omega = v * theta/sin(theta); below _SMALL the quadratic term suffices.
+    ratio = np.where(small, 1.0 + theta * theta / 6.0,
+                     theta / np.where(small | seam, 1.0, s))
+    omega = v * ratio[..., None]
+    if seam.any():
+        omega[seam] = theta[seam][:, None] * _seam_axis(r[seam], c[seam], v[seam])
+    return omega
 
-    # theta within ~1e-4 of pi: uu^T = (sym(R) - c I) / (1 - c).
-    outer = (0.5 * (r + r.T) - c * np.eye(3)) / (1.0 - c)
-    j = int(np.argmax(np.diag(outer)))
-    u = outer[:, j] / np.sqrt(max(outer[j, j], 0.0))
-    u /= np.linalg.norm(u)
-    s = float(u @ v)
-    if abs(s) > 1e-12:
-        u = u if s > 0.0 else -u
-    else:
-        # Antipodal: +pi u and -pi u are the same rotation; fix a sign.
-        k = int(np.argmax(np.abs(u)))
-        if u[k] < 0.0:
-            u = -u
-    return theta * u
+
+def _seam_axis(r, c, v):
+    """Unit axes of (K, 3, 3) rotations by nearly pi, from uu^T = (sym(R) - c I) / (1 - c)."""
+    outer = (0.5 * (r + np.swapaxes(r, -1, -2)) - c[:, None, None] * np.eye(3)) \
+        / (1.0 - c)[:, None, None]
+    rows = np.arange(len(r))
+    j = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
+    u = outer[rows, :, j] / np.sqrt(np.maximum(outer[rows, j, j], 0.0))[:, None]
+    u /= length(u)[:, None]
+    s = _dot(u, v)
+    # Antipodal (|s| tiny): +pi u and -pi u are the same rotation; the
+    # largest component of u is made positive.
+    largest = u[rows, np.argmax(np.abs(u), axis=-1)]
+    flip = np.where(np.abs(s) > 1e-12, s < 0.0, largest < 0.0)
+    return np.where(flip[:, None], -u, u)
 
 
 @dataclass(frozen=True)

@@ -258,3 +258,79 @@ class TestReports:
         assert invoke("validate", "--input", MOLECULE) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
+
+
+def _trajectory_report(tmp_path, trajectory, name="report.json"):
+    out = tmp_path / name
+    code = invoke("frame", "--input", MOLECULE, "--trajectory", str(trajectory),
+                  "--output", str(out))
+    return code, json.loads(out.read_text())
+
+
+class TestTrajectoryFrames:
+    def test_relative_residual_ignores_translation(self, tmp_path):
+        from molrest.frames import Configuration, load_trajectory, write_trajectory
+        from molrest.molecule import load_molecule, prepare_equilibrium
+
+        mol = prepare_equilibrium(load_molecule(MOLECULE))
+        traj = load_trajectory(mol, TRAJECTORY)
+        moved = tmp_path / "moved.xyz"
+        write_trajectory(mol, moved, Configuration(
+            nuclei_positions=traj.nuclei_positions + 1e3,
+            nuclei_momenta=traj.nuclei_momenta,
+            electron_positions=traj.electron_positions + 1e3,
+            electron_momenta=traj.electron_momenta,
+        ))
+        code, report = _trajectory_report(tmp_path, TRAJECTORY, "a.json")
+        code_moved, report_moved = _trajectory_report(tmp_path, moved, "b.json")
+        assert code == code_moved == 0
+        checked = 0
+        for a, b in zip(report["frames"], report_moved["frames"], strict=True):
+            assert a["passed"] is b["passed"] is True
+            assert abs(a["relative_residual"] - b["relative_residual"]) <= 1e-14
+            # the scale the residual is divided by is the translation-free one
+            if a["residual"] > 0.0 and b["residual"] > 0.0:
+                scale = a["residual"] / a["relative_residual"]
+                scale_moved = b["residual"] / b["relative_residual"]
+                assert abs(scale_moved - scale) <= 1e-9 * scale
+                checked += 1
+        assert checked > 0
+
+    def test_singular_inertia_names_frame(self, tmp_path, capsys):
+        from molrest.angmom import build_inertia, inertia_at, mode_sum
+        from molrest.frames import Configuration, write_trajectory
+        from molrest.molecule import load_molecule, prepare_equilibrium
+        from molrest.modes import build_modes
+
+        mol = prepare_equilibrium(load_molecule(MOLECULE))
+        basis = build_modes(mol, rng=np.random.default_rng(0))  # the CLI's seed-0 basis
+        model = build_inertia(mol, basis)
+        direction = np.zeros(basis.n_modes)
+        direction[1] = 1.0
+
+        def smallest(t):
+            return np.linalg.eigvalsh(inertia_at(model, t * direction))[0]
+
+        lo, hi = 0.0, 1.0
+        while smallest(hi) > 0.0:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if smallest(mid) > 0.0 else (lo, mid)
+        singular = mol.positions + mode_sum(lo * direction, basis.x) / np.sqrt(mol.masses)[:, None]
+
+        rng = np.random.default_rng(1)
+        frames = []
+        for index in range(5):
+            pos = singular if index == 3 else \
+                mol.positions + rng.normal(scale=0.02, size=mol.positions.shape)
+            frames.append(Configuration(pos, np.zeros_like(pos), np.zeros((2, 3)),
+                                        np.zeros((2, 3))))
+        path = tmp_path / "singular.xyz"
+        write_trajectory(mol, path, frames)
+        out = tmp_path / "report.json"
+        for command in ("frame", "decompose"):
+            assert invoke(command, "--input", MOLECULE, "--trajectory", str(path),
+                          "--output", str(out)) == 2
+            assert "frame 3" in capsys.readouterr().err
+            assert not out.exists()

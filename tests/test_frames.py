@@ -322,10 +322,10 @@ def test_trajectory_roundtrip(tmp_path, penta):
     path = tmp_path / "traj.xyz"
     write_trajectory(penta, path, configs)
     back = load_trajectory(penta, path)
-    assert len(back) == 3
-    for a, b in zip(configs, back):
-        assert np.array_equal(a.nuclei_positions, b.nuclei_positions)
-        assert np.array_equal(a.electron_momenta, b.electron_momenta)
+    assert back.nuclei_positions.shape == (3, penta.n_nuclei, 3)
+    for t, a in enumerate(configs):
+        assert np.array_equal(a.nuclei_positions, back.nuclei_positions[t])
+        assert np.array_equal(a.electron_momenta, back.electron_momenta[t])
 
 
 def test_trajectory_errors(tmp_path, penta):
@@ -361,3 +361,54 @@ def test_trajectory_errors(tmp_path, penta):
     path.write_text("9\ncomment\n" + "\n".join(short) + "\n")
     with pytest.raises(SchemaError, match="7 fields"):
         load_trajectory(penta, path)
+
+
+def test_trajectory_errors_name_the_first_bad_line(tmp_path, penta):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "traj.xyz"
+    write_trajectory(penta, path, [random_config(penta, rng) for _ in range(4)])
+    lines = path.read_text().splitlines()
+    # frames are 11 lines; a blank line between frames is skipped
+    blank = lines[:11] + [""] + lines[11:]
+
+    def load(rows):
+        path.write_text("\n".join(rows) + "\n")
+        return load_trajectory(penta, path)
+
+    assert load(blank).nuclei_positions.shape == (4, 5, 3)
+
+    def replace_field(row, k, value):
+        parts = row.split()
+        parts[k] = value
+        return " ".join(parts)
+
+    # 0-based rows: frame 0 at 0-10, blank 11, frame 1 at 12-22,
+    # frame 2 at 23-33, frame 3 at 34-44; particle j of a frame starting
+    # at s is row s + 2 + j, reported as line s + 3 + j.
+    bad = list(blank)
+    bad[27] = bad[27] + " 1.0"              # frame 2, nucleus j=2
+    bad[39] = "X 0 0 0 0 0"                  # frame 3, later
+    with pytest.raises(SchemaError, match=r"^line 28: expected 'species"):
+        load(bad)
+
+    bad = list(blank)
+    bad[14] = replace_field(bad[14], 0, "e")  # frame 1: electron among the nuclei
+    bad[20] = bad[20] + " 1.0"               # same frame: field count wins
+    with pytest.raises(SchemaError, match=r"^line 21: expected 'species"):
+        load(bad)
+
+    bad = list(blank)
+    bad[25] = replace_field(bad[25], 0, "e")  # frame 2
+    bad[34] = "6"                              # header error in a later frame
+    with pytest.raises(SchemaError, match=r"^line 26: electron row"):
+        load(bad)
+
+    bad = list(blank)
+    bad[31] = replace_field(bad[31], 1, "1e5x")  # frame 2, electron j=6
+    with pytest.raises(SchemaError, match=r"^line 32: non-numeric"):
+        load(bad)
+
+    bad = list(blank)
+    bad[42] = replace_field(bad[42], 0, "X")  # frame 3: nucleus among the electrons
+    with pytest.raises(SchemaError, match=r"^line 43: expected electron row"):
+        load(bad)

@@ -1,0 +1,89 @@
+"""Guard the trajectory reports against drift.
+
+The reference reports in ``tests/data`` were generated by the per-frame
+implementation that preceded the batched pipeline:
+
+    molrest frame --input tests/data/water.json \
+        --trajectory tests/data/water_traj.xyz --format json
+    molrest decompose --input tests/data/water.json \
+        --trajectory tests/data/water_traj.xyz --format csv
+
+Non-numeric fields must match exactly and numbers within
+1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
+a scale built from lab-frame positions and now divides by the
+translation-free scale of the Eckart solve; it is only required to stay
+below the Eckart tolerance.
+"""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+from molrest.cli import main
+
+DATA = Path(__file__).parent / "data"
+ARGS = ["--input", str(DATA / "water.json"), "--trajectory", str(DATA / "water_traj.xyz")]
+EXEMPT = {"relative_residual"}
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _compare(new, old, path, problems):
+    if isinstance(old, dict):
+        if not isinstance(new, dict) or set(new) != set(old):
+            problems.append(f"{path}: keys {sorted(new)} != {sorted(old)}")
+            return
+        for key in old:
+            if key in EXEMPT:
+                if not 0.0 <= new[key] <= 1e-10:
+                    problems.append(f"{path}.{key}: {new[key]!r} above the Eckart tolerance")
+                continue
+            _compare(new[key], old[key], f"{path}.{key}", problems)
+    elif isinstance(old, list):
+        if not isinstance(new, list) or len(new) != len(old):
+            problems.append(f"{path}: length changed")
+            return
+        for i, (a, b) in enumerate(zip(new, old)):
+            _compare(a, b, f"{path}.{i}", problems)
+    elif _number(old) and _number(new) and type(new) is type(old):
+        if abs(new - old) > 1e-12 * max(1.0, abs(old)):
+            problems.append(f"{path}: {new!r} != {old!r}")
+    elif new != old or type(new) is not type(old):
+        problems.append(f"{path}: {new!r} != {old!r}")
+
+
+def _run(tmp_path, command, fmt):
+    out = tmp_path / f"{command}.{fmt}"
+    assert main([command, *ARGS, "--format", fmt, "--output", str(out)]) == 0
+    return out.read_text()
+
+
+def _csv_cell(text):
+    """A CSV cell as the renderer wrote it: a float, an int or a word."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def test_frame_json_matches_reference(tmp_path):
+    new = json.loads(_run(tmp_path, "frame", "json"))
+    old = json.loads((DATA / "water_frame_report.json").read_text())
+    problems = []
+    _compare(new, old, "report", problems)
+    assert not problems, problems[:10]
+
+
+def test_decompose_csv_matches_reference(tmp_path):
+    new = list(csv.reader(io.StringIO(_run(tmp_path, "decompose", "csv"))))
+    old = list(csv.reader(io.StringIO((DATA / "water_decompose_report.csv").read_text())))
+    assert [row[0] for row in new] == [row[0] for row in old]
+    problems = []
+    for (key, a), (_, b) in zip(new, old):
+        _compare(_csv_cell(a), _csv_cell(b), key, problems)
+    assert not problems, problems[:10]
