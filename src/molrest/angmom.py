@@ -25,6 +25,7 @@ from .lie_so3 import cross
 from .molecule import equilibrium_inertia
 
 __all__ = [
+    "MAX_INERTIA_COND",
     "InertiaModel",
     "build_inertia",
     "inertia_at",
@@ -35,6 +36,10 @@ __all__ = [
     "deformation_angmom",
     "decompose_angmom",
 ]
+
+
+# Largest condition number of I(Q) that is still inverted.
+MAX_INERTIA_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,10 @@ def inertia_at(model, q, checked=False):
     """Instantaneous inertia I0 + sum_alpha Q^alpha I_alpha.
 
     ``q`` is (K,) for one frame or (T, K) for a stack, giving (3, 3) or
-    (T, 3, 3).  With ``checked=True`` the smallest eigenvalue is
-    monitored and loss of positive-definiteness raises
-    ``SingularInertiaError`` (naming the first such frame) instead of
+    (T, 3, 3).  With ``checked=True`` the spectrum is checked: a tensor
+    that is not positive-definite, or whose largest eigenvalue exceeds
+    ``MAX_INERTIA_COND`` times its smallest, raises
+    ``SingularInertiaError`` naming the first such frame instead of
     being silently passed along.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -88,14 +94,16 @@ def inertia_at(model, q, checked=False):
         raise ValueError(f"expected {k} mode amplitudes, got shape {q.shape}")
     inertia = model.i0 + np.einsum("...a,akl->...kl", q, model.i_alpha)
     if checked:
-        smallest = np.linalg.eigvalsh(inertia)[..., 0]
-        lost = smallest <= 0.0
+        evals = np.linalg.eigvalsh(inertia)
+        smallest, largest = evals[..., 0], evals[..., -1]
+        lost = ~(smallest > 0.0) | (largest > MAX_INERTIA_COND * smallest)
         if lost.any():
             i = int(np.flatnonzero(lost)[0])
-            norm = np.linalg.norm(q.reshape(-1, k)[i])
+            q_i = q.reshape(-1, k)[i]
             raise SingularInertiaError(
-                f"instantaneous inertia not positive-definite at frame {i} "
-                f"(smallest eigenvalue {smallest.ravel()[i]:.3e}) at |Q| = {norm:.3e}"
+                f"instantaneous inertia is singular at frame {i} (eigenvalues "
+                f"{smallest.ravel()[i]:.3e} .. {largest.ravel()[i]:.3e}: not positive-definite "
+                f"or cond > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
             )
     return inertia
 

@@ -28,8 +28,8 @@ from .angmom import (
     mode_sum,
     relative_angmom,
 )
-from .errors import EckartSolveError, SchemaError, SingularInertiaError
-from .lie_so3 import cross, length, log_map
+from .errors import EckartSolveError, SchemaError
+from .lie_so3 import cross, length, log_map, quaternion_to_matrix
 
 __all__ = [
     "Configuration",
@@ -48,9 +48,6 @@ __all__ = [
 ]
 
 BLOCKS = ("nuclei_positions", "nuclei_momenta", "electron_positions", "electron_momenta")
-
-# Largest condition number of I(Q) that is still inverted.
-MAX_INERTIA_COND = 1e12
 
 # Particle rows converted per block by load_trajectory.
 PARSE_BLOCK_ROWS = 1024
@@ -201,18 +198,6 @@ def com_split(mol, cfg):
     return com, mom, rel
 
 
-def _quaternion_to_matrix(q):
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    ).reshape(q.shape[:-1] + (3, 3))
-
-
 def solve_eckart(mol, positions):
     """Orient the body frame by the rotational Eckart condition.
 
@@ -249,7 +234,7 @@ def solve_eckart(mol, positions):
     evals, evecs = np.linalg.eigh(k)
 
     gap = (evals[..., 3] - evals[..., 2]) / np.maximum(1.0, np.abs(evals[..., 3]))
-    rotation = _quaternion_to_matrix(evecs[..., 3])
+    rotation = quaternion_to_matrix(evecs[..., 3])
 
     body = positions @ rotation
     residual = length(np.einsum("m,...mk->...k", mol.masses, cross(mol.positions, body)))
@@ -310,8 +295,8 @@ def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=No
     ``InertiaModel``; it is built here when not given.
 
     Raises ``SingularInertiaError``, naming the first such frame, when
-    the instantaneous inertia is singular or too ill-conditioned to
-    invert trustworthily.
+    the instantaneous inertia is not positive-definite or too
+    ill-conditioned to invert trustworthily (``inertia_at(checked=True)``).
     """
     _check_config(mol, rest)
     if model is None:
@@ -328,15 +313,7 @@ def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=No
     total_l = relative_angmom(rest)
     internal_l = total_l - deformation_angmom(basis, amp, mom) - cross_sum(q, p)
 
-    inertia = inertia_at(model, amp)
-    cond = np.linalg.cond(inertia)
-    singular = cond > MAX_INERTIA_COND
-    if singular.any():
-        i, (value, q_i) = _first(singular, cond, amp)
-        raise SingularInertiaError(
-            f"instantaneous inertia is singular at frame {i} "
-            f"(cond {value:.3e} > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
-        )
+    inertia = inertia_at(model, amp, checked=True)
     omega = np.linalg.solve(inertia, internal_l[..., None])[..., 0]
 
     zeros = np.zeros(total_l.shape)

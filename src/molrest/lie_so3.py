@@ -10,9 +10,10 @@ derivatives in the chart and body-frame angular momentum components:
     m = n^-1                               (rows are the dual frame)
 
 All formulas are closed-form polynomials in the cross-product matrix
-``[omega]x`` with scalar coefficients in the angle; coefficients switch
-to their Taylor series below ``theta = 1e-4`` so nothing degrades at the
-origin.
+``[omega]x`` with scalar coefficients in the angle.  Every coefficient
+comes from ``chart_coefficients``, which switches to the Taylor series
+below ``SERIES_SWITCH`` so nothing degrades at the origin.  Unit
+quaternions are scalar-first, (w, x, y, z), and are converted here only.
 """
 
 from dataclasses import dataclass
@@ -23,21 +24,29 @@ from .errors import GridError
 
 __all__ = [
     "EPS_BOUNDARY",
+    "SERIES_SWITCH",
     "KillingFrame",
     "skew",
     "vee",
     "cross",
     "length",
-    "generators",
+    "chart_coefficients",
     "exp_map",
     "log_map",
+    "frame_fields",
     "killing_frame",
     "haar_density",
     "log_density_gradient",
-    "rotate_observable",
+    "unit_quaternion",
+    "quaternion_to_matrix",
 ]
 
-# Angle below which trig coefficient ratios switch to series.
+# Angle below which the chart coefficients switch to their series: there
+# the quartic series is exact to ~1e-22 relative, while the direct forms
+# lose 1e-9 or more to cancellation (1 - cos, theta - sin).
+SERIES_SWITCH = 1e-3
+
+# Angle below which log_map uses its quadratic series.
 _SMALL = 1e-4
 
 # Frame field is singular on the sphere ||omega|| = pi; reject a layer near it.
@@ -67,11 +76,6 @@ def vee(a):
     return np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
 
 
-def generators():
-    """The three rotation generators G_k, with G_k @ x == cross(e_k, x)."""
-    return skew(np.eye(3))
-
-
 def _check_omega(omega):
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,):
@@ -82,6 +86,34 @@ def _check_omega(omega):
     if theta > np.pi + 1e-10:
         raise ValueError(f"orientation vector norm {theta:.6f} outside the canonical ball")
     return omega, theta
+
+
+def chart_coefficients(theta):
+    """The scalar coefficients of the chart at angles ``theta`` (any shape).
+
+    Returns ``(a, c2, c3, d)``:
+
+        a  = sin(theta) / theta                  (Rodrigues)
+        c2 = (1 - cos(theta)) / theta^2          (Rodrigues, n, Haar density)
+        c3 = (theta - sin(theta)) / theta^3      (n)
+        d  = 1/theta^2 - (1 + cos(theta)) / (2 theta sin(theta))   (m = n^-1)
+
+    Below ``SERIES_SWITCH`` each is its quartic Taylor series.
+    """
+    theta = np.asarray(theta, dtype=float)
+    t2 = theta * theta
+    small = theta < SERIES_SWITCH
+    safe = np.where(small, 1.0, theta)
+    safe2 = safe * safe
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
+        c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                      (1.0 - np.cos(safe)) / safe2)
+        c3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+                      (safe - np.sin(safe)) / (safe2 * safe))
+        d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                     1.0 / safe2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
+    return a, c2, c3, d
 
 
 def exp_map(omega):
@@ -97,13 +129,7 @@ def exp_map(omega):
     (3, 3) array, a proper orthogonal matrix.
     """
     omega, theta = _check_omega(omega)
-    t2 = theta * theta
-    if theta < _SMALL:
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / t2
+    a, b, _, _ = chart_coefficients(theta)
     k = skew(omega)
     return np.eye(3) + a * k + b * (k @ k)
 
@@ -209,17 +235,21 @@ class KillingFrame:
     m: np.ndarray
 
 
-def _frame_coefficients(theta):
-    t2 = theta * theta
-    if theta < _SMALL:
-        c2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c3 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        d = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        c2 = (1.0 - np.cos(theta)) / t2
-        c3 = (theta - np.sin(theta)) / (t2 * theta)
-        d = 1.0 / t2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return c2, c3, d
+def frame_fields(omega):
+    """n- and m-matrices at one chart point or a stack, shape (..., 3, 3).
+
+    n = 1 - c2 K + c3 K^2 and its inverse m = 1 + K/2 + d K^2 with
+    K = skew(omega).  No boundary check: use ``killing_frame`` for a
+    checked single point.
+    """
+    omega = np.asarray(omega, dtype=float)
+    _, c2, c3, d = chart_coefficients(np.linalg.norm(omega, axis=-1))
+    k = skew(omega)
+    k2 = k @ k
+    eye = np.broadcast_to(np.eye(3), k.shape)
+    n = eye - c2[..., None, None] * k + c3[..., None, None] * k2
+    m = eye + 0.5 * k + d[..., None, None] * k2
+    return n, m
 
 
 def killing_frame(omega, eps_boundary=EPS_BOUNDARY):
@@ -236,11 +266,7 @@ def killing_frame(omega, eps_boundary=EPS_BOUNDARY):
         raise GridError(
             f"killing frame near-singular: |omega| = {theta:.9f} >= pi - {eps_boundary:g}"
         )
-    c2, c3, d = _frame_coefficients(theta)
-    k = skew(omega)
-    k2 = k @ k
-    n = np.eye(3) - c2 * k + c3 * k2
-    m = np.eye(3) + 0.5 * k + d * k2
+    n, m = frame_fields(omega)
     return KillingFrame(n=n, m=m)
 
 
@@ -249,16 +275,8 @@ def haar_density(omega):
 
     Accepts (..., 3) stacks; the theta -> 0 limit 1/(8 pi^2) is handled.
     """
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    t2 = theta * theta
-    # (1 - cos) cancels badly for small angles; the quartic series is
-    # exact to ~1e-22 relative at the 1e-3 switch point.
-    small = theta < 1e-3
-    safe = np.where(small, 1.0, t2)
-    ratio = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                     (1.0 - np.cos(theta)) / safe)
-    return ratio / (4.0 * np.pi**2)
+    theta = np.linalg.norm(np.asarray(omega, dtype=float), axis=-1)
+    return chart_coefficients(theta)[1] / (4.0 * np.pi**2)
 
 
 def log_density_gradient(omega):
@@ -270,7 +288,7 @@ def log_density_gradient(omega):
     omega = np.asarray(omega, dtype=float)
     theta = np.linalg.norm(omega, axis=-1)
     t2 = theta * theta
-    small = theta < 1e-3
+    small = theta < SERIES_SWITCH
     safe = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore", divide="ignore"):
         f_exact = (1.0 / np.tan(safe / 2.0) - 2.0 / safe) / safe
@@ -279,8 +297,27 @@ def log_density_gradient(omega):
     return f[..., None] * omega
 
 
-def rotate_observable(r, vectors):
-    """Apply a rotation to a vector or a stack of vectors: R @ v."""
-    r = _check_rotation(r)
-    vectors = np.asarray(vectors, dtype=float)
-    return vectors @ r.T
+def unit_quaternion(omega):
+    """Unit quaternions of rotation vectors, as ``(w, xyz)``: shapes (...) and (..., 3)."""
+    omega = np.asarray(omega, dtype=float)
+    theta = np.linalg.norm(omega, axis=-1)
+    half = 0.5 * theta
+    w = np.cos(half)
+    small = theta < 1e-12
+    scale = np.empty_like(theta)
+    scale[small] = 0.5
+    scale[~small] = np.sin(half[~small]) / theta[~small]
+    return w, omega * scale[..., None]
+
+
+def quaternion_to_matrix(q):
+    """Rotation matrices of unit quaternions (w, x, y, z), (..., 4) -> (..., 3, 3)."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))

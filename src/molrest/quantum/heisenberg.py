@@ -90,18 +90,17 @@ def dispersion(psi, op):
     return math.sqrt(variance)
 
 
-def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, bounds, tolerance,
-               boundary=None):
+def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary_mass=0.0):
+    """One row per (a, b) pair; the bound is ``half`` on the diagonal and 0 off it.
+
+    A state whose boundary mass reaches BOUNDARY_MASS_TOL gets no verdict.
+    """
+    gated = boundary_mass >= BOUNDARY_MASS_TOL
     rows = []
     for ia, (la, da) in enumerate(zip(labels_a, deltas_a)):
         for ib, (lb, db) in enumerate(zip(labels_b, deltas_b)):
-            bound = bounds(ia, ib)
+            bound = half if ia == ib else 0.0
             product = da * db
-            bmass = 0.0 if boundary is None else boundary(ia, ib)
-            if bmass >= BOUNDARY_MASS_TOL:
-                verdict = None
-            else:
-                verdict = bool(bound - product <= tolerance)
             rows.append(
                 DispersionReport(
                     observable_a=la,
@@ -110,17 +109,31 @@ def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, bounds, tolerance,
                     delta_b=float(db),
                     product=float(product),
                     bound=float(bound),
-                    satisfied=verdict,
-                    boundary_mass=float(bmass),
+                    satisfied=None if gated else bool(bound - product <= tolerance),
+                    boundary_mass=float(boundary_mass),
                 )
             )
     return rows
 
 
-def _check_line_states(states, what):
+def _line_states(psi_set, kind):
+    """Flattened LineGrid states of a vibrational or electronic set, with their labels."""
+    if kind == "vibrational":
+        states = list(psi_set)
+        labels = [(f"P_{i}", f"Q^{i}") for i in range(1, len(states) + 1)]
+    else:
+        groups = [list(g) for g in psi_set]
+        if any(len(g) != 3 for g in groups):
+            raise GridError("electronic states come as one triple per electron")
+        states = [s for g in groups for s in g]
+        labels = [(f"p_({nu})_{j}", f"q_({nu})^{j}")
+                  for nu in range(1, len(groups) + 1) for j in (1, 2, 3)]
+    if not states:
+        raise GridError("empty state set")
     for s in states:
         if not isinstance(s, GridWavefunction) or not isinstance(s.grid, LineGrid):
-            raise GridError(f"{what} checks need LineGrid states")
+            raise GridError(f"{kind} checks need LineGrid states")
+    return states, [a for a, _ in labels], [b for _, b in labels]
 
 
 def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
@@ -142,33 +155,11 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
         raise GridError("tolerance must be positive")
     half = 0.5 * hbar
 
-    if kind == "vibrational":
-        states = list(psi_set)
-        if not states:
-            raise GridError("empty state set")
-        _check_line_states(states, "vibrational")
+    if kind in ("vibrational", "electronic"):
+        states, la, lb = _line_states(psi_set, kind)
         d_p = [dispersion(s, lambda t: momentum_op(t, hbar=hbar, order=order)) for s in states]
         d_q = [dispersion(s, position_op) for s in states]
-        la = [f"P_{i + 1}" for i in range(len(states))]
-        lb = [f"Q^{i + 1}" for i in range(len(states))]
-        return _pair_rows(la, d_p, lb, d_q,
-                          lambda a, b: half if a == b else 0.0, tolerance)
-
-    if kind == "electronic":
-        groups = [list(g) for g in psi_set]
-        if not groups:
-            raise GridError("empty state set")
-        for g in groups:
-            if len(g) != 3:
-                raise GridError("electronic states come as one triple per electron")
-            _check_line_states(g, "electronic")
-        flat = [s for g in groups for s in g]
-        d_p = [dispersion(s, lambda t: momentum_op(t, hbar=hbar, order=order)) for s in flat]
-        d_q = [dispersion(s, position_op) for s in flat]
-        la = [f"p_({nu + 1})_{j + 1}" for nu in range(len(groups)) for j in range(3)]
-        lb = [f"q_({nu + 1})^{j + 1}" for nu in range(len(groups)) for j in range(3)]
-        return _pair_rows(la, d_p, lb, d_q,
-                          lambda a, b: half if a == b else 0.0, tolerance)
+        return _pair_rows(la, d_p, lb, d_q, half, tolerance)
 
     if kind == "rotational":
         states = list(psi_set)
@@ -177,28 +168,20 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
         for s in states:
             if not isinstance(s, GridWavefunction) or not isinstance(s.grid, So3Grid):
                 raise GridError("rotational checks need So3Grid states")
+        l_op = body_angmom_op if fixed_frame else angmom_op
+
+        def l_disp(s, j):
+            return dispersion(s, lambda t: l_op(t, j, hbar=hbar, step=fd_step, order=order,
+                                                symmetric=True, enforce_boundary=False))
+
         rows = []
         for idx, s in enumerate(states):
-            bmass = s.boundary_mass()
-            gated = bmass >= BOUNDARY_MASS_TOL
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
-
-            def l_op(t, j):
-                if fixed_frame:
-                    return body_angmom_op(t, j, hbar=hbar, step=fd_step, order=order,
-                                          symmetric=True, enforce_boundary=False)
-                return angmom_op(t, j, hbar=hbar, step=fd_step, order=order,
-                                 symmetric=True, enforce_boundary=False)
-
-            d_l = [dispersion(s, lambda t, j=j: l_op(t, j)) for j in range(3)]
+            d_l = [l_disp(s, j) for j in range(3)]
             d_w = [dispersion(s, lambda t, k=k: position_op(t, component=k)) for k in range(3)]
             la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]
             lb = [f"omega^{k + 1}" + tag for k in range(3)]
-            rows.extend(
-                _pair_rows(la, d_l, lb, d_w,
-                           lambda a, b: half if a == b else 0.0, tolerance,
-                           boundary=lambda a, b: bmass)
-            )
+            rows.extend(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))
         return rows
 
     raise GridError(f"unknown suite kind {kind!r}")

@@ -5,20 +5,27 @@ amplitudes (states must decay at the grid ends).  Orientation-space
 operators differentiate the state's generating profile along chart
 directions, wrapping stencil points that poke outside the axis-angle
 ball through the antipode.  The chart derivative D_j = -i hbar d/dw^j
-realizes n_(j)(w) . L; body components follow from the dual frame,
-L_k = sum_j m[j, k] D_j.
+realizes n_(j)(w) . L; body components follow from the dual frame
+(``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
-The commutator residual helpers evaluate the canonical relations
-pointwise, report the worst interior node relative to hbar * max|psi|,
-and exclude a configurable number of boundary shells (the chart seam is
-where the finite-difference wrap stops being exact for the coordinate
-functions themselves).
+All orientation derivatives go through one stencil loop, ``_stencil``,
+which evaluates the profile once per offset along w^j.  The commutator
+checks make one sweep of it over j = 0..2 and form both D_j psi and
+D_j(w^k psi) from the same values (w^k psi at a stencil point is the
+wrapped coordinate times the profile there): 4 profile calls per
+direction at order 4, 12 per check.  The chart, body and
+angular-velocity residuals are contractions of that sweep with delta,
+m and I0^-1.  They evaluate the canonical relations pointwise, report
+the worst interior node relative to hbar * max|psi|, and exclude a
+configurable number of boundary shells (the chart seam is where the
+finite-difference wrap stops being exact for the coordinate functions
+themselves).
 """
 
 import numpy as np
 
 from ..errors import BoundaryMassError, GridError, SingularInertiaError
-from ..lie_so3 import log_density_gradient, skew
+from ..lie_so3 import frame_fields, log_density_gradient
 from .grids import GridWavefunction, LineGrid, So3Grid, wrap_to_ball
 
 __all__ = [
@@ -54,27 +61,9 @@ def _coordinate(grid, component):
 
 
 def position_op(psi, component=0):
-    """Multiply by the coordinate sample (Q, q, x, or omega^k).
-
-    Keeps a composed profile when the input has one, so the result can
-    still be differentiated off the nodes.
-    """
+    """Multiply by the coordinate sample (Q, q, x, or omega^k) at the nodes."""
     coord = _coordinate(psi.grid, component)
-    profile = None
-    if psi.profile is not None:
-        if isinstance(psi.grid, LineGrid):
-
-            def profile(points, _p=psi.profile):
-                points = np.asarray(points, dtype=float)
-                return points * _p(points)
-
-        else:
-
-            def profile(points, _p=psi.profile, _k=int(component)):
-                points = np.asarray(points, dtype=float)
-                return points[..., _k] * _p(points)
-
-    return GridWavefunction(grid=psi.grid, amplitudes=coord * psi.amplitudes, profile=profile)
+    return GridWavefunction(grid=psi.grid, amplitudes=coord * psi.amplitudes, profile=None)
 
 
 def _line_derivative(amplitudes, step, order):
@@ -106,8 +95,8 @@ def momentum_op(psi, hbar=1.0, order=4):
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
-def _chart_derivative(psi, direction, step, order):
-    """d(psi)/dw^j at the nodes, evaluated through the profile."""
+def _stencil(psi, direction, step, order):
+    """Yield (weight, wrapped points, profile there) per stencil offset along w^j."""
     if not isinstance(psi.grid, So3Grid):
         raise GridError("chart derivatives need an So3Grid state")
     if psi.profile is None:
@@ -118,11 +107,28 @@ def _chart_derivative(psi, direction, step, order):
     unit = np.zeros(3)
     unit[int(direction)] = 1.0
     nodes = psi.grid.nodes
-    acc = np.zeros(nodes.shape[0], dtype=complex)
     for off, cf in zip(offsets, coeffs):
         pts = wrap_to_ball(nodes + (off * step) * unit)
-        acc = acc + cf * np.asarray(psi.profile(pts), dtype=complex)
+        yield cf, pts, np.asarray(psi.profile(pts), dtype=complex)
+
+
+def _chart_derivative(psi, direction, step, order):
+    """d(psi)/dw^j at the nodes, evaluated through the profile."""
+    acc = np.zeros(psi.grid.size, dtype=complex)
+    for cf, _, vals in _stencil(psi, direction, step, order):
+        acc = acc + cf * vals
     return acc / step
+
+
+def _chart_sweep(psi, step, order):
+    """One stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k]."""
+    d_psi = np.zeros((3, psi.grid.size), dtype=complex)
+    d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex)
+    for j in range(3):
+        for cf, pts, vals in _stencil(psi, j, step, order):
+            d_psi[j] = d_psi[j] + cf * vals
+            d_xpsi[j] = d_xpsi[j] + cf * (pts.T * vals)
+    return d_psi / step, d_xpsi / step
 
 
 def _default_step(grid):
@@ -160,34 +166,6 @@ def angmom_op(psi, body_index, hbar=1.0, step=None, order=4, symmetric=False,
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
-def frame_fields(nodes):
-    """n- and m-matrices at a stack of chart points, shape (..., 3, 3).
-
-    Vectorized version of the single-point frame: n = 1 - c2 K + c3 K^2
-    and its inverse m = 1 + K/2 + d K^2 with K = skew(w).  Series
-    branches keep the coefficient ratios finite near the origin.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    theta = np.linalg.norm(nodes, axis=-1)
-    t2 = theta * theta
-    small = theta < 1e-4
-    safe = np.where(small, 1.0, theta)
-    safe2 = safe * safe
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                      (1.0 - np.cos(safe)) / safe2)
-        c3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                      (safe - np.sin(safe)) / (safe2 * safe))
-        d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                     1.0 / safe2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
-    k = skew(nodes)
-    k2 = k @ k
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    n = eye - c2[..., None, None] * k + c3[..., None, None] * k2
-    m = eye + 0.5 * k + d[..., None, None] * k2
-    return n, m
-
-
 def body_angmom_op(psi, body_index, hbar=1.0, step=None, order=4, symmetric=False,
                    enforce_boundary=True):
     """Body angular momentum component L_k = sum_j m[j, k] D_j per node."""
@@ -196,14 +174,26 @@ def body_angmom_op(psi, body_index, hbar=1.0, step=None, order=4, symmetric=Fals
         step = _default_step(psi.grid)
     k = int(body_index)
     _, m = frame_fields(psi.grid.nodes)
-    total = np.zeros(psi.grid.size, dtype=complex)
     drift = log_density_gradient(psi.grid.nodes) if symmetric else None
+    derivs = []
     for j in range(3):
         deriv = _chart_derivative(psi, j, step, order)
         if symmetric:
             deriv = deriv + 0.5 * drift[:, j] * psi.amplitudes
-        total = total + m[:, j, k] * deriv
+        derivs.append(deriv)
+    total = _body_components(m[:, :, k].T, derivs)
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * total, profile=None)
+
+
+def _body_components(m_t, derivs):
+    """sum_j m_t[j] * derivs[j], summed in the order j = 0, 1, 2.
+
+    m_t[j] holds m[:, j, ...] node-last and broadcasts against derivs[j].
+    """
+    total = 0.0
+    for j in range(3):
+        total = total + m_t[j] * derivs[j]
+    return total
 
 
 def _interior_mask(grid, boundary_layers):
@@ -214,8 +204,31 @@ def _interior_mask(grid, boundary_layers):
 
 
 def _relative(residual, psi, mask, hbar):
+    """Worst interior-node |residual| over the last axis, relative to hbar * max|psi|."""
     scale = hbar * float(np.abs(psi.amplitudes).max())
-    return float(np.abs(residual[mask]).max() / scale)
+    return np.abs(residual[..., mask]).max(axis=-1) / scale
+
+
+def _commutators(a_psi, a_xpsi, nodes):
+    """[A_j, w^k] psi = A_j(w^k psi) - w^k A_j psi, index [j, k] (3, 3, K)."""
+    return a_xpsi - nodes.T * a_psi[:, None, :]
+
+
+def _orientation_setup(psi, step, boundary_layers, enforce_boundary):
+    _gate_boundary(psi, enforce_boundary)
+    if step is None:
+        step = _default_step(psi.grid)
+    return step, _interior_mask(psi.grid, boundary_layers)
+
+
+def _body_commutators(psi, hbar, step, order):
+    """[L_l, w^k] psi, index [l, k] (3, 3, K), and the dual frame m (K, 3, 3)."""
+    _, m = frame_fields(psi.grid.nodes)
+    m_t = np.moveaxis(m, 0, -1)  # m_t[j, k] = m[:, j, k]
+    d_psi, d_xpsi = _chart_sweep(psi, step, order)
+    l_psi = -1j * hbar * _body_components(m_t, d_psi)
+    l_xpsi = -1j * hbar * _body_components(m_t[:, :, None, :], d_xpsi)
+    return _commutators(l_psi, l_xpsi, psi.grid.nodes), m
 
 
 def line_commutator_residual(psi, hbar=1.0, order=2, boundary_nodes=8):
@@ -230,7 +243,7 @@ def line_commutator_residual(psi, hbar=1.0, order=2, boundary_nodes=8):
     residual = pq - qp + 1j * hbar * psi.amplitudes
     mask = np.zeros(psi.grid.size, dtype=bool)
     mask[boundary_nodes:-boundary_nodes] = True
-    return _relative(residual, psi, mask, hbar)
+    return float(_relative(residual, psi, mask, hbar))
 
 
 def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -242,21 +255,11 @@ def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layer
     passing 0 exposes the seam error of the coordinate function (the
     wrapped coordinate jumps by 2 pi even when the state is smooth).
     """
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    mask = _interior_mask(psi.grid, boundary_layers)
-    out = np.empty((3, 3))
-    for j in range(3):
-        d_psi = angmom_op(psi, j, hbar=hbar, step=step, order=order,
-                          enforce_boundary=False)
-        for k in range(3):
-            d_of_xpsi = angmom_op(position_op(psi, component=k), j, hbar=hbar,
-                                  step=step, order=order, enforce_boundary=False)
-            comm = d_of_xpsi.amplitudes - psi.grid.nodes[:, k] * d_psi.amplitudes
-            residual = comm + 1j * hbar * (1.0 if j == k else 0.0) * psi.amplitudes
-            out[j, k] = _relative(residual, psi, mask, hbar)
-    return out
+    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
+    d_psi, d_xpsi = _chart_sweep(psi, step, order)
+    comm = _commutators(-1j * hbar * d_psi, -1j * hbar * d_xpsi, psi.grid.nodes)
+    residual = comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
+    return _relative(residual, psi, mask, hbar)
 
 
 def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -266,22 +269,10 @@ def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers
     Entry (k, j) is the worst interior-node relative residual; m is the
     dual frame at each node.
     """
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    mask = _interior_mask(psi.grid, boundary_layers)
-    _, m = frame_fields(psi.grid.nodes)
-    out = np.empty((3, 3))
-    for k in range(3):
-        l_psi = body_angmom_op(psi, k, hbar=hbar, step=step, order=order,
-                               enforce_boundary=False)
-        for j in range(3):
-            l_of_xpsi = body_angmom_op(position_op(psi, component=j), k, hbar=hbar,
-                                       step=step, order=order, enforce_boundary=False)
-            comm = l_of_xpsi.amplitudes - psi.grid.nodes[:, j] * l_psi.amplitudes
-            residual = comm + 1j * hbar * m[:, j, k] * psi.amplitudes
-            out[k, j] = _relative(residual, psi, mask, hbar)
-    return out
+    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
+    comm, m = _body_commutators(psi, hbar, step, order)
+    residual = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
+    return _relative(residual, psi, mask, hbar)
 
 
 def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -300,30 +291,10 @@ def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_laye
         raise SingularInertiaError(f"equilibrium inertia not positive definite: spectrum {eigs}")
     i0_inv = np.linalg.inv(i0)
 
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    mask = _interior_mask(psi.grid, boundary_layers)
-    _, m = frame_fields(psi.grid.nodes)
-
-    l_psi = np.stack([
-        body_angmom_op(psi, l, hbar=hbar, step=step, order=order,
-                       enforce_boundary=False).amplitudes
-        for l in range(3)
-    ])
-    worst = 0.0
-    for k in range(3):
-        x_psi = position_op(psi, component=k)
-        l_of_xpsi = np.stack([
-            body_angmom_op(x_psi, l, hbar=hbar, step=step, order=order,
-                           enforce_boundary=False).amplitudes
-            for l in range(3)
-        ])
-        comm_l = l_of_xpsi - psi.grid.nodes[:, k] * l_psi  # [L_l, w^k] psi
-        comm_omega = np.einsum("jl,ln->jn", i0_inv, comm_l)
-        # dual covector m^(k) is row k of m at each node
-        expected = np.einsum("jl,nl->jn", i0_inv, m[:, k, :])
-        residual = comm_omega + 1j * hbar * expected * psi.amplitudes
-        scale = hbar * float(np.abs(psi.amplitudes).max())
-        worst = max(worst, float(np.abs(residual[:, mask]).max() / scale))
-    return worst
+    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
+    comm, m = _body_commutators(psi, hbar, step, order)
+    comm_omega = np.einsum("jl,lkn->kjn", i0_inv, comm)  # [Omega^j, w^k] psi at [k, j]
+    # dual covector m^(k) is row k of m at each node
+    expected = np.einsum("jl,nkl->kjn", i0_inv, m)
+    residual = comm_omega + 1j * hbar * expected * psi.amplitudes
+    return float(_relative(residual, psi, mask, hbar).max())

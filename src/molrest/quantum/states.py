@@ -12,6 +12,7 @@ operators can evaluate the state off the nodes.
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from ..lie_so3 import unit_quaternion
 from .grids import GridWavefunction, LineGrid
 
 __all__ = [
@@ -24,24 +25,10 @@ __all__ = [
 ]
 
 
-def _half_quats(omegas):
-    # unit quaternions (w, xyz) for rotation vectors, vectorized
-    omegas = np.asarray(omegas, dtype=float)
-    theta = np.linalg.norm(omegas, axis=-1)
-    half = 0.5 * theta
-    w = np.cos(half)
-    small = theta < 1e-12
-    scale = np.empty_like(theta)
-    scale[small] = 0.5
-    scale[~small] = np.sin(half[~small]) / theta[~small]
-    xyz = omegas * scale[..., None]
-    return w, xyz
-
-
 def geodesic_distance(omegas, center):
     """Rotation angle between R(omega) and R(center), vectorized."""
-    w1, v1 = _half_quats(omegas)
-    w2, v2 = _half_quats(np.asarray(center, dtype=float))
+    w1, v1 = unit_quaternion(omegas)
+    w2, v2 = unit_quaternion(center)
     dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
 

@@ -313,6 +313,35 @@ def test_extract_raises_on_singular_inertia(water):
         extract_internal(water, basis, frame, rest)
 
 
+def test_extract_rejects_indefinite_well_conditioned_inertia():
+    # For tests/data/water.json at Q = -e_alpha the inertia tensor has one
+    # negative eigenvalue but a modest condition number, so a
+    # condition-number gate alone lets it by.
+    from pathlib import Path
+
+    from molrest.angmom import build_inertia, inertia_at
+    from molrest.molecule import load_molecule, prepare_equilibrium
+
+    water = prepare_equilibrium(load_molecule(Path(__file__).parent / "data" / "water.json"))
+    basis = build_modes(water, rng=8)
+    model = build_inertia(water, basis)
+    alpha = int(np.argmax(np.linalg.norm(model.i_alpha, axis=(1, 2))))
+    disp = -basis.x[:, alpha, :] / np.sqrt(water.masses)[:, None]
+    rest = Configuration(
+        nuclei_positions=water.positions + disp,
+        nuclei_momenta=np.zeros_like(disp),
+        electron_positions=np.zeros((water.electron_count, 3)),
+        electron_momenta=np.zeros((water.electron_count, 3)),
+    )
+    q = np.zeros(basis.n_modes)
+    q[alpha] = -1.0
+    evals = np.linalg.eigvalsh(inertia_at(model, q))
+    assert evals[0] < 0.0 < evals[1] and evals[2] < 20.0 * -evals[0]
+    frame = solve_eckart(water, water.positions)
+    with pytest.raises(SingularInertiaError, match="frame 0"):
+        extract_internal(water, basis, frame, rest)
+
+
 # --- trajectory file format --------------------------------------------------
 
 

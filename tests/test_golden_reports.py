@@ -1,12 +1,18 @@
-"""Guard the trajectory reports against drift.
+"""Guard the CLI reports against drift.
 
-The reference reports in ``tests/data`` were generated by the per-frame
+The trajectory reports in ``tests/data`` were generated by the per-frame
 implementation that preceded the batched pipeline:
 
     molrest frame --input tests/data/water.json \
         --trajectory tests/data/water_traj.xyz --format json
     molrest decompose --input tests/data/water.json \
         --trajectory tests/data/water_traj.xyz --format csv
+
+The quantum reports were generated by the implementation that preceded
+the single stencil sweep and the shared chart coefficients:
+
+    molrest commutators --input tests/data/water.json --format json
+    molrest heisenberg --input tests/data/water.json --seed 3 --format json
 
 Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
@@ -20,10 +26,13 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from molrest.cli import main
 
 DATA = Path(__file__).parent / "data"
-ARGS = ["--input", str(DATA / "water.json"), "--trajectory", str(DATA / "water_traj.xyz")]
+MOLECULE = ["--input", str(DATA / "water.json")]
+ARGS = [*MOLECULE, "--trajectory", str(DATA / "water_traj.xyz")]
 EXEMPT = {"relative_residual"}
 
 
@@ -55,9 +64,9 @@ def _compare(new, old, path, problems):
         problems.append(f"{path}: {new!r} != {old!r}")
 
 
-def _run(tmp_path, command, fmt):
+def _run(tmp_path, command, fmt, args=ARGS):
     out = tmp_path / f"{command}.{fmt}"
-    assert main([command, *ARGS, "--format", fmt, "--output", str(out)]) == 0
+    assert main([command, *args, "--format", fmt, "--output", str(out)]) == 0
     return out.read_text()
 
 
@@ -71,12 +80,22 @@ def _csv_cell(text):
     return text
 
 
-def test_frame_json_matches_reference(tmp_path):
-    new = json.loads(_run(tmp_path, "frame", "json"))
-    old = json.loads((DATA / "water_frame_report.json").read_text())
+def _compare_json(text, reference):
     problems = []
-    _compare(new, old, "report", problems)
+    _compare(json.loads(text), json.loads((DATA / reference).read_text()), "report", problems)
     assert not problems, problems[:10]
+
+
+def test_frame_json_matches_reference(tmp_path):
+    _compare_json(_run(tmp_path, "frame", "json"), "water_frame_report.json")
+
+
+@pytest.mark.parametrize("command, args, reference", [
+    ("commutators", MOLECULE, "water_commutators_report.json"),
+    ("heisenberg", [*MOLECULE, "--seed", "3"], "water_heisenberg_report.json"),
+], ids=["commutators", "heisenberg"])
+def test_quantum_json_matches_reference(tmp_path, command, args, reference):
+    _compare_json(_run(tmp_path, command, "json", args), reference)
 
 
 def test_decompose_csv_matches_reference(tmp_path):

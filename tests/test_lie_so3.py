@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -5,13 +7,13 @@ from scipy.spatial.transform import Rotation
 from molrest.errors import GridError
 from molrest.lie_so3 import (
     EPS_BOUNDARY,
+    SERIES_SWITCH,
+    chart_coefficients,
     exp_map,
-    generators,
     haar_density,
     killing_frame,
     log_density_gradient,
     log_map,
-    rotate_observable,
     skew,
     vee,
 )
@@ -45,15 +47,6 @@ def test_skew_vee_roundtrip():
     assert np.allclose(skew(v[0]) @ x, np.cross(v[0], x))
 
 
-def test_generators_act_as_cross_products():
-    g = generators()
-    x = np.array([0.3, -1.2, 0.7])
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        assert np.allclose(g[k] @ x, np.cross(e, x))
-
-
 def test_exp_map_identity_at_zero():
     assert np.allclose(exp_map(np.zeros(3)), np.eye(3))
 
@@ -76,9 +69,9 @@ def test_exp_map_is_proper_orthogonal():
 
 
 def test_exp_map_series_branch_is_continuous():
-    # Straddle the series/trig switch at theta = 1e-4.
+    # Straddle the series/trig switch.
     u = np.array([1.0, 2.0, -2.0]) / 3.0
-    for theta in (9.999e-5, 1.0001e-4):
+    for theta in (0.9999 * SERIES_SWITCH, 1.0001 * SERIES_SWITCH):
         omega = theta * u
         assert np.allclose(exp_map(omega), series_exp(omega), atol=1e-15)
 
@@ -187,6 +180,37 @@ def test_haar_density_limit_and_continuity():
     assert np.isclose(haar_density(omega), ref, rtol=1e-14)
 
 
+# Bernoulli numbers B_2, B_4, ... for the series of d = 1/t^2 - (1 + cos t)/(2 t sin t)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+# Each chart coefficient as its Taylor series in t, far past the order the
+# implementation switches to.
+_COEFFICIENT_SERIES = {
+    "sin_t_over_t": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 1) for n in range(8)),
+    "one_minus_cos_over_t2": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 2)
+                                           for n in range(8)),
+    "t_minus_sin_over_t3": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 3)
+                                         for n in range(8)),
+    "d": lambda t: sum((-1) ** n * b * t ** (2 * n) / factorial(2 * n + 2)
+                       for n, b in enumerate(_BERNOULLI)),
+}
+
+
+@pytest.mark.parametrize("index, name", enumerate(_COEFFICIENT_SERIES))
+def test_chart_coefficients_match_series_across_switch(index, name):
+    series = _COEFFICIENT_SERIES[name]
+    below = (0.0, 1e-6, 0.5 * SERIES_SWITCH, SERIES_SWITCH * (1 - 1e-9))
+    above = (SERIES_SWITCH * (1 + 1e-9), 2.0 * SERIES_SWITCH, 1e-2, 0.1)
+    # below the switch the series is exact; above it the direct form loses
+    # up to ~1e-9 relative to cancellation
+    for thetas, rtol in ((below, 1e-14), (above, 1e-8)):
+        got = chart_coefficients(np.array(thetas))[index]
+        ref = np.array([series(t) for t in thetas])
+        assert np.allclose(got, ref, rtol=rtol, atol=0.0), (name, got / ref - 1.0)
+    # the stacked call and the one-angle call agree
+    assert chart_coefficients(0.1)[index] == chart_coefficients(np.array([0.1]))[index][0]
+
+
 def test_log_density_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     h = 1e-6
@@ -206,13 +230,3 @@ def test_log_density_gradient_small_angle_series():
         omega = theta * np.array([0.6, -0.8, 0.0])
         ref = (-1.0 / 6.0 - theta**2 / 360.0 - theta**4 / 15120.0) * omega
         assert np.allclose(log_density_gradient(omega), ref, rtol=1e-7, atol=1e-18)
-
-
-def test_rotate_observable_single_and_stack():
-    r = exp_map(np.array([0.1, -0.8, 0.4]))
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(rotate_observable(r, v), r @ v)
-    stack = np.random.default_rng(11).normal(size=(5, 3))
-    assert np.allclose(rotate_observable(r, stack), stack @ r.T)
-    with pytest.raises(ValueError):
-        rotate_observable(np.eye(3) * 2.0, v)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from molrest.errors import BoundaryMassError, GridError, SingularInertiaError
-from molrest.lie_so3 import killing_frame
+from molrest.lie_so3 import SERIES_SWITCH, killing_frame
 from molrest.quantum import (
     GridWavefunction,
     LineGrid,
@@ -72,11 +72,6 @@ class TestPositionOp:
             position_op(psi, component=2)
         with pytest.raises(GridError):
             position_op(so3_gaussian_state(ball, sigma=0.3), component=5)
-
-    def test_profile_composition(self, line):
-        psi = gaussian_line_state(line, center=0.4, sigma=0.9)
-        xpsi = position_op(psi)
-        assert np.abs(xpsi.profile(line.points) - line.points * psi.amplitudes).max() <= 1e-13
 
 
 class TestMomentumOp:
@@ -157,7 +152,7 @@ class TestFrameFields:
     def test_small_angle_branch_continuous(self):
         # straddle the series switch with a window tight enough that the
         # genuine frame variation is negligible against the tolerance
-        eps = 1e-4
+        eps = SERIES_SWITCH
         lo = frame_fields(np.array([[eps * (1 - 5e-8), 0.0, 0.0]]))
         hi = frame_fields(np.array([[eps * (1 + 5e-8), 0.0, 0.0]]))
         assert np.abs(lo[0] - hi[0]).max() <= 1e-10
@@ -279,3 +274,26 @@ class TestAngvelCommutator:
     def test_wrong_shape_rejected(self, interior):
         with pytest.raises(SingularInertiaError):
             angvel_commutator_check(np.eye(2), interior)
+
+
+class TestStencilSweep:
+    @pytest.mark.parametrize("order, calls", [(4, 12), (2, 6)])
+    @pytest.mark.parametrize("check", ["chart", "body", "angvel"])
+    def test_profile_evaluations_per_check(self, interior, check, order, calls):
+        # one sweep: each stencil offset along each direction is evaluated once
+        seen = []
+
+        def profile(pts):
+            seen.append(pts.shape)
+            return interior.profile(pts)
+
+        psi = GridWavefunction(grid=interior.grid, amplitudes=interior.amplitudes,
+                               profile=profile)
+        if check == "chart":
+            chart_commutator_residuals(psi, order=order)
+        elif check == "body":
+            body_commutator_residuals(psi, order=order)
+        else:
+            angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi, order=order)
+        assert len(seen) == calls
+        assert all(shape == interior.grid.nodes.shape for shape in seen)
