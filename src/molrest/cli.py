@@ -165,25 +165,6 @@ def parse_args(argv=None):
 # --- report plumbing -------------------------------------------------------
 
 
-def _clean(value):
-    """Recursively convert report values to plain JSON-friendly types."""
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, list) and all(type(v) is float for v in value):
-        return value  # already plain: frame rows hold many of these
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _flatten(value, prefix, rows):
     if isinstance(value, dict):
         for k in sorted(value):
@@ -206,7 +187,6 @@ def _csv_cell(value):
 
 
 def _render(report, fmt):
-    report = _clean(report)
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()

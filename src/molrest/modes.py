@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearGeometryError
+from .molecule import equilibrium_inertia
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
 
@@ -75,9 +76,7 @@ def external_subspace(mol):
         block = np.zeros((n, 3))
         block[:, axis] = sqrt_m
         cols[:, axis] = block.ravel() / np.sqrt(mol.masses.sum())
-    inertia = np.einsum("m,mi,mi->", mol.masses, mol.positions, mol.positions) * np.eye(3) - \
-        np.einsum("m,mi,mj->ij", mol.masses, mol.positions, mol.positions)
-    moments = np.diag(inertia)
+    moments = np.diag(equilibrium_inertia(mol))
     if np.min(moments) <= 1e-10 * max(np.max(moments), 1e-300):
         raise CollinearGeometryError("rotational directions degenerate: collinear geometry")
     eye = np.eye(3)

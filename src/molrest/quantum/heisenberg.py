@@ -12,6 +12,13 @@ observables per kind:
   rotational:  chart angular momentum n_(j).L vs orientation
                coordinate omega^k, bound hbar/2 only for j = k.
 
+``dispersion`` takes the state and the already-applied A psi, so each
+operator runs once per state: the line branch applies momentum_op and
+position_op per state, and the rotational branch makes one call of
+``angmom_op`` (or ``body_angmom_op`` with fixed_frame), whose single
+stencil sweep yields all three components (12 profile evaluations per
+state at order 4).
+
 Rotational dispersions are only meaningful for states concentrated away
 from the chart seam: when the boundary mass of a state reaches 1e-8 the
 report's satisfied field is None (indeterminate) rather than a verdict.
@@ -68,10 +75,10 @@ class DispersionReport:
         }
 
 
-def dispersion(psi, op):
-    """sqrt(<A^2> - <A>^2) for a normalized state and an operator handle.
+def dispersion(psi, a_psi):
+    """sqrt(<A^2> - <A>^2) for a normalized state psi, given a_psi = A psi.
 
-    op maps a GridWavefunction to a GridWavefunction.  Variances inside
+    a_psi is a GridWavefunction on psi's grid.  Variances inside
     [-1e-12, 0) are clamped to zero (quadrature rounding); anything more
     negative signals a broken quadrature and raises.
     """
@@ -79,9 +86,9 @@ def dispersion(psi, op):
     if abs(norm - 1.0) > 1e-8:
         raise GridError(f"dispersion needs a normalized state, got norm {norm!r}")
     weights = psi.weights
-    a_psi = op(psi).amplitudes
-    mean = complex(np.sum(weights * np.conj(psi.amplitudes) * a_psi))
-    second = float(np.sum(weights * np.abs(a_psi) ** 2))
+    amps = a_psi.amplitudes
+    mean = complex(np.sum(weights * np.conj(psi.amplitudes) * amps))
+    second = float(np.sum(weights * np.abs(amps) ** 2))
     variance = second - (mean.real**2 + mean.imag**2)
     if variance < 0.0:
         if variance < -1e-12:
@@ -157,8 +164,8 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
 
     if kind in ("vibrational", "electronic"):
         states, la, lb = _line_states(psi_set, kind)
-        d_p = [dispersion(s, lambda t: momentum_op(t, hbar=hbar, order=order)) for s in states]
-        d_q = [dispersion(s, position_op) for s in states]
+        d_p = [dispersion(s, momentum_op(s, hbar=hbar, order=order)) for s in states]
+        d_q = [dispersion(s, position_op(s)) for s in states]
         return _pair_rows(la, d_p, lb, d_q, half, tolerance)
 
     if kind == "rotational":
@@ -169,16 +176,13 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
             if not isinstance(s, GridWavefunction) or not isinstance(s.grid, So3Grid):
                 raise GridError("rotational checks need So3Grid states")
         l_op = body_angmom_op if fixed_frame else angmom_op
-
-        def l_disp(s, j):
-            return dispersion(s, lambda t: l_op(t, j, hbar=hbar, step=fd_step, order=order,
-                                                symmetric=True, enforce_boundary=False))
-
         rows = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
-            d_l = [l_disp(s, j) for j in range(3)]
-            d_w = [dispersion(s, lambda t, k=k: position_op(t, component=k)) for k in range(3)]
+            l_psi = l_op(s, hbar=hbar, step=fd_step, order=order, symmetric=True,
+                         enforce_boundary=False)
+            d_l = [dispersion(s, a) for a in l_psi]
+            d_w = [dispersion(s, position_op(s, component=k)) for k in range(3)]
             la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]
             lb = [f"omega^{k + 1}" + tag for k in range(3)]
             rows.extend(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))

@@ -8,18 +8,23 @@ ball through the antipode.  The chart derivative D_j = -i hbar d/dw^j
 realizes n_(j)(w) . L; body components follow from the dual frame
 (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
-All orientation derivatives go through one stencil loop, ``_stencil``,
-which evaluates the profile once per offset along w^j.  The commutator
-checks make one sweep of it over j = 0..2 and form both D_j psi and
-D_j(w^k psi) from the same values (w^k psi at a stencil point is the
-wrapped coordinate times the profile there): 4 profile calls per
-direction at order 4, 12 per check.  The chart, body and
-angular-velocity residuals are contractions of that sweep with delta,
-m and I0^-1.  They evaluate the canonical relations pointwise, report
-the worst interior node relative to hbar * max|psi|, and exclude a
-configurable number of boundary shells (the chart seam is where the
-finite-difference wrap stops being exact for the coordinate functions
-themselves).
+Every orientation derivative comes from one stencil sweep,
+``_chart_sweep``: it gates the state's seam mass, then evaluates the
+profile once per stencil offset along each w^j (4 calls per direction
+at order 4, 12 per state).  From those values it forms D_j psi and, for
+the commutator checks, D_j(w^k psi) (w^k psi at a stencil point is the
+wrapped coordinate times the profile there).
+
+- ``angmom_op`` returns the three chart components D_j psi and
+  ``body_angmom_op`` their contraction with m, both from one sweep; the
+  rotational dispersions (``heisenberg.heisenberg_suite``) call one of
+  them once per state.
+- The chart, body and angular-velocity commutator checks are
+  contractions of the sweep with delta, m and I0^-1.  They evaluate the
+  canonical relations pointwise, report the worst interior node
+  relative to hbar * max|psi|, and exclude a configurable number of
+  boundary shells (the chart seam is where the finite-difference wrap
+  stops being exact for the coordinate functions themselves).
 """
 
 import numpy as np
@@ -95,14 +100,29 @@ def momentum_op(psi, hbar=1.0, order=4):
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
-def _stencil(psi, direction, step, order):
-    """Yield (weight, wrapped points, profile there) per stencil offset along w^j."""
+def _orientation_setup(psi, step, order, enforce_boundary):
+    """Check an So3Grid state for chart derivatives and return the stencil step."""
+    mass = psi.boundary_mass()
+    if enforce_boundary and mass >= BOUNDARY_MASS_TOL:
+        raise BoundaryMassError(
+            f"orientation state carries boundary mass {mass:.3e} >= {BOUNDARY_MASS_TOL:g}; "
+            "chart derivatives are unreliable near the seam"
+        )
     if not isinstance(psi.grid, So3Grid):
         raise GridError("chart derivatives need an So3Grid state")
     if psi.profile is None:
         raise GridError("state lacks a generating profile for off-node evaluation")
     if order not in _STENCILS:
         raise GridError(f"unsupported stencil order {order}")
+    if step is None:
+        # stay below the shell spacing but cap so 4th-order truncation of
+        # sigma >= 0.1 states lands under the commutator tolerances
+        step = min(psi.grid.radial_step, 0.02)
+    return step
+
+
+def _stencil(psi, direction, step, order):
+    """Yield (weight, wrapped points, profile there) per stencil offset along w^j."""
     offsets, coeffs = _STENCILS[order]
     unit = np.zeros(3)
     unit[int(direction)] = 1.0
@@ -112,77 +132,58 @@ def _stencil(psi, direction, step, order):
         yield cf, pts, np.asarray(psi.profile(pts), dtype=complex)
 
 
-def _chart_derivative(psi, direction, step, order):
-    """d(psi)/dw^j at the nodes, evaluated through the profile."""
-    acc = np.zeros(psi.grid.size, dtype=complex)
-    for cf, _, vals in _stencil(psi, direction, step, order):
-        acc = acc + cf * vals
-    return acc / step
+def _chart_sweep(psi, step, order, enforce_boundary, coordinates=True):
+    """One stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k].
 
-
-def _chart_sweep(psi, step, order):
-    """One stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k]."""
+    The operators pass coordinates=False and get None for d(w^k psi):
+    only the commutator checks need it, and it is most of the sweep's
+    memory.
+    """
+    step = _orientation_setup(psi, step, order, enforce_boundary)
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
-    d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex)
+    d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
     for j in range(3):
         for cf, pts, vals in _stencil(psi, j, step, order):
-            d_psi[j] = d_psi[j] + cf * vals
-            d_xpsi[j] = d_xpsi[j] + cf * (pts.T * vals)
-    return d_psi / step, d_xpsi / step
+            d_psi[j] += cf * vals
+            if coordinates:
+                d_xpsi[j] += cf * (pts.T * vals)
+    d_psi /= step
+    if coordinates:
+        d_xpsi /= step
+    return d_psi, d_xpsi
 
 
-def _default_step(grid):
-    # stay below the shell spacing but cap so 4th-order truncation of
-    # sigma >= 0.1 states lands under the commutator tolerances
-    return min(grid.radial_step, 0.02)
+def _angmom_derivatives(psi, step, order, symmetric, enforce_boundary):
+    """d(psi)/dw^j (3, K) from one sweep, plus the Haar drift when symmetric."""
+    d_psi, _ = _chart_sweep(psi, step, order, enforce_boundary, coordinates=False)
+    if symmetric:
+        d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
+    return d_psi
 
 
-def _gate_boundary(psi, enforce):
-    mass = psi.boundary_mass()
-    if enforce and mass >= BOUNDARY_MASS_TOL:
-        raise BoundaryMassError(
-            f"orientation state carries boundary mass {mass:.3e} >= {BOUNDARY_MASS_TOL:g}; "
-            "chart derivatives are unreliable near the seam"
-        )
-    return mass
+def _components(psi, amplitudes):
+    """One profile-free state per row of amplitudes (3, K)."""
+    return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None) for a in amplitudes)
 
 
-def angmom_op(psi, body_index, hbar=1.0, step=None, order=4, symmetric=False,
-              enforce_boundary=True):
-    """(n_(j)(w) . L) psi = -i hbar d(psi)/dw^j on an So3Grid.
+def angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
+    """The chart components (n_(j)(w) . L) psi = -i hbar d(psi)/dw^j on an So3Grid.
 
+    Returns three states, j = 0, 1, 2, from one stencil sweep.
     symmetric=True adds the Haar drift -i hbar/2 (d_j ln rho) psi, which
-    makes the operator hermitian under the weighted quadrature; the
+    makes each component hermitian under the weighted quadrature; the
     drift cancels in commutators with coordinate functions.
     """
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    j = int(body_index)
-    deriv = _chart_derivative(psi, j, step, order)
-    if symmetric:
-        drift = log_density_gradient(psi.grid.nodes)[:, j]
-        deriv = deriv + 0.5 * drift * psi.amplitudes
-    return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
+    deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
+    return _components(psi, -1j * hbar * deriv)
 
 
-def body_angmom_op(psi, body_index, hbar=1.0, step=None, order=4, symmetric=False,
-                   enforce_boundary=True):
-    """Body angular momentum component L_k = sum_j m[j, k] D_j per node."""
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    k = int(body_index)
+def body_angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
+    """Body components L_k psi = sum_j m[j, k] D_j psi, k = 0, 1, 2, from one sweep."""
+    deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
     _, m = frame_fields(psi.grid.nodes)
-    drift = log_density_gradient(psi.grid.nodes) if symmetric else None
-    derivs = []
-    for j in range(3):
-        deriv = _chart_derivative(psi, j, step, order)
-        if symmetric:
-            deriv = deriv + 0.5 * drift[:, j] * psi.amplitudes
-        derivs.append(deriv)
-    total = _body_components(m[:, :, k].T, derivs)
-    return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * total, profile=None)
+    total = _body_components(np.moveaxis(m, 0, -1), deriv)  # m_t[j, k] = m[:, j, k]
+    return _components(psi, -1j * hbar * total)
 
 
 def _body_components(m_t, derivs):
@@ -214,18 +215,11 @@ def _commutators(a_psi, a_xpsi, nodes):
     return a_xpsi - nodes.T * a_psi[:, None, :]
 
 
-def _orientation_setup(psi, step, boundary_layers, enforce_boundary):
-    _gate_boundary(psi, enforce_boundary)
-    if step is None:
-        step = _default_step(psi.grid)
-    return step, _interior_mask(psi.grid, boundary_layers)
-
-
-def _body_commutators(psi, hbar, step, order):
+def _body_commutators(psi, hbar, step, order, enforce_boundary):
     """[L_l, w^k] psi, index [l, k] (3, 3, K), and the dual frame m (K, 3, 3)."""
+    d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
     _, m = frame_fields(psi.grid.nodes)
     m_t = np.moveaxis(m, 0, -1)  # m_t[j, k] = m[:, j, k]
-    d_psi, d_xpsi = _chart_sweep(psi, step, order)
     l_psi = -1j * hbar * _body_components(m_t, d_psi)
     l_xpsi = -1j * hbar * _body_components(m_t[:, :, None, :], d_xpsi)
     return _commutators(l_psi, l_xpsi, psi.grid.nodes), m
@@ -255,11 +249,10 @@ def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layer
     passing 0 exposes the seam error of the coordinate function (the
     wrapped coordinate jumps by 2 pi even when the state is smooth).
     """
-    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
-    d_psi, d_xpsi = _chart_sweep(psi, step, order)
+    d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
     comm = _commutators(-1j * hbar * d_psi, -1j * hbar * d_xpsi, psi.grid.nodes)
     residual = comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
-    return _relative(residual, psi, mask, hbar)
+    return _relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar)
 
 
 def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -269,10 +262,9 @@ def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers
     Entry (k, j) is the worst interior-node relative residual; m is the
     dual frame at each node.
     """
-    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
-    comm, m = _body_commutators(psi, hbar, step, order)
+    comm, m = _body_commutators(psi, hbar, step, order, enforce_boundary)
     residual = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
-    return _relative(residual, psi, mask, hbar)
+    return _relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar)
 
 
 def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -286,15 +278,16 @@ def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_laye
     i0 = np.asarray(i0, dtype=float)
     if i0.shape != (3, 3):
         raise SingularInertiaError("equilibrium inertia must be a 3x3 matrix")
-    eigs = np.linalg.eigvalsh(0.5 * (i0 + i0.T))
+    if np.abs(i0 - i0.T).max() > 1e-12 * np.abs(i0).max():
+        raise SingularInertiaError(f"equilibrium inertia not symmetric: {i0.tolist()}")
+    eigs = np.linalg.eigvalsh(i0)
     if eigs.min() <= 0.0 or not np.all(np.isfinite(eigs)):
         raise SingularInertiaError(f"equilibrium inertia not positive definite: spectrum {eigs}")
     i0_inv = np.linalg.inv(i0)
 
-    step, mask = _orientation_setup(psi, step, boundary_layers, enforce_boundary)
-    comm, m = _body_commutators(psi, hbar, step, order)
+    comm, m = _body_commutators(psi, hbar, step, order, enforce_boundary)
     comm_omega = np.einsum("jl,lkn->kjn", i0_inv, comm)  # [Omega^j, w^k] psi at [k, j]
     # dual covector m^(k) is row k of m at each node
     expected = np.einsum("jl,nkl->kjn", i0_inv, m)
     residual = comm_omega + 1j * hbar * expected * psi.amplitudes
-    return float(_relative(residual, psi, mask, hbar).max())
+    return float(_relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar).max())

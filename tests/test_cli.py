@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from molrest import cli
 from molrest.cli import RunConfig, main, parse_args
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +102,34 @@ class TestExitZero:
         assert report["passed"] is True
         assert report["n_frames"] == 3
         assert all(f["passed"] for f in report["frames"])
+
+
+PLAIN = (str, int, bool, float, type(None))
+
+
+def _assert_plain(value, path):
+    # exact types: np.float64 subclasses float and np.bool_ is not bool
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_plain(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _assert_plain(item, f"{path}.{i}")
+    else:
+        assert type(value) in PLAIN, f"{path}: {type(value).__name__}"
+
+
+class TestReportTypes:
+    @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+    def test_reports_hold_plain_python_values(self, command, monkeypatch):
+        # reports are rendered as built, so every value must already be plain
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda report, config: reports.append(report))
+        invoke(command, "--input", MOLECULE, "--trajectory", TRAJECTORY,
+               "--grid-line", "4096", "--grid-theta", "24", "--grid-dirs", "48")
+        assert len(reports) == 1
+        _assert_plain(reports[0], command)
 
 
 class TestInputErrors:

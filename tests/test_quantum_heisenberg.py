@@ -42,8 +42,8 @@ def ball():
 class TestDispersion:
     def test_ground_state_saturates(self, line):
         psi = oscillator_state(line, 0)
-        dq = dispersion(psi, position_op)
-        dp = dispersion(psi, momentum_op)
+        dq = dispersion(psi, position_op(psi))
+        dp = dispersion(psi, momentum_op(psi))
         assert abs(dq - np.sqrt(0.5)) <= 1e-8
         assert abs(dp - np.sqrt(0.5)) <= 1e-8
         assert abs(dq * dp - 0.5) <= 1e-6
@@ -51,30 +51,30 @@ class TestDispersion:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_eigenstate_products(self, line, n):
         psi = oscillator_state(line, n)
-        prod = dispersion(psi, position_op) * dispersion(psi, momentum_op)
+        prod = dispersion(psi, position_op(psi)) * dispersion(psi, momentum_op(psi))
         assert abs(prod - (n + 0.5)) <= 1e-4
 
     def test_coherent_displacement_invariance(self, line):
         base = gaussian_line_state(line, center=0.0, sigma=np.sqrt(0.5))
         moved = gaussian_line_state(line, center=1.8, sigma=np.sqrt(0.5), momentum=0.9)
         for op in (position_op, momentum_op):
-            assert abs(dispersion(base, op) - dispersion(moved, op)) <= 1e-6
+            assert abs(dispersion(base, op(base)) - dispersion(moved, op(moved))) <= 1e-6
 
     def test_gaussian_width_read_off(self, line):
         psi = gaussian_line_state(line, center=0.4, sigma=0.35)
-        assert abs(dispersion(psi, position_op) - 0.35) <= 1e-9
-        assert abs(dispersion(psi, momentum_op) - 0.5 / 0.35) <= 1e-6
+        assert abs(dispersion(psi, position_op(psi)) - 0.35) <= 1e-9
+        assert abs(dispersion(psi, momentum_op(psi)) - 0.5 / 0.35) <= 1e-6
 
     def test_requires_normalized_state(self, line):
         psi = gaussian_line_state(line)
         bad = GridWavefunction(grid=line, amplitudes=2.0 * psi.amplitudes)
         with pytest.raises(GridError):
-            dispersion(bad, position_op)
+            dispersion(bad, position_op(bad))
 
     def test_identity_operator_dispersion_tiny(self, line):
         # variance is pure rounding noise; sqrt turns 1e-16 into 1e-8
         psi = gaussian_line_state(line, sigma=0.8)
-        assert dispersion(psi, lambda s: s) <= 1e-7
+        assert dispersion(psi, psi) <= 1e-7
 
     def test_rounding_band_clamps_to_zero(self):
         # norm slightly above 1 makes the identity-operator variance
@@ -86,7 +86,7 @@ class TestDispersion:
         amps = np.zeros(64, dtype=complex)
         amps[0] = amps[1] = 1.0
         psi = GridWavefunction(grid=grid, amplitudes=amps)
-        assert dispersion(psi, lambda s: s) == 0.0
+        assert dispersion(psi, psi) == 0.0
 
     def test_indefinite_quadrature_detected(self):
         # a hand-built sign-indefinite weight vector breaks Cauchy-Schwarz
@@ -98,7 +98,7 @@ class TestDispersion:
         amps[0] = amps[1] = 1.0
         psi = GridWavefunction(grid=grid, amplitudes=amps)
         with pytest.raises(GridError):
-            dispersion(psi, position_op)
+            dispersion(psi, position_op(psi))
 
 
 class TestVibrationalSuite:

@@ -22,6 +22,7 @@ from molrest.quantum import (
     chart_commutator_residuals,
     frame_fields,
     gaussian_line_state,
+    heisenberg_suite,
     line_commutator_residual,
     momentum_op,
     oscillator_state,
@@ -163,19 +164,27 @@ class TestAngmomOp:
     def test_requires_profile(self, ball, interior):
         bare = GridWavefunction(grid=ball, amplitudes=interior.amplitudes)
         with pytest.raises(GridError):
-            angmom_op(bare, 0)
+            angmom_op(bare)
+
+    def test_needs_so3_grid(self, line):
+        # rejected before the default step reads the ball's shell spacing
+        psi = gaussian_line_state(line)
+        with pytest.raises(GridError):
+            angmom_op(psi)
+        with pytest.raises(GridError):
+            chart_commutator_residuals(psi)
 
     def test_boundary_gate(self, ball):
         seam = so3_gaussian_state(ball, center=(0.0, 0.0, 2.8), sigma=0.3)
         with pytest.raises(BoundaryMassError):
-            angmom_op(seam, 0)
+            angmom_op(seam)
         # explicit override skips the gate
-        angmom_op(seam, 0, enforce_boundary=False)
+        angmom_op(seam, enforce_boundary=False)
 
     def test_parity_zero_mean(self, ball):
         psi = so3_gaussian_state(ball, sigma=0.4)
-        for j in range(3):
-            assert abs(expectation(psi, angmom_op(psi, j))) <= 1e-13
+        for l_psi in angmom_op(psi):
+            assert abs(expectation(psi, l_psi)) <= 1e-13
 
     def test_plane_wave_eigenvalue(self, ball):
         # exp(i a.w) is an eigenfunction of -i d/dw^j with eigenvalue a_j
@@ -183,8 +192,8 @@ class TestAngmomOp:
         psi = so3_gaussian_state(ball, sigma=0.45, wave=a)
         norms = np.linalg.norm(ball.nodes, axis=1)
         core = norms < 1.5
-        for j in range(3):
-            dpsi = angmom_op(psi, j).amplitudes
+        for j, l_psi in enumerate(angmom_op(psi)):
+            dpsi = l_psi.amplitudes
             # envelope contributes the radial derivative; compare against
             # the analytic derivative of the full profile instead
             d = norms
@@ -197,21 +206,23 @@ class TestAngmomOp:
     def test_duality_recovers_chart_derivative(self, ball, interior):
         # sum_k n[k, j] L_k must reproduce -i hbar d/dw^j exactly
         n, _ = frame_fields(ball.nodes)
-        l_parts = [body_angmom_op(interior, k).amplitudes for k in range(3)]
-        for j in range(3):
+        l_parts = [l_psi.amplitudes for l_psi in body_angmom_op(interior)]
+        for j, d_psi in enumerate(angmom_op(interior)):
             recombined = sum(n[:, k, j] * l_parts[k] for k in range(3))
-            direct = angmom_op(interior, j).amplitudes
+            direct = d_psi.amplitudes
             assert np.abs(recombined - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_symmetrized_variant_hermitian(self, ball):
         p1 = so3_gaussian_state(ball, center=(0.1, 0.0, -0.1), sigma=0.35, wave=(0.5, -0.3, 0.2))
         p2 = so3_gaussian_state(ball, center=(-0.05, 0.15, 0.0), sigma=0.3, wave=(-0.4, 0.6, 0.1))
         w = ball.haar_weights
+        plain_1, plain_2 = angmom_op(p1), angmom_op(p2)
+        sym_1, sym_2 = angmom_op(p1, symmetric=True), angmom_op(p2, symmetric=True)
         for j in range(3):
-            plain_a1 = angmom_op(p1, j).amplitudes
-            plain_a2 = angmom_op(p2, j).amplitudes
-            sym_a1 = angmom_op(p1, j, symmetric=True).amplitudes
-            sym_a2 = angmom_op(p2, j, symmetric=True).amplitudes
+            plain_a1 = plain_1[j].amplitudes
+            plain_a2 = plain_2[j].amplitudes
+            sym_a1 = sym_1[j].amplitudes
+            sym_a2 = sym_2[j].amplitudes
             plain = abs(np.sum(w * np.conj(p2.amplitudes) * plain_a1)
                         - np.sum(w * np.conj(plain_a2) * p1.amplitudes))
             sym = abs(np.sum(w * np.conj(p2.amplitudes) * sym_a1)
@@ -275,25 +286,49 @@ class TestAngvelCommutator:
         with pytest.raises(SingularInertiaError):
             angvel_commutator_check(np.eye(2), interior)
 
+    def test_nonsymmetric_inertia_rejected(self, interior):
+        # positive-definite symmetric part, but an inertia tensor is symmetric
+        i0 = np.array([[1.0, 3.0, 0.0], [-3.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularInertiaError):
+            angvel_commutator_check(i0, interior)
+
+
+def counting(psi):
+    """psi with a profile that records the shape of every evaluation."""
+    seen = []
+
+    def profile(pts):
+        seen.append(pts.shape)
+        return psi.profile(pts)
+
+    return GridWavefunction(grid=psi.grid, amplitudes=psi.amplitudes, profile=profile), seen
+
 
 class TestStencilSweep:
     @pytest.mark.parametrize("order, calls", [(4, 12), (2, 6)])
-    @pytest.mark.parametrize("check", ["chart", "body", "angvel"])
+    @pytest.mark.parametrize("check", ["chart", "body", "angvel", "angmom_op",
+                                       "body_angmom_op"])
     def test_profile_evaluations_per_check(self, interior, check, order, calls):
         # one sweep: each stencil offset along each direction is evaluated once
-        seen = []
-
-        def profile(pts):
-            seen.append(pts.shape)
-            return interior.profile(pts)
-
-        psi = GridWavefunction(grid=interior.grid, amplitudes=interior.amplitudes,
-                               profile=profile)
+        psi, seen = counting(interior)
         if check == "chart":
             chart_commutator_residuals(psi, order=order)
         elif check == "body":
             body_commutator_residuals(psi, order=order)
-        else:
+        elif check == "angvel":
             angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi, order=order)
+        elif check == "angmom_op":
+            assert len(angmom_op(psi, order=order)) == 3
+        else:
+            assert len(body_angmom_op(psi, order=order)) == 3
         assert len(seen) == calls
         assert all(shape == interior.grid.nodes.shape for shape in seen)
+
+    @pytest.mark.parametrize("fixed_frame", [False, True])
+    def test_profile_evaluations_per_rotational_state(self, interior, fixed_frame):
+        # the rotational dispersion suite differentiates each state once
+        counted = [counting(interior), counting(interior)]
+        rows = heisenberg_suite([psi for psi, _ in counted], "rotational",
+                                fixed_frame=fixed_frame)
+        assert len(rows) == 18
+        assert [len(seen) for _, seen in counted] == [12, 12]
