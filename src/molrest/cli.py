@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from dataclasses import dataclass, replace
@@ -54,6 +55,7 @@ from .quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
+from .quantum.grids import MIN_DIRS, MIN_LINE_POINTS, MIN_SHELLS
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -67,15 +69,16 @@ CHART_TOL = 1e-5
 BODY_TOL = 1e-5
 ANGVEL_TOL = 1e-4
 
+# fixed policy, no flags: the reconstruction and decomposition gate is an
+# internal consistency check, and the line grid always spans
+# [-LINE_EXTENT, LINE_EXTENT]
+TOL_ROUNDTRIP = 1e-9
+LINE_EXTENT = 10.0
+
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs.
-
-    tol_roundtrip and line_extent are fixed policy (no flags): the
-    reconstruction check is an internal consistency gate, and the line
-    grid always spans [-line_extent, line_extent].
-    """
+    """Everything one invocation needs; the defaults are the flags' defaults."""
 
     command: str
     input_path: str
@@ -83,10 +86,8 @@ class RunConfig:
     output_path: str = None
     format: str = "json"
     tol_eckart: float = 1e-10
-    tol_roundtrip: float = 1e-9
     tol_quad: float = 1e-6
     grid_line: int = 16384
-    line_extent: float = 10.0
     grid_theta: int = 64
     grid_dirs: int = 128
     hbar: float = None
@@ -96,20 +97,17 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
-        for name in ("tol_eckart", "tol_roundtrip", "tol_quad"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
-        if self.grid_line < 64:
-            raise ValueError("--grid-line must be at least 64")
-        if self.grid_theta < 16:
-            raise ValueError("--grid-theta must be at least 16")
-        if self.grid_dirs < 32:
-            raise ValueError("--grid-dirs must be at least 32")
-        if not self.line_extent > 0.0:
-            raise ValueError("line extent must be positive")
-        if self.hbar is not None and not self.hbar > 0.0:
-            raise ValueError("--hbar must be positive")
+            raise ValueError(f"--format must be json or csv, got {self.format!r}")
+        for name in ("tol_eckart", "tol_quad", "hbar"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
+        for name, least in (("grid_line", MIN_LINE_POINTS), ("grid_theta", MIN_SHELLS),
+                            ("grid_dirs", MIN_DIRS)):
+            if getattr(self, name) < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {self.seed}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,44 +120,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_args(argv=None):
+    # flags left out stay out of the namespace: RunConfig holds the defaults
     parser = _Parser(
         prog="molrest",
         description="Eckart-frame internal observables and uncertainty checks.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", required=True, help="molecule JSON file")
-    parser.add_argument("--trajectory", help="extended-xyz trajectory file")
-    parser.add_argument("--output", help="report file (default stdout)")
-    parser.add_argument("--format", default="json", choices=("json", "csv"))
-    parser.add_argument("--tol-eckart", type=float, default=1e-10,
+    parser.add_argument("--input", dest="input_path", required=True, help="molecule JSON file")
+    parser.add_argument("--trajectory", dest="trajectory_path",
+                        help="extended-xyz trajectory file")
+    parser.add_argument("--output", dest="output_path", help="report file (default stdout)")
+    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--tol-eckart", type=float,
                         help="mode sum-rule and frame residual ceiling")
-    parser.add_argument("--tol-quad", type=float, default=1e-6,
+    parser.add_argument("--tol-quad", type=float,
                         help="uncertainty-product quadrature allowance (times hbar)")
-    parser.add_argument("--grid-line", type=int, default=16384,
-                        help="line grid points (min 64)")
-    parser.add_argument("--grid-theta", type=int, default=64,
-                        help="rotation-angle shells (min 16)")
-    parser.add_argument("--grid-dirs", type=int, default=128,
-                        help="direction nodes per shell (min 32)")
-    parser.add_argument("--hbar", type=float, default=None,
-                        help="override the molecule's hbar")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized state families")
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        input_path=ns.input,
-        trajectory_path=ns.trajectory,
-        output_path=ns.output,
-        format=ns.format,
-        tol_eckart=ns.tol_eckart,
-        tol_quad=ns.tol_quad,
-        grid_line=ns.grid_line,
-        grid_theta=ns.grid_theta,
-        grid_dirs=ns.grid_dirs,
-        hbar=ns.hbar,
-        seed=ns.seed,
-    )
+    parser.add_argument("--grid-line", type=int,
+                        help=f"line grid points (min {MIN_LINE_POINTS})")
+    parser.add_argument("--grid-theta", type=int,
+                        help=f"rotation-angle shells (min {MIN_SHELLS})")
+    parser.add_argument("--grid-dirs", type=int,
+                        help=f"direction nodes per shell (min {MIN_DIRS})")
+    parser.add_argument("--hbar", type=float, help="override the molecule's hbar")
+    parser.add_argument("--seed", type=int, help="seed for randomized state families")
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 # --- report plumbing -------------------------------------------------------
@@ -296,7 +281,7 @@ def _frame_columns(config, mol, basis):
     frame = state.frame
     rt = _roundtrip_error(traj, reconstruct(mol, basis, state))
     rel_residual = frame.relative_residual
-    passed = ((rel_residual <= config.tol_eckart) & (rt <= config.tol_roundtrip)
+    passed = ((rel_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
               & ~frame.degenerate)
     return {
         "orientation": frame.orientation,
@@ -326,7 +311,7 @@ def _cmd_frame(config, mol, rng):
         "command": "frame",
         "n_frames": len(frames),
         "frames": frames,
-        "tolerance": {"eckart": config.tol_eckart, "roundtrip": config.tol_roundtrip},
+        "tolerance": {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP},
         "passed": passed,
     }
 
@@ -341,7 +326,7 @@ def _cmd_decompose(config, mol, rng):
     total = rotational + deformation + electronic
     direct = state.angular_momentum
     residual = np.abs(total - direct).max(axis=-1)
-    passed = residual <= config.tol_roundtrip
+    passed = residual <= TOL_ROUNDTRIP
     frames = _frame_rows({
         "rotational": rotational,
         "deformation": deformation,
@@ -355,7 +340,7 @@ def _cmd_decompose(config, mol, rng):
         "command": "decompose",
         "n_frames": len(frames),
         "frames": frames,
-        "tolerance": config.tol_roundtrip,
+        "tolerance": TOL_ROUNDTRIP,
         "passed": bool(passed.all()),
     }
 
@@ -363,7 +348,7 @@ def _cmd_decompose(config, mol, rng):
 def _cmd_heisenberg(config, mol, rng):
     hbar = mol.hbar
     tol = config.tol_quad * hbar
-    line = LineGrid.make(-config.line_extent, config.line_extent, config.grid_line)
+    line = LineGrid.make(-LINE_EXTENT, LINE_EXTENT, config.grid_line)
     ball = So3Grid.make(config.grid_theta, config.grid_dirs)
     basis = build_modes(mol, rng=rng)
 
@@ -391,7 +376,7 @@ def _cmd_heisenberg(config, mol, rng):
 
 def _cmd_commutators(config, mol, rng):
     hbar = mol.hbar
-    line = LineGrid.make(-config.line_extent, config.line_extent, config.grid_line)
+    line = LineGrid.make(-LINE_EXTENT, LINE_EXTENT, config.grid_line)
     ball = So3Grid.make(config.grid_theta, config.grid_dirs)
 
     line_state = gaussian_line_state(line, center=0.2, sigma=1.0, momentum=0.5 * hbar,

@@ -29,7 +29,7 @@ from .angmom import (
     relative_angmom,
 )
 from .errors import EckartSolveError, SchemaError
-from .lie_so3 import cross, length, log_map, quaternion_to_matrix
+from .lie_so3 import cross, length, quaternion_form, quaternion_to_matrix, quaternion_to_vector
 
 __all__ = [
     "Configuration",
@@ -204,7 +204,8 @@ def solve_eckart(mol, positions):
     Finds the rotation R maximizing sum_mu M_mu R0_mu . (R^T R'_mu),
     whose stationarity condition is sum_mu M_mu R0_mu x (R^T R'_mu) = 0,
     via the 4x4 symmetric quaternion eigenproblem, solved for every
-    frame in one stacked ``eigh``.
+    frame in one stacked ``eigh``.  The orientation is the rotation
+    vector of the top eigenvector itself.
 
     Parameters
     ----------
@@ -224,17 +225,11 @@ def solve_eckart(mol, positions):
                          f"(T, {mol.n_nuclei}, 3)")
 
     c = np.einsum("m,mi,...mj->...ij", mol.masses, mol.positions, positions)
-    sigma = np.trace(c, axis1=-2, axis2=-1)
-    k = np.empty(c.shape[:-2] + (4, 4))
-    k[..., 0, 0] = sigma
-    k[..., 0, 1:] = k[..., 1:, 0] = np.stack(
-        [c[..., 1, 2] - c[..., 2, 1], c[..., 2, 0] - c[..., 0, 2], c[..., 0, 1] - c[..., 1, 0]],
-        axis=-1)
-    k[..., 1:, 1:] = c + np.swapaxes(c, -1, -2) - sigma[..., None, None] * np.eye(3)
-    evals, evecs = np.linalg.eigh(k)
+    evals, evecs = np.linalg.eigh(quaternion_form(c))
 
     gap = (evals[..., 3] - evals[..., 2]) / np.maximum(1.0, np.abs(evals[..., 3]))
-    rotation = quaternion_to_matrix(evecs[..., 3])
+    quaternion = evecs[..., 3]
+    rotation = quaternion_to_matrix(quaternion)
 
     body = positions @ rotation
     residual = length(np.einsum("m,...mk->...k", mol.masses, cross(mol.positions, body)))
@@ -249,7 +244,7 @@ def solve_eckart(mol, positions):
         )
     return EckartFrame(
         rotation=rotation,
-        orientation=log_map(rotation),
+        orientation=quaternion_to_vector(quaternion),
         residual=residual[()],
         scale=scale[()],
         degenerate=(gap < 1e-9)[()],

@@ -12,8 +12,12 @@ derivatives in the chart and body-frame angular momentum components:
 All formulas are closed-form polynomials in the cross-product matrix
 ``[omega]x`` with scalar coefficients in the angle.  Every coefficient
 comes from ``chart_coefficients``, which switches to the Taylor series
-below ``SERIES_SWITCH`` so nothing degrades at the origin.  Unit
-quaternions are scalar-first, (w, x, y, z), and are converted here only.
+below ``SERIES_SWITCH`` so nothing degrades at the origin.
+
+Unit quaternions are scalar-first, (w, x, y, z), and are converted here
+only.  Every rotation vector taken from a matrix or an Eckart solve comes
+from a quaternion through ``quaternion_to_vector``, well-conditioned at
+every angle; ``quaternion_form`` builds the one 4x4 quaternion matrix.
 """
 
 from dataclasses import dataclass
@@ -38,16 +42,16 @@ __all__ = [
     "haar_density",
     "log_density_gradient",
     "unit_quaternion",
+    "quaternion_to_vector",
+    "quaternion_form",
     "quaternion_to_matrix",
+    "geodesic_distance",
 ]
 
 # Angle below which the chart coefficients switch to their series: there
 # the quartic series is exact to ~1e-22 relative, while the direct forms
 # lose 1e-9 or more to cancellation (1 - cos, theta - sin).
 SERIES_SWITCH = 1e-3
-
-# Angle below which log_map uses its quadratic series.
-_SMALL = 1e-4
 
 # Frame field is singular on the sphere ||omega|| = pi; reject a layer near it.
 EPS_BOUNDARY = 1e-6
@@ -180,44 +184,16 @@ def log_map(r):
     """Rotation vector of a rotation matrix, with norm <= pi.
 
     Inverse of exp_map on the canonical ball.  Accepts one (3, 3) matrix
-    or an (..., 3, 3) stack and returns (3,) or (..., 3).  Near the
-    angle pi the axis is recovered from the symmetric part of R, which
-    stays well-conditioned where the antisymmetric part vanishes; only
-    the matrices that need it take that branch.
+    or an (..., 3, 3) stack and returns (3,) or (..., 3).  The quaternion
+    form of R^T is 4 q q^T - I, so the column of its largest diagonal
+    entry plus one is 4 q_j q with |q_j| >= 1/2 (Shepperd's choice): a
+    well-conditioned multiple of q at every angle, the half turn
+    included.  At an exact half turn (w = 0) the largest axis component
+    comes out positive.
     """
-    r = _check_rotation(r)
-    c = np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0)
-    v = vee(r)  # = sin(theta) * axis
-    s = length(v)
-    # atan2 keeps the angle well-conditioned at both ends, where arccos
-    # alone would lose half the digits.
-    theta = np.arctan2(s, c)
-
-    small = theta < _SMALL
-    seam = ~small & (s <= _SMALL)  # theta within ~1e-4 of pi
-    # omega = v * theta/sin(theta); below _SMALL the quadratic term suffices.
-    ratio = np.where(small, 1.0 + theta * theta / 6.0,
-                     theta / np.where(small | seam, 1.0, s))
-    omega = v * ratio[..., None]
-    if seam.any():
-        omega[seam] = theta[seam][:, None] * _seam_axis(r[seam], c[seam], v[seam])
-    return omega
-
-
-def _seam_axis(r, c, v):
-    """Unit axes of (K, 3, 3) rotations by nearly pi, from uu^T = (sym(R) - c I) / (1 - c)."""
-    outer = (0.5 * (r + np.swapaxes(r, -1, -2)) - c[:, None, None] * np.eye(3)) \
-        / (1.0 - c)[:, None, None]
-    rows = np.arange(len(r))
-    j = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
-    u = outer[rows, :, j] / np.sqrt(np.maximum(outer[rows, j, j], 0.0))[:, None]
-    u /= length(u)[:, None]
-    s = _dot(u, v)
-    # Antipodal (|s| tiny): +pi u and -pi u are the same rotation; the
-    # largest component of u is made positive.
-    largest = u[rows, np.argmax(np.abs(u), axis=-1)]
-    flip = np.where(np.abs(s) > 1e-12, s < 0.0, largest < 0.0)
-    return np.where(flip[:, None], -u, u)
+    k = quaternion_form(np.swapaxes(_check_rotation(r), -1, -2)) + np.eye(4)
+    j = np.argmax(np.diagonal(k, axis1=-2, axis2=-1), axis=-1)
+    return quaternion_to_vector(np.take_along_axis(k, j[..., None, None], axis=-1)[..., 0])
 
 
 @dataclass(frozen=True)
@@ -297,17 +273,53 @@ def log_density_gradient(omega):
     return f[..., None] * omega
 
 
-def unit_quaternion(omega):
-    """Unit quaternions of rotation vectors, as ``(w, xyz)``: shapes (...) and (..., 3)."""
+def _quaternion_parts(omega):
+    """Scalar and vector parts of the unit quaternions of rotation vectors, (...) and (..., 3)."""
     omega = np.asarray(omega, dtype=float)
     theta = np.linalg.norm(omega, axis=-1)
     half = 0.5 * theta
-    w = np.cos(half)
     small = theta < 1e-12
     scale = np.empty_like(theta)
     scale[small] = 0.5
     scale[~small] = np.sin(half[~small]) / theta[~small]
-    return w, omega * scale[..., None]
+    return np.cos(half), omega * scale[..., None]
+
+
+def unit_quaternion(omega):
+    """Unit quaternions (w, x, y, z) of rotation vectors, (..., 3) -> (..., 4)."""
+    w, v = _quaternion_parts(omega)
+    return np.concatenate([w[..., None], v], axis=-1)
+
+
+def quaternion_to_vector(q):
+    """Rotation vectors of quaternions (w, x, y, z), (..., 4) -> (..., 3).
+
+    Inverse of ``unit_quaternion``.  q need not be normalized: any
+    nonzero multiple of q, -q included, gives the same vector.  The sign
+    is taken with w >= 0, so theta = 2 atan2(|v|, w) <= pi.
+    """
+    q = np.asarray(q, dtype=float)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    v = q[..., 1:]
+    s = length(v)
+    theta = 2.0 * np.arctan2(s, q[..., 0])
+    return v * (theta / np.where(s == 0.0, 1.0, s))[..., None]
+
+
+def quaternion_form(c):
+    """Symmetric (..., 4, 4) matrices K with q^T K q = tr(c R(q)) for unit q.
+
+    c is an (..., 3, 3) stack.  For c = R^T, K = 4 q q^T - I with q the
+    quaternion of R.
+    """
+    sigma = np.trace(c, axis1=-2, axis2=-1)
+    k = np.empty(c.shape[:-2] + (4, 4))
+    k[..., 0, 0] = sigma
+    k[..., 0, 1:] = k[..., 1:, 0] = np.stack(
+        [c[..., 1, 2] - c[..., 2, 1], c[..., 2, 0] - c[..., 0, 2], c[..., 0, 1] - c[..., 1, 0]],
+        axis=-1)
+    k[..., 1:, 1:] = c + np.swapaxes(c, -1, -2) - sigma[..., None, None] * np.eye(3)
+    return k
 
 
 def quaternion_to_matrix(q):
@@ -321,3 +333,12 @@ def quaternion_to_matrix(q):
         ],
         axis=-1,
     ).reshape(q.shape[:-1] + (3, 3))
+
+
+def geodesic_distance(omegas, center):
+    """Rotation angle between R(omega) and R(center), vectorized."""
+    # the parts, not the packed (..., 4) array: strided access slowed the grid profiles
+    w1, v1 = _quaternion_parts(omegas)
+    w2, v2 = _quaternion_parts(center)
+    dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
+    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))

@@ -13,13 +13,20 @@ monitored through ``boundary_mass``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import GridError
 
-__all__ = ["LineGrid", "So3Grid", "GridWavefunction", "wrap_to_ball"]
+__all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "LineGrid", "So3Grid",
+           "GridWavefunction", "wrap_to_ball"]
+
+# smallest grids ``make`` builds: line points, angle shells, directions per shell
+MIN_LINE_POINTS = 64
+MIN_SHELLS = 16
+MIN_DIRS = 32
 
 
 @dataclass(frozen=True)
@@ -32,8 +39,8 @@ class LineGrid:
 
     @classmethod
     def make(cls, x_min=-10.0, x_max=10.0, n=2048):
-        if n < 64:
-            raise GridError(f"line grid needs at least 64 points, got {n}")
+        if n < MIN_LINE_POINTS:
+            raise GridError(f"line grid needs at least {MIN_LINE_POINTS} points, got {n}")
         if not x_max > x_min:
             raise GridError("empty line grid extent")
         points = np.linspace(x_min, x_max, n)
@@ -78,14 +85,13 @@ class So3Grid:
     radial_step: float
     n_theta: int
     n_dirs: int
-    boundary_mask: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def make(cls, n_theta=64, n_dirs=128):
-        if n_theta < 16:
-            raise GridError(f"need at least 16 rotation-angle shells, got {n_theta}")
-        if n_dirs < 32:
-            raise GridError(f"need at least 32 direction nodes, got {n_dirs}")
+        if n_theta < MIN_SHELLS:
+            raise GridError(f"need at least {MIN_SHELLS} rotation-angle shells, got {n_theta}")
+        if n_dirs < MIN_DIRS:
+            raise GridError(f"need at least {MIN_DIRS} direction nodes, got {n_dirs}")
         h = np.pi / n_theta
         thetas = (np.arange(n_theta) + 0.5) * h
         # Haar radial density (1 - cos)/(4 pi^2 t^2) times shell area
@@ -112,20 +118,28 @@ class So3Grid:
 
         nodes = (thetas[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         weights = (w_rad[:, None] * w_dir[None, :]).ravel()
-        shell = np.repeat(thetas, dirs.shape[0])
-        mask = shell > np.pi - 2.0 * h
         return cls(
             nodes=nodes,
             haar_weights=weights,
             radial_step=h,
             n_theta=n_theta,
             n_dirs=dirs.shape[0],
-            boundary_mask=mask,
         )
 
     @property
     def size(self):
         return self.nodes.shape[0]
+
+    def interior(self, boundary_layers):
+        """Nodes more than ``boundary_layers`` shell spacings inside the seam at pi."""
+        if boundary_layers <= 0:
+            return np.ones(self.size, dtype=bool)
+        return np.linalg.norm(self.nodes, axis=1) < np.pi - boundary_layers * self.radial_step
+
+    @cached_property
+    def boundary_mask(self):
+        """The outermost two rotation-angle shells (computed once per grid)."""
+        return ~self.interior(2)
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,5 @@ class GridWavefunction:
         """Probability carried by the outermost two rotation-angle shells."""
         if isinstance(self.grid, LineGrid):
             return 0.0
-        w = self.grid.haar_weights[self.grid.boundary_mask]
-        a = self.amplitudes[self.grid.boundary_mask]
-        return float(np.sum(w * np.abs(a) ** 2))
+        mask = self.grid.boundary_mask
+        return float(np.sum(self.grid.haar_weights[mask] * np.abs(self.amplitudes[mask]) ** 2))

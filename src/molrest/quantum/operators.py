@@ -48,10 +48,10 @@ __all__ = [
 
 BOUNDARY_MASS_TOL = 1e-8
 
-# offsets and weights of the central first-derivative stencils
+# central first-derivative stencils: offsets, integer numerators, denominator
 _STENCILS = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+    2: ((-1, 1), (-1, 1), 2),
+    4: ((-2, -1, 1, 2), (1, -8, 8, -1), 12),
 }
 
 
@@ -74,10 +74,10 @@ def position_op(psi, component=0):
 def _line_derivative(amplitudes, step, order):
     if order not in _STENCILS:
         raise GridError(f"unsupported stencil order {order}")
+    offsets, nums, den = _STENCILS[order]
     pad = np.pad(amplitudes, (2, 2))
-    if order == 2:
-        return (pad[3:-1] - pad[1:-3]) / (2.0 * step)
-    return (pad[:-4] - 8.0 * pad[1:-3] + 8.0 * pad[3:-1] - pad[4:]) / (12.0 * step)
+    total = sum(num * pad[2 + off:pad.size - 2 + off] for off, num in zip(offsets, nums))
+    return total / (den * step)
 
 
 def momentum_op(psi, hbar=1.0, order=4):
@@ -123,13 +123,13 @@ def _orientation_setup(psi, step, order, enforce_boundary):
 
 def _stencil(psi, direction, step, order):
     """Yield (weight, wrapped points, profile there) per stencil offset along w^j."""
-    offsets, coeffs = _STENCILS[order]
+    offsets, nums, den = _STENCILS[order]
     unit = np.zeros(3)
     unit[int(direction)] = 1.0
     nodes = psi.grid.nodes
-    for off, cf in zip(offsets, coeffs):
+    for off, num in zip(offsets, nums):
         pts = wrap_to_ball(nodes + (off * step) * unit)
-        yield cf, pts, np.asarray(psi.profile(pts), dtype=complex)
+        yield num / den, pts, np.asarray(psi.profile(pts), dtype=complex)
 
 
 def _chart_sweep(psi, step, order, enforce_boundary, coordinates=True):
@@ -197,13 +197,6 @@ def _body_components(m_t, derivs):
     return total
 
 
-def _interior_mask(grid, boundary_layers):
-    if boundary_layers <= 0:
-        return np.ones(grid.size, dtype=bool)
-    norms = np.linalg.norm(grid.nodes, axis=1)
-    return norms < np.pi - boundary_layers * grid.radial_step
-
-
 def _relative(residual, psi, mask, hbar):
     """Worst interior-node |residual| over the last axis, relative to hbar * max|psi|."""
     scale = hbar * float(np.abs(psi.amplitudes).max())
@@ -252,7 +245,7 @@ def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layer
     d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
     comm = _commutators(-1j * hbar * d_psi, -1j * hbar * d_xpsi, psi.grid.nodes)
     residual = comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
-    return _relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar)
+    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
 
 
 def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -264,7 +257,7 @@ def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers
     """
     comm, m = _body_commutators(psi, hbar, step, order, enforce_boundary)
     residual = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
-    return _relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar)
+    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
 
 
 def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
@@ -290,4 +283,4 @@ def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_laye
     # dual covector m^(k) is row k of m at each node
     expected = np.einsum("jl,nkl->kjn", i0_inv, m)
     residual = comm_omega + 1j * hbar * expected * psi.amplitudes
-    return float(_relative(residual, psi, _interior_mask(psi.grid, boundary_layers), hbar).max())
+    return float(_relative(residual, psi, psi.grid.interior(boundary_layers), hbar).max())

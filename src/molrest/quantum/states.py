@@ -12,7 +12,7 @@ operators can evaluate the state off the nodes.
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from ..lie_so3 import unit_quaternion
+from ..lie_so3 import geodesic_distance
 from .grids import GridWavefunction, LineGrid
 
 __all__ = [
@@ -23,14 +23,6 @@ __all__ = [
     "random_so3_state",
     "geodesic_distance",
 ]
-
-
-def geodesic_distance(omegas, center):
-    """Rotation angle between R(omega) and R(center), vectorized."""
-    w1, v1 = unit_quaternion(omegas)
-    w2, v2 = unit_quaternion(center)
-    dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
-    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
 
 
 def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from molrest.angmom import build_inertia, decompose_angmom, mode_sum
-from molrest.frames import BLOCKS, Configuration, analyze, reconstruct
+from molrest.frames import BLOCKS, Configuration, analyze, reconstruct, solve_eckart
 from molrest.lie_so3 import exp_map, log_map
 from molrest.modes import build_modes
 
@@ -120,6 +120,22 @@ def test_log_map_stack_matches_per_matrix():
         assert omega[np.argmax(np.abs(omega))] > 0.0
     # a (2, K, 3, 3) stack keeps its leading shape
     assert _close(log_map(np.stack([stack, stack])), np.stack([batched, batched]))
+
+
+@pytest.mark.parametrize("fixture", ["penta", "water", "square"])
+def test_eckart_orientation_is_the_log_of_its_rotation(fixture, request):
+    # the orientation comes from the eigenvector, not from the matrix
+    mol = request.getfixturevalue(fixture)
+    basis = build_modes(mol, rng=26)
+    rng = np.random.default_rng(27)
+    sqrt_m = np.sqrt(mol.masses)[:, None]
+    angles = [0.0, 1e-7, 0.4, 2.0, np.pi - 1e-3, np.pi - 1e-6, np.pi - 3e-7, np.pi - 1e-9]
+    positions = np.stack([
+        (mol.positions + mode_sum(rng.normal(scale=0.03, size=basis.n_modes), basis.x) / sqrt_m)
+        @ exp_map(theta * _axis(rng)).T for theta in angles])
+    frame = solve_eckart(mol, positions)
+    assert np.abs(np.linalg.norm(frame.orientation, axis=-1) - angles).max() <= 1e-9
+    assert np.abs(frame.orientation - log_map(frame.rotation)).max() <= 1e-14
 
 
 def test_log_map_stack_names_bad_matrix():

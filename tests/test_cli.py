@@ -43,10 +43,10 @@ class TestParseArgs:
         cfg = parse_args(["validate", "--input", "m.json"])
         assert cfg.format == "json"
         assert cfg.tol_eckart == 1e-10
-        assert cfg.tol_roundtrip == 1e-9
+        assert cli.TOL_ROUNDTRIP == 1e-9
         assert cfg.tol_quad == 1e-6
         assert cfg.grid_line >= 64
-        assert cfg.line_extent > 0
+        assert cli.LINE_EXTENT > 0
         assert cfg.seed == 0
         assert cfg.hbar is None
 
@@ -65,11 +65,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("tol_eckart", 0.0),
         ("tol_quad", -1e-6),
-        ("tol_roundtrip", 0.0),
         ("grid_line", 63),
         ("grid_theta", 15),
         ("grid_dirs", 31),
-        ("line_extent", 0.0),
         ("format", "xml"),
         ("command", "explode"),
         ("hbar", -1.0),
@@ -82,6 +80,19 @@ class TestConfigValidation:
 
     def test_invalid_config_exit_code(self):
         assert invoke("validate", "--input", MOLECULE, "--grid-line", "10") == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"),
+        ("--tol-eckart", "inf"),
+        ("--tol-quad", "inf"),
+        ("--tol-eckart", "nan"),
+        ("--hbar", "inf"),
+    ])
+    def test_bad_flag_exits_one_naming_it(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert invoke("validate", "--input", MOLECULE, flag, value, "--output", str(out)) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitZero:

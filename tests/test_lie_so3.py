@@ -14,7 +14,10 @@ from molrest.lie_so3 import (
     killing_frame,
     log_density_gradient,
     log_map,
+    quaternion_to_matrix,
+    quaternion_to_vector,
     skew,
+    unit_quaternion,
     vee,
 )
 
@@ -115,6 +118,31 @@ def test_log_map_at_exact_half_turn():
     back = log_map(r)
     assert np.isclose(np.linalg.norm(back), np.pi, atol=1e-12)
     assert np.allclose(exp_map(back), r, atol=1e-10)
+
+
+def test_log_exp_roundtrip_near_seam():
+    # the quaternion route keeps full precision up to the half turn
+    rng = np.random.default_rng(13)
+    u = rng.normal(size=(500, 3))
+    omegas = (np.pi - 1e-3 * rng.random(500))[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
+    back = log_map(np.stack([exp_map(w) for w in omegas]))
+    assert np.abs(back - omegas).max() <= 1e-14
+
+
+def test_quaternion_to_vector_inverts_unit_quaternion():
+    rng = np.random.default_rng(14)
+    omegas = np.concatenate([random_ball(rng, 200, radius=np.pi), np.zeros((1, 3))])
+    q = unit_quaternion(omegas)
+    assert q.shape == (201, 4)
+    assert np.allclose(np.linalg.norm(q, axis=-1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(quaternion_to_matrix(q), [exp_map(w) for w in omegas], atol=1e-14)
+    for scaled in (q, -q, 3.0 * q):
+        assert np.abs(quaternion_to_vector(scaled) - omegas).max() <= 1e-14
+    # w = 0: a half turn, the axis taken as it comes
+    axis = np.array([2.0, -1.0, 2.0]) / 3.0
+    half = quaternion_to_vector(np.concatenate([[0.0], axis]))
+    assert np.abs(half - np.pi * axis).max() <= 1e-15
+    assert np.abs(quaternion_to_vector(np.concatenate([[0.0], -axis])) + half).max() == 0.0
 
 
 def test_exp_log_roundtrip_from_random_matrices():

@@ -10,6 +10,7 @@ from molrest.quantum import (
     LineGrid,
     So3Grid,
     gaussian_line_state,
+    angmom_op,
     so3_gaussian_state,
     wrap_to_ball,
 )
@@ -81,6 +82,15 @@ class TestSo3Grid:
         assert np.array_equal(g.boundary_mask, expected)
         # exactly two shells worth of nodes
         assert g.boundary_mask.sum() == 2 * (g.size // 24)
+
+    def test_grid_built_without_make_keeps_its_boundary(self):
+        g = So3Grid.make(24, 48)
+        bare = So3Grid(nodes=g.nodes, haar_weights=g.haar_weights, radial_step=g.radial_step,
+                       n_theta=g.n_theta, n_dirs=g.n_dirs)
+        psi = so3_gaussian_state(g, sigma=0.3)
+        bare_psi = GridWavefunction(grid=bare, amplitudes=psi.amplitudes, profile=psi.profile)
+        assert bare_psi.boundary_mass() == psi.boundary_mass() < 1e-8
+        assert np.array_equal(angmom_op(bare_psi)[0].amplitudes, angmom_op(psi)[0].amplitudes)
 
 
 class TestWrapToBall:
