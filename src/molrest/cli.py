@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .frames import BLOCKS, analyze, load_trajectory, reconstruct
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
 from .quantum import (
+    DispersionReport,
     LineGrid,
     So3Grid,
     angvel_commutator_check,
@@ -57,7 +58,7 @@ from .quantum import (
 )
 from .quantum.grids import MIN_DIRS, MIN_LINE_POINTS, MIN_SHELLS
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["RunConfig", "Table", "parse_args", "run", "main"]
 
 COMMANDS = ("validate", "modes", "frame", "decompose", "heisenberg", "commutators")
 
@@ -150,45 +151,73 @@ def parse_args(argv=None):
 # --- report plumbing -------------------------------------------------------
 
 
-def _flatten(value, prefix, rows):
+class Table(dict):
+    """Named report columns with a leading row axis: entry t of each is row t."""
+
+
+_SLOT = "\x01"  # a leaf's place in a template ("\x00" does not survive np.full)
+
+
+def _flatten(value, prefix=""):
+    """(dotted key, leaf) pairs of nested dicts and lists, keys sorted."""
     if isinstance(value, dict):
         for k in sorted(value):
-            _flatten(value[k], f"{prefix}.{k}" if prefix else str(k), rows)
+            yield from _flatten(value[k], f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            _flatten(v, f"{prefix}.{i}", rows)
+            yield from _flatten(v, f"{prefix}.{i}")
     else:
-        rows.append((prefix, value))
+        yield prefix, value
 
 
-def _csv_cell(value):
+def _cell(value, fmt):
+    """One leaf as json.dumps writes it, or as the CSV writer is handed it."""
+    if isinstance(value, float) and (fmt == "csv" or math.isfinite(value)):
+        return repr(value)
     if value is None:
-        return "indeterminate"
+        return "null" if fmt == "json" else "indeterminate"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return json.dumps(value) if fmt == "json" else str(value)
 
 
 def _render(report, fmt):
+    """The report as text, laid out as README "Reports" describes.
+
+    The only code that turns report values into text: a Table's leaves go
+    through ``_cell`` once per column, and a template of one probe row
+    places them.
+    """
+    tables = {k: v for k, v in report.items() if isinstance(v, Table)}
+    scalars = {**report, **{k: _SLOT + k for k in tables}}
+    blocks = {}
+    for key, table in tables.items():
+        n = len(next(iter(table.values())))
+        probe = {name: np.full(np.shape(col)[1:], _SLOT, dtype=object).tolist()
+                 for name, col in table.items()}
+        columns = [np.array([_cell(v, fmt) for v in np.ravel(table[name]).tolist()], dtype=object)
+                   for name in sorted(table)]
+        cells = np.concatenate([col.reshape(n, -1) for col in columns], axis=1).ravel().tolist()
+        if fmt == "json":
+            row = json.dumps(probe, sort_keys=True, indent=2).replace("%", "%%")
+            row = "    " + row.replace("\n", "\n    ").replace(json.dumps(_SLOT), "%s")
+            blocks[key] = "[\n" + ",\n".join([row] * n) % tuple(cells) + "\n  ]"
+        elif key == "rows":
+            blocks[key] = [sorted(table), *zip(*[iter(cells)] * len(table))]
+        else:
+            row = "\n".join(path for path, _ in _flatten(probe, f"{key}.{_SLOT}"))
+            keys = "\n".join(row.replace(_SLOT, str(t)) for t in range(n)).split("\n")
+            blocks[key] = list(zip(keys, cells))
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(scalars, sort_keys=True, indent=2) + "\n"
+        for key, block in blocks.items():
+            text = text.replace(json.dumps(_SLOT + key), block)
+        return text
+    lines = blocks.pop("rows", [])
+    for key, value in _flatten({k: v for k, v in scalars.items() if k != "rows" or not lines}):
+        lines += blocks.get(key) or [(key, _cell(value, fmt))]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = report.get("rows")
-    if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
-        header = sorted(rows[0])
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow([_csv_cell(r.get(h)) for h in header])
-        scalars = {k: v for k, v in report.items() if k != "rows"}
-    else:
-        scalars = report
-    flat = []
-    _flatten(scalars, "", flat)
-    for key, value in flat:
-        writer.writerow([key, _csv_cell(value)])
+    csv.writer(buf, lineterminator="\n").writerows(lines)
     return buf.getvalue()
 
 
@@ -213,16 +242,15 @@ def _load(config):
 
 def _residual_block(mol, basis, tol):
     res = verify_eckart(mol, basis)
-    com = mol.masses @ mol.positions
     inertia = equilibrium_inertia(mol)
     off = inertia - np.diag(np.diag(inertia))
     return {
         "translation": res.translation,
         "rotation": res.rotation,
         "duality": res.duality,
-        "com_norm": float(np.linalg.norm(com)),
+        "com_norm": float(np.linalg.norm(mol.masses @ mol.positions)),
         "inertia_offdiagonal": float(np.abs(off).max()),
-    }, max(res.translation, res.rotation, res.duality) <= tol
+    }, res.max <= tol
 
 
 def _cmd_validate(config, mol, rng):
@@ -262,19 +290,11 @@ def _roundtrip_error(cfg, rebuilt):
     return worst
 
 
-def _frame_rows(columns):
-    """One report row per frame from per-frame arrays, via ``.tolist()``."""
-    names = list(columns)
-    lists = [np.asarray(columns[name]).tolist() for name in names]
-    return [{"index": index, **dict(zip(names, values))}
-            for index, values in enumerate(zip(*lists))]
+def _frame_table(config, mol, basis):
+    """Per-frame report table of the frame command.
 
-
-def _frame_columns(config, mol, basis):
-    """Per-frame report arrays of the frame command.
-
-    The (T, N, 3) stacks stay local, so they are freed before the rows
-    are rendered.
+    The (T, N, 3) stacks stay local, so they are freed before the table
+    is rendered.
     """
     traj = load_trajectory(mol, config.trajectory_path)
     state = analyze(mol, basis, traj)
@@ -283,7 +303,8 @@ def _frame_columns(config, mol, basis):
     rel_residual = frame.relative_residual
     passed = ((rel_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
               & ~frame.degenerate)
-    return {
+    return Table({
+        "index": np.arange(len(rt)),
         "orientation": frame.orientation,
         "residual": frame.residual,
         "relative_residual": rel_residual,
@@ -298,21 +319,19 @@ def _frame_columns(config, mol, basis):
         "angular_momentum": state.angular_momentum,
         "roundtrip_error": rt,
         "passed": passed,
-    }
+    })
 
 
 def _cmd_frame(config, mol, rng):
     if not config.trajectory_path:
         raise SchemaError("the frame command needs --trajectory")
-    columns = _frame_columns(config, mol, build_modes(mol, rng=rng))
-    passed = bool(columns["passed"].all())
-    frames = _frame_rows(columns)
+    frames = _frame_table(config, mol, build_modes(mol, rng=rng))
     return {
         "command": "frame",
-        "n_frames": len(frames),
+        "n_frames": len(frames["index"]),
         "frames": frames,
         "tolerance": {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP},
-        "passed": passed,
+        "passed": bool(frames["passed"].all()),
     }
 
 
@@ -327,7 +346,8 @@ def _cmd_decompose(config, mol, rng):
     direct = state.angular_momentum
     residual = np.abs(total - direct).max(axis=-1)
     passed = residual <= TOL_ROUNDTRIP
-    frames = _frame_rows({
+    frames = Table({
+        "index": np.arange(len(residual)),
         "rotational": rotational,
         "deformation": deformation,
         "electronic": electronic,
@@ -338,7 +358,7 @@ def _cmd_decompose(config, mol, rng):
     })
     return {
         "command": "decompose",
-        "n_frames": len(frames),
+        "n_frames": len(residual),
         "frames": frames,
         "tolerance": TOL_ROUNDTRIP,
         "passed": bool(passed.all()),
@@ -363,14 +383,14 @@ def _cmd_heisenberg(config, mol, rng):
     rot += [random_so3_state(ball, rng) for _ in range(2)]
     rows += heisenberg_suite(rot, "rotational", hbar=hbar, tolerance=tol)
 
-    ok = not any(r.satisfied is False for r in rows)
     return {
         "command": "heisenberg",
         "hbar": hbar,
         "tolerance": tol,
         "n_rows": len(rows),
-        "rows": [r.to_dict() for r in rows],
-        "passed": bool(ok),
+        "rows": Table({f.name: np.array([getattr(r, f.name) for r in rows])
+                       for f in fields(DispersionReport)}),
+        "passed": not any(r.satisfied is False for r in rows),
     }
 
 
@@ -390,16 +410,11 @@ def _cmd_commutators(config, mol, rng):
     i0 = equilibrium_inertia(mol)
     angvel = angvel_commutator_check(i0, psi, hbar=hbar)
 
-    checks = {
-        "line_canonical": {"residual": line_res, "tolerance": LINE_CANONICAL_TOL,
-                           "passed": bool(line_res <= LINE_CANONICAL_TOL)},
-        "chart_angmom": {"residual": float(chart.max()), "tolerance": CHART_TOL,
-                         "passed": bool(chart.max() <= CHART_TOL)},
-        "body_angmom": {"residual": float(body.max()), "tolerance": BODY_TOL,
-                        "passed": bool(body.max() <= BODY_TOL)},
-        "angular_velocity": {"residual": angvel, "tolerance": ANGVEL_TOL,
-                             "passed": bool(angvel <= ANGVEL_TOL)},
-    }
+    checks = {name: {"residual": res, "tolerance": tol, "passed": bool(res <= tol)}
+              for name, res, tol in (("line_canonical", line_res, LINE_CANONICAL_TOL),
+                                     ("chart_angmom", float(chart.max()), CHART_TOL),
+                                     ("body_angmom", float(body.max()), BODY_TOL),
+                                     ("angular_velocity", angvel, ANGVEL_TOL))}
     return {
         "command": "commutators",
         "hbar": hbar,

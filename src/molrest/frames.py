@@ -406,7 +406,8 @@ def _parse_rows(rows, n_total, n_nuclei):
     """The six numbers of every particle row, as a (rows, 6) array.
 
     Returns ``None`` when some row is malformed: not seven fields, a
-    coordinate ``float`` rejects, or a species label out of place.
+    coordinate ``float`` rejects or reads as nan or inf, or a species
+    label out of place.
     """
     fields = list(map(str.split, rows))
     if any(map((7).__ne__, map(len, fields))):
@@ -420,7 +421,7 @@ def _parse_rows(rows, n_total, n_nuclei):
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
         return None
-    return values.reshape(-1, 6)
+    return values.reshape(-1, 6) if np.isfinite(values).all() else None
 
 
 def _row_error(rows, starts, n_total, n_nuclei):
@@ -437,9 +438,11 @@ def _row_error(rows, starts, n_total, n_nuclei):
                 return SchemaError(
                     f"line {start + 3 + j}: expected 'species x y z px py pz' (7 fields)")
             try:
-                list(map(float, parts[1:]))
+                values = np.array(list(map(float, parts[1:])))
             except ValueError:
                 return SchemaError(f"line {start + 3 + j}: non-numeric coordinate")
+            if not np.isfinite(values).all():
+                return SchemaError(f"line {start + 3 + j}: non-finite coordinate")
         for j, row in enumerate(frame_rows):
             species = row.split()[0]
             if j < n_nuclei and species == "e":

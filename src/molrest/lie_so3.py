@@ -148,7 +148,7 @@ def _check_rotation(r, atol=1e-8):
     if r.ndim < 2 or r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must have shape (..., 3, 3), got {r.shape}")
     gram = np.swapaxes(r, -1, -2) @ r
-    skewed = ~np.isclose(gram, np.eye(3), atol=atol).all(axis=(-2, -1))
+    skewed = ~np.isclose(gram, np.eye(3), rtol=0.0, atol=atol).all(axis=(-2, -1))
     if skewed.any():
         raise ValueError("matrix is not orthogonal" + _where(skewed))
     improper = np.linalg.det(r) < 0.0
@@ -256,21 +256,12 @@ def haar_density(omega):
 
 
 def log_density_gradient(omega):
-    """Gradient of log(haar density), d_j ln rho = f(theta) * omega_j.
+    """Gradient of log(haar density), d_j ln rho = -2 d(theta) omega_j, for (..., 3) stacks.
 
-    f = (cot(theta/2) - 2/theta)/theta, series -1/6 - theta^2/360 - ...
-    near the origin.  Accepts (..., 3) stacks.
+    d = (2/theta - cot(theta/2)) / (2 theta) is the m-matrix coefficient of ``chart_coefficients``.
     """
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    t2 = theta * theta
-    small = theta < SERIES_SWITCH
-    safe = np.where(small, 1.0, theta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f_exact = (1.0 / np.tan(safe / 2.0) - 2.0 / safe) / safe
-    f_series = -1.0 / 6.0 - t2 / 360.0 - t2 * t2 / 15120.0
-    f = np.where(small, f_series, f_exact)
-    return f[..., None] * omega
+    return -2.0 * chart_coefficients(np.linalg.norm(omega, axis=-1))[3][..., None] * omega
 
 
 def _quaternion_parts(omega):

@@ -192,7 +192,10 @@ def equilibrium_inertia(mol):
 def _require_number(value, where, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(f"{where}: must be finite") from None
     if not np.isfinite(value):
         raise SchemaError(f"{where}: must be finite")
     if positive and value <= 0.0:

@@ -62,18 +62,6 @@ class DispersionReport:
     satisfied: object
     boundary_mass: float = 0.0
 
-    def to_dict(self):
-        return {
-            "observable_a": self.observable_a,
-            "observable_b": self.observable_b,
-            "delta_a": float(self.delta_a),
-            "delta_b": float(self.delta_b),
-            "product": float(self.product),
-            "bound": float(self.bound),
-            "satisfied": self.satisfied,
-            "boundary_mass": float(self.boundary_mass),
-        }
-
 
 def dispersion(psi, a_psi):
     """sqrt(<A^2> - <A>^2) for a normalized state psi, given a_psi = A psi.

@@ -120,7 +120,11 @@ PLAIN = (str, int, bool, float, type(None))
 
 def _assert_plain(value, path):
     # exact types: np.float64 subclasses float and np.bool_ is not bool
-    if type(value) is dict:
+    if type(value) is cli.Table:
+        assert len({len(col) for col in value.values()}) == 1, f"{path}: ragged"
+        for name, col in value.items():
+            _assert_plain(col.tolist(), f"{path}.{name}")
+    elif type(value) is dict:
         for key, item in value.items():
             assert type(key) is str, f"{path}: key {key!r}"
             _assert_plain(item, f"{path}.{key}")
@@ -134,7 +138,8 @@ def _assert_plain(value, path):
 class TestReportTypes:
     @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
     def test_reports_hold_plain_python_values(self, command, monkeypatch):
-        # reports are rendered as built, so every value must already be plain
+        # scalars are rendered as built and table columns through
+        # .tolist(), so both must come out as plain Python values
         reports = []
         monkeypatch.setattr(cli, "_emit", lambda report, config: reports.append(report))
         invoke(command, "--input", MOLECULE, "--trajectory", TRAJECTORY,
@@ -162,6 +167,26 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "mass" in err
         assert "nuclei[0]" in err
+
+    def test_huge_integer_names_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "nuclei": [{"mass": 10**400, "position": [0.0, 0.0, 0.0]}],
+            "electrons": {"count": 0, "mass": 1.0},
+        }))
+        assert invoke("validate", "--input", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "nuclei[0].mass" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_trajectory_names_line(self, token, tmp_path, capsys):
+        lines = Path(TRAJECTORY).read_text().splitlines()
+        lines[9] = " ".join(lines[9].split()[:3] + [token] + lines[9].split()[4:])
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines) + "\n")
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
+        assert "line 10: non-finite coordinate" in capsys.readouterr().err
 
     def test_frame_without_trajectory(self):
         assert invoke("frame", "--input", MOLECULE) == 1
@@ -255,6 +280,11 @@ class TestReports:
         kinds = {r["observable_a"][0] for r in rows}
         assert kinds == {"P", "p", "n"}  # modes, electrons, orientation
         for r in rows:
+            assert set(r) == {
+                "observable_a", "observable_b", "delta_a", "delta_b",
+                "product", "bound", "satisfied", "boundary_mass",
+            }
+            assert isinstance(r["delta_a"], float)
             assert r["satisfied"] is True
             assert abs(r["product"] - r["delta_a"] * r["delta_b"]) <= 1e-12
 

@@ -441,3 +441,20 @@ def test_trajectory_errors_name_the_first_bad_line(tmp_path, penta):
     bad[42] = replace_field(bad[42], 0, "X")  # frame 3: nucleus among the electrons
     with pytest.raises(SchemaError, match=r"^line 43: expected electron row"):
         load(bad)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf"])
+def test_trajectory_non_finite_coordinate_names_its_line(tmp_path, penta, token):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "traj.xyz"
+    write_trajectory(penta, path, [random_config(penta, rng) for _ in range(4)])
+    rows = path.read_text().splitlines()
+    # frame f starts at row 11 f; its particle j is row 11 f + 2 + j, line 11 f + 3 + j
+    rows[29] = "X " + rows[29].split(" ", 1)[1]  # frame 2, electron j=5 labelled a nucleus
+    parts = rows[30].split()
+    parts[4] = token                             # same frame, j=6: numbers come first
+    rows[30] = " ".join(parts)
+    rows[40] = rows[40] + " 1.0"                 # frame 3, later in the file
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^line 31: non-finite coordinate"):
+        load_trajectory(penta, path)

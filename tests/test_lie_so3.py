@@ -96,6 +96,12 @@ def test_log_map_rejects_non_rotations():
         log_map(improper)
 
 
+def test_log_map_rejects_near_orthogonal_stretch():
+    # the Gram check is absolute: a 5e-6 stretch is 1e-5 off the identity
+    with pytest.raises(ValueError, match="not orthogonal"):
+        log_map(np.diag([1.0 + 5e-6, 1.0, 1.0]))
+
+
 def test_log_exp_roundtrip_bulk():
     rng = np.random.default_rng(5)
     for omega in random_ball(rng, 500):

@@ -231,16 +231,6 @@ class TestRotationalSuite:
 
 
 class TestReportShape:
-    def test_to_dict_round_trip(self, line):
-        rows = heisenberg_suite([oscillator_state(line, 1)], "vibrational")
-        d = rows[0].to_dict()
-        assert set(d) == {
-            "observable_a", "observable_b", "delta_a", "delta_b",
-            "product", "bound", "satisfied", "boundary_mass",
-        }
-        assert isinstance(d["delta_a"], float)
-        assert d["satisfied"] is True
-
     def test_report_is_frozen(self, line):
         r = heisenberg_suite([oscillator_state(line, 0)], "vibrational")[0]
         with pytest.raises(AttributeError):
