@@ -8,6 +8,8 @@ tolerance so the false verdict path is covered without weakening any
 physics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,18 @@ class TestRotationalSuite:
 
 
 class TestReportShape:
+    def test_to_dict_round_trip(self, line):
+        # the CLI's heisenberg rows table is built from these fields
+        r = heisenberg_suite([oscillator_state(line, 1)], "vibrational")[0]
+        d = dataclasses.asdict(r)
+        assert set(d) == {
+            "observable_a", "observable_b", "delta_a", "delta_b",
+            "product", "bound", "satisfied", "boundary_mass",
+        }
+        assert isinstance(d["delta_a"], float)
+        assert d["satisfied"] is True
+        assert DispersionReport(**d) == r
+
     def test_report_is_frozen(self, line):
         r = heisenberg_suite([oscillator_state(line, 0)], "vibrational")[0]
         with pytest.raises(AttributeError):
