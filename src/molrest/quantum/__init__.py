@@ -9,6 +9,7 @@ from .operators import (
     body_angmom_op,
     body_commutator_residuals,
     chart_commutator_residuals,
+    commutator_residuals,
     frame_fields,
     line_commutator_residual,
     momentum_op,
@@ -34,6 +35,7 @@ __all__ = [
     "body_angmom_op",
     "body_commutator_residuals",
     "chart_commutator_residuals",
+    "commutator_residuals",
     "dispersion",
     "frame_fields",
     "gaussian_line_state",

@@ -68,7 +68,8 @@ def dispersion(psi, a_psi):
 
     a_psi is a GridWavefunction on psi's grid.  Variances inside
     [-1e-12, 0) are clamped to zero (quadrature rounding); anything more
-    negative signals a broken quadrature and raises.
+    negative signals a broken quadrature and raises, as does a variance
+    beyond the float range.
     """
     norm = psi.norm()
     if abs(norm - 1.0) > 1e-8:
@@ -76,8 +77,14 @@ def dispersion(psi, a_psi):
     weights = psi.weights
     amps = a_psi.amplitudes
     mean = complex(np.sum(weights * np.conj(psi.amplitudes) * amps))
-    second = float(np.sum(weights * np.abs(amps) ** 2))
-    variance = second - (mean.real**2 + mean.imag**2)
+    with np.errstate(over="ignore"):  # an overflow raises GridError below
+        second = float(np.sum(weights * np.abs(amps) ** 2))
+    try:  # float ** raises where float * would give inf
+        variance = second - (mean.real**2 + mean.imag**2)
+    except OverflowError:
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise GridError(f"dispersion out of float range: <A^2> = {second:.3e}")
     if variance < 0.0:
         if variance < -1e-12:
             raise GridError(f"quadrature failure: variance {variance:.3e}")

@@ -19,12 +19,13 @@ wrapped coordinate times the profile there).
   ``body_angmom_op`` their contraction with m, both from one sweep; the
   rotational dispersions (``heisenberg.heisenberg_suite``) call one of
   them once per state.
-- The chart, body and angular-velocity commutator checks are
-  contractions of the sweep with delta, m and I0^-1.  They evaluate the
-  canonical relations pointwise, report the worst interior node
-  relative to hbar * max|psi|, and exclude a configurable number of
-  boundary shells (the chart seam is where the finite-difference wrap
-  stops being exact for the coordinate functions themselves).
+- ``commutator_residuals`` forms the chart residual field
+  [D_j, w^k] psi + i hbar delta_jk psi from one sweep and reads the body
+  and angular-velocity residuals off it through m and I0^-1 m, which
+  commute with w^k.  Each check reports the worst interior node relative
+  to hbar * max|psi| and excludes a configurable number of boundary
+  shells (the chart seam is where the finite-difference wrap stops being
+  exact for the coordinate functions themselves).
 """
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "body_angmom_op",
     "frame_fields",
     "line_commutator_residual",
+    "commutator_residuals",
     "chart_commutator_residuals",
     "body_commutator_residuals",
     "angvel_commutator_check",
@@ -203,19 +205,11 @@ def _relative(residual, psi, mask, hbar):
     return np.abs(residual[..., mask]).max(axis=-1) / scale
 
 
-def _commutators(a_psi, a_xpsi, nodes):
-    """[A_j, w^k] psi = A_j(w^k psi) - w^k A_j psi, index [j, k] (3, 3, K)."""
-    return a_xpsi - nodes.T * a_psi[:, None, :]
-
-
-def _body_commutators(psi, hbar, step, order, enforce_boundary):
-    """[L_l, w^k] psi, index [l, k] (3, 3, K), and the dual frame m (K, 3, 3)."""
+def _chart_residual(psi, hbar, step, order, enforce_boundary):
+    """[n_(j).L, w^k] psi + i hbar delta_jk psi, index [j, k] (3, 3, K), from one sweep."""
     d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
-    _, m = frame_fields(psi.grid.nodes)
-    m_t = np.moveaxis(m, 0, -1)  # m_t[j, k] = m[:, j, k]
-    l_psi = -1j * hbar * _body_components(m_t, d_psi)
-    l_xpsi = -1j * hbar * _body_components(m_t[:, :, None, :], d_xpsi)
-    return _commutators(l_psi, l_xpsi, psi.grid.nodes), m
+    comm = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
+    return comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
 
 
 def line_commutator_residual(psi, hbar=1.0, order=2, boundary_nodes=8):
@@ -233,40 +227,18 @@ def line_commutator_residual(psi, hbar=1.0, order=2, boundary_nodes=8):
     return float(_relative(residual, psi, mask, hbar))
 
 
-def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                               enforce_boundary=True):
-    """Residuals of [n_(j).L, w^k] psi + i hbar delta_jk psi, (3, 3) matrix.
+def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=2,
+                         enforce_boundary=True):
+    """Chart, body and angular-velocity commutator residuals, three (3, 3) matrices.
 
-    Entry (j, k) is the worst interior-node residual relative to
-    hbar * max|psi|.  boundary_layers outer shells are excluded;
-    passing 0 exposes the seam error of the coordinate function (the
-    wrapped coordinate jumps by 2 pi even when the state is smooth).
-    """
-    d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
-    comm = _commutators(-1j * hbar * d_psi, -1j * hbar * d_xpsi, psi.grid.nodes)
-    residual = comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
-    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
-
-
-def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                              enforce_boundary=True):
-    """Residuals of [L_k, w^j] psi + i hbar m[j, k] psi, (3, 3) matrix.
-
-    Entry (k, j) is the worst interior-node relative residual; m is the
-    dual frame at each node.
-    """
-    comm, m = _body_commutators(psi, hbar, step, order, enforce_boundary)
-    residual = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
-    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
-
-
-def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                            enforce_boundary=True):
-    """Max relative residual of [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi.
-
-    Rigid-rotor angular velocity Omega = I0^-1 L with the equilibrium
-    inertia tensor; reduces to the body commutator check when i0 is the
-    identity.
+    chart[j, k]:  [n_(j).L, w^k] psi + i hbar delta_jk psi;
+    body[k, j]:   [L_k, w^j] psi + i hbar m[j, k] psi, the chart field read through m;
+    angvel[k, j]: [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi, I0^-1 times
+                  the body field (rigid-rotor angular velocity Omega = I0^-1 L).
+    Entries are worst interior-node residuals relative to hbar * max|psi|,
+    excluding boundary_layers outer shells; 0 exposes the seam error of the
+    coordinate function (the wrapped coordinate jumps by 2 pi even when the
+    state is smooth).
     """
     i0 = np.asarray(i0, dtype=float)
     if i0.shape != (3, 3):
@@ -276,11 +248,32 @@ def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_laye
     eigs = np.linalg.eigvalsh(i0)
     if eigs.min() <= 0.0 or not np.all(np.isfinite(eigs)):
         raise SingularInertiaError(f"equilibrium inertia not positive definite: spectrum {eigs}")
-    i0_inv = np.linalg.inv(i0)
 
-    comm, m = _body_commutators(psi, hbar, step, order, enforce_boundary)
-    comm_omega = np.einsum("jl,lkn->kjn", i0_inv, comm)  # [Omega^j, w^k] psi at [k, j]
-    # dual covector m^(k) is row k of m at each node
-    expected = np.einsum("jl,nkl->kjn", i0_inv, m)
-    residual = comm_omega + 1j * hbar * expected * psi.amplitudes
-    return float(_relative(residual, psi, psi.grid.interior(boundary_layers), hbar).max())
+    chart = _chart_residual(psi, hbar, step, order, enforce_boundary)
+    _, m = frame_fields(psi.grid.nodes)
+    m_t = np.moveaxis(m, 0, -1)  # m_t[j, k] = m[:, j, k]
+    body = _body_components(m_t[:, :, None, :], chart[:, None])  # index [k, j]
+    angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)  # index [k, j]
+    mask = psi.grid.interior(boundary_layers)
+    return tuple(_relative(r, psi, mask, hbar) for r in (chart, body, angvel))
+
+
+def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
+                               enforce_boundary=True):
+    """The chart matrix of ``commutator_residuals``, entry (j, k)."""
+    residual = _chart_residual(psi, hbar, step, order, enforce_boundary)
+    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
+
+
+def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
+                              enforce_boundary=True):
+    """The body matrix of ``commutator_residuals``, entry (k, j)."""
+    return commutator_residuals(psi, np.eye(3), hbar, step, order, boundary_layers,
+                                enforce_boundary)[1]
+
+
+def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
+                            enforce_boundary=True):
+    """Max of ``commutator_residuals``' angular-velocity matrix; i0 = 1 gives the body check."""
+    return float(commutator_residuals(psi, i0, hbar, step, order, boundary_layers,
+                                      enforce_boundary)[2].max())

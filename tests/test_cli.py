@@ -8,6 +8,7 @@ import pytest
 
 from molrest import cli
 from molrest.cli import RunConfig, main, parse_args
+from molrest.quantum import GridWavefunction
 
 DATA = Path(__file__).parent / "data"
 MOLECULE = str(DATA / "water.json")
@@ -221,6 +222,15 @@ class TestCheckFailures:
         # the orientation checks are step-based and stay green
         assert report["checks"]["chart_angmom"]["passed"] is True
 
+    def test_huge_hbar_names_dispersion(self, tmp_path, capsys):
+        # the dispersion variance leaves the float range: exit 2, not a traceback
+        out = tmp_path / "report.json"
+        assert invoke("heisenberg", "--input", MOLECULE, "--hbar", "1e160",
+                      "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("molrest: check failed: dispersion")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -304,6 +314,25 @@ class TestReports:
                                "angular_velocity"}
         for c in checks.values():
             assert c["residual"] <= c["tolerance"]
+
+    def test_commutators_sweep_orientation_state_once(self, tmp_path, monkeypatch):
+        # the three orientation checks read one stencil sweep: 4 offsets x 3 directions
+        seen = []
+        make_state = cli.so3_gaussian_state
+
+        def counted_state(*args, **kwargs):
+            psi = make_state(*args, **kwargs)
+
+            def profile(pts):
+                seen.append(pts.shape)
+                return psi.profile(pts)
+
+            return GridWavefunction(grid=psi.grid, amplitudes=psi.amplitudes, profile=profile)
+
+        monkeypatch.setattr(cli, "so3_gaussian_state", counted_state)
+        assert invoke("commutators", "--input", MOLECULE, "--grid-theta", "24",
+                      "--grid-dirs", "48", "--output", str(tmp_path / "report.json")) == 0
+        assert len(seen) == 12
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -90,6 +90,14 @@ class TestDispersion:
         psi = GridWavefunction(grid=grid, amplitudes=amps)
         assert dispersion(psi, psi) == 0.0
 
+    @pytest.mark.parametrize("center", [0.0, 1.5])
+    def test_variance_beyond_float_range_rejected(self, line, center):
+        # <A^2> overflows to inf; off centre <A>^2 overflows as well
+        psi = gaussian_line_state(line, center=center)
+        huge = GridWavefunction(grid=line, amplitudes=1e160 * position_op(psi).amplitudes)
+        with pytest.raises(GridError, match="dispersion"):
+            dispersion(psi, huge)
+
     def test_indefinite_quadrature_detected(self):
         # a hand-built sign-indefinite weight vector breaks Cauchy-Schwarz
         pts = np.linspace(0.0, 1.0, 64)

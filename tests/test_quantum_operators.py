@@ -20,6 +20,7 @@ from molrest.quantum import (
     body_angmom_op,
     body_commutator_residuals,
     chart_commutator_residuals,
+    commutator_residuals,
     frame_fields,
     gaussian_line_state,
     heisenberg_suite,
@@ -269,6 +270,45 @@ class TestBodyCommutators:
         assert body.max() <= 10.0 * chart.max()
 
 
+class TestContractionIdentity:
+    """The body and angular-velocity tables read off the chart residual
+    field equal the commutators formed from the public body operator."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return so3_gaussian_state(So3Grid.make(24, 48), center=(0.1, -0.1, 0.05), sigma=0.45,
+                                  wave=(0.8, -1.2, 0.4))
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    def test_tables_from_body_operator(self, small, hbar):
+        psi, nodes = small, small.grid.nodes
+        _, m = frame_fields(nodes)
+        i0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.1], [0.0, -0.1, 3.0]])
+        i0_inv = np.linalg.inv(i0)
+        l_psi = [a.amplitudes for a in body_angmom_op(psi, hbar=hbar, enforce_boundary=False)]
+        comm = np.empty((3, 3, psi.grid.size), dtype=complex)  # [L_k, w^j] psi at [k, j]
+        for j in range(3):
+            w_psi = GridWavefunction(grid=psi.grid, amplitudes=nodes[:, j] * psi.amplitudes,
+                                     profile=lambda p, j=j: p[..., j] * psi.profile(p))
+            l_w_psi = body_angmom_op(w_psi, hbar=hbar, enforce_boundary=False)
+            for k in range(3):
+                comm[k, j] = l_w_psi[k].amplitudes - nodes[:, j] * l_psi[k]
+        body = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
+        # [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi at [k, j], Omega = I0^-1 L
+        angvel = (np.einsum("jl,lkn->kjn", i0_inv, comm)
+                  + 1j * hbar * np.einsum("jl,nkl->kjn", i0_inv, m) * psi.amplitudes)
+        interior = psi.grid.interior(2)
+        scale = hbar * np.abs(psi.amplitudes).max()
+        for field, got in ((body, body_commutator_residuals(psi, hbar=hbar)),
+                           (angvel, commutator_residuals(psi, i0, hbar=hbar)[2])):
+            want = np.abs(field[..., interior]).max(axis=-1) / scale
+            assert np.all(np.abs(want - got) <= 1e-8 * got)
+
+    def test_chart_table_is_the_chart_check(self, small):
+        chart, _, _ = commutator_residuals(small, np.eye(3))
+        assert np.array_equal(chart, chart_commutator_residuals(small))
+
+
 class TestAngvelCommutator:
     def test_identity_inertia_reduces_to_body_check(self, interior):
         body = body_commutator_residuals(interior)
@@ -306,7 +346,7 @@ def counting(psi):
 
 class TestStencilSweep:
     @pytest.mark.parametrize("order, calls", [(4, 12), (2, 6)])
-    @pytest.mark.parametrize("check", ["chart", "body", "angvel", "angmom_op",
+    @pytest.mark.parametrize("check", ["chart", "body", "angvel", "residuals", "angmom_op",
                                        "body_angmom_op"])
     def test_profile_evaluations_per_check(self, interior, check, order, calls):
         # one sweep: each stencil offset along each direction is evaluated once
@@ -317,6 +357,8 @@ class TestStencilSweep:
             body_commutator_residuals(psi, order=order)
         elif check == "angvel":
             angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi, order=order)
+        elif check == "residuals":
+            assert len(commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]), order=order)) == 3
         elif check == "angmom_op":
             assert len(angmom_op(psi, order=order)) == 3
         else:
