@@ -9,15 +9,16 @@ derivatives in the chart and body-frame angular momentum components:
     R(omega)^-1 dR/domega^j = [n_(j)]x     (columns of the n-matrix)
     m = n^-1                               (rows are the dual frame)
 
-All formulas are closed-form polynomials in the cross-product matrix
+The frame fields are closed-form polynomials in the cross-product matrix
 ``[omega]x`` with scalar coefficients in the angle.  Every coefficient
 comes from ``chart_coefficients``, which switches to the Taylor series
 below ``SERIES_SWITCH`` so nothing degrades at the origin.
 
 Unit quaternions are scalar-first, (w, x, y, z), and are converted here
-only.  Every rotation vector taken from a matrix or an Eckart solve comes
-from a quaternion through ``quaternion_to_vector``, well-conditioned at
-every angle; ``quaternion_form`` builds the one 4x4 quaternion matrix.
+only.  Both directions of the chart go through them, at every angle:
+``exp_map`` is the matrix of ``unit_quaternion``, and every rotation
+vector taken from a matrix or an Eckart solve comes from
+``quaternion_to_vector``; ``quaternion_form`` builds the one 4x4 matrix.
 """
 
 from dataclasses import dataclass
@@ -81,24 +82,28 @@ def vee(a):
 
 
 def _check_omega(omega):
+    """Validated (..., 3) rotation vectors and their angles."""
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        raise ValueError(f"orientation vector must have shape (3,), got {omega.shape}")
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("orientation vector has non-finite entries")
-    theta = float(np.linalg.norm(omega))
-    if theta > np.pi + 1e-10:
-        raise ValueError(f"orientation vector norm {theta:.6f} outside the canonical ball")
+    if omega.ndim < 1 or omega.shape[-1] != 3:
+        raise ValueError(f"orientation vector must have shape (..., 3), got {omega.shape}")
+    infinite = ~np.isfinite(omega).all(axis=-1)
+    if infinite.any():
+        raise ValueError("orientation vector has non-finite entries" + _where(infinite))
+    theta = length(omega)
+    outside = theta > np.pi + 1e-10
+    if outside.any():
+        first = np.ravel(theta)[np.argmax(outside)]
+        raise ValueError(f"orientation vector norm {first:.6f} outside the canonical ball"
+                         + _where(outside))
     return omega, theta
 
 
 def chart_coefficients(theta):
     """The scalar coefficients of the chart at angles ``theta`` (any shape).
 
-    Returns ``(a, c2, c3, d)``:
+    Returns ``(c2, c3, d)``:
 
-        a  = sin(theta) / theta                  (Rodrigues)
-        c2 = (1 - cos(theta)) / theta^2          (Rodrigues, n, Haar density)
+        c2 = (1 - cos(theta)) / theta^2          (n, Haar density)
         c3 = (theta - sin(theta)) / theta^3      (n)
         d  = 1/theta^2 - (1 + cos(theta)) / (2 theta sin(theta))   (m = n^-1)
 
@@ -110,36 +115,27 @@ def chart_coefficients(theta):
     safe = np.where(small, 1.0, theta)
     safe2 = safe * safe
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
         c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                       (1.0 - np.cos(safe)) / safe2)
         c3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                       (safe - np.sin(safe)) / (safe2 * safe))
         d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
                      1.0 / safe2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
-    return a, c2, c3, d
+    return c2, c3, d
 
 
 def exp_map(omega):
-    """Rotation matrix of a rotation vector (Rodrigues formula).
+    """Rotation matrices of rotation vectors with norm <= pi, (..., 3) -> (..., 3, 3).
 
-    Parameters
-    ----------
-    omega : array, shape (3,)
-        Rotation vector with norm <= pi.
-
-    Returns
-    -------
-    (3, 3) array, a proper orthogonal matrix.
+    The matrix of the unit quaternion.  A vector that is not finite or
+    lies outside the ball raises ValueError naming its index in a stack.
     """
-    omega, theta = _check_omega(omega)
-    a, b, _, _ = chart_coefficients(theta)
-    k = skew(omega)
-    return np.eye(3) + a * k + b * (k @ k)
+    omega, _ = _check_omega(omega)
+    return quaternion_to_matrix(unit_quaternion(omega))
 
 
 def _where(bad):
-    """Suffix naming the first flagged matrix of a stack; empty for one matrix."""
+    """Suffix naming the first flagged entry of a stack; empty for a single one."""
     return "" if bad.ndim == 0 else f" (index {int(np.flatnonzero(bad)[0])})"
 
 
@@ -198,13 +194,13 @@ def log_map(r):
 
 @dataclass(frozen=True)
 class KillingFrame:
-    """Frame field at a point of the chart.
+    """Frame field at one chart point or a stack of them.
 
-    n : (3, 3) array whose column j gives the body components of the
+    n : (..., 3, 3) array whose column j gives the body components of the
         angular-momentum direction paired with d/domega^j.
-    m : (3, 3) array, inverse of n; column k converts chart derivatives
-        into the body component L_k (L = m^T D), and row k is the dual
-        covector m^(k) with m^(k) . n_(j) = delta.
+    m : (..., 3, 3) array, inverse of n; column k converts chart
+        derivatives into the body component L_k (L = m^T D), and row k is
+        the dual covector m^(k) with m^(k) . n_(j) = delta.
     """
 
     n: np.ndarray
@@ -215,11 +211,11 @@ def frame_fields(omega):
     """n- and m-matrices at one chart point or a stack, shape (..., 3, 3).
 
     n = 1 - c2 K + c3 K^2 and its inverse m = 1 + K/2 + d K^2 with
-    K = skew(omega).  No boundary check: use ``killing_frame`` for a
-    checked single point.
+    K = skew(omega).  No input or boundary check: ``killing_frame`` is
+    the checked form.
     """
     omega = np.asarray(omega, dtype=float)
-    _, c2, c3, d = chart_coefficients(np.linalg.norm(omega, axis=-1))
+    c2, c3, d = chart_coefficients(np.linalg.norm(omega, axis=-1))
     k = skew(omega)
     k2 = k @ k
     eye = np.broadcast_to(np.eye(3), k.shape)
@@ -229,18 +225,20 @@ def frame_fields(omega):
 
 
 def killing_frame(omega, eps_boundary=EPS_BOUNDARY):
-    """n- and m-matrices of the chart at ``omega``.
+    """``frame_fields`` at chart points checked as ``exp_map`` checks them.
 
     Raises
     ------
     GridError
         If ``||omega|| >= pi - eps_boundary``, where the frame field is
-        (nearly) singular.
+        (nearly) singular, naming the first such index of a stack.
     """
     omega, theta = _check_omega(omega)
-    if theta >= np.pi - eps_boundary:
+    near = theta >= np.pi - eps_boundary
+    if near.any():
         raise GridError(
-            f"killing frame near-singular: |omega| = {theta:.9f} >= pi - {eps_boundary:g}"
+            f"killing frame near-singular: |omega| = {np.ravel(theta)[np.argmax(near)]:.9f}"
+            f" >= pi - {eps_boundary:g}" + _where(near)
         )
     n, m = frame_fields(omega)
     return KillingFrame(n=n, m=m)
@@ -252,7 +250,7 @@ def haar_density(omega):
     Accepts (..., 3) stacks; the theta -> 0 limit 1/(8 pi^2) is handled.
     """
     theta = np.linalg.norm(np.asarray(omega, dtype=float), axis=-1)
-    return chart_coefficients(theta)[1] / (4.0 * np.pi**2)
+    return chart_coefficients(theta)[0] / (4.0 * np.pi**2)
 
 
 def log_density_gradient(omega):
@@ -261,7 +259,7 @@ def log_density_gradient(omega):
     d = (2/theta - cot(theta/2)) / (2 theta) is the m-matrix coefficient of ``chart_coefficients``.
     """
     omega = np.asarray(omega, dtype=float)
-    return -2.0 * chart_coefficients(np.linalg.norm(omega, axis=-1))[3][..., None] * omega
+    return -2.0 * chart_coefficients(np.linalg.norm(omega, axis=-1))[2][..., None] * omega
 
 
 def _quaternion_parts(omega):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearGeometryError
-from .molecule import equilibrium_inertia
+from .molecule import equilibrium_inertia, fix_column_signs
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
 
@@ -86,17 +86,9 @@ def external_subspace(mol):
     return cols
 
 
-def _fix_column_signs(q):
-    for k in range(q.shape[1]):
-        j = int(np.argmax(np.abs(q[:, k])))
-        if q[j, k] < 0.0:
-            q[:, k] = -q[:, k]
-    return q
-
-
 def _internal_complement(external):
     full, _ = np.linalg.qr(external, mode="complete")
-    return _fix_column_signs(full[:, external.shape[1]:])
+    return fix_column_signs(full[:, external.shape[1]:])
 
 
 def _from_candidate(external, candidate):
@@ -105,7 +97,7 @@ def _from_candidate(external, candidate):
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-10 * max(diag.max(), 1e-300):
         raise ValueError("candidate directions are rank-deficient after projection")
-    return _fix_column_signs(q), None
+    return fix_column_signs(q), None
 
 
 def _from_hessian(mol, external, hessian):
@@ -115,7 +107,7 @@ def _from_hessian(mol, external, hessian):
     weighted = hessian * inv_sqrt[:, None] * inv_sqrt[None, :]
     basis = _internal_complement(external)
     evals, evecs = np.linalg.eigh(basis.T @ weighted @ basis)
-    cols = _fix_column_signs(basis @ evecs)
+    cols = fix_column_signs(basis @ evecs)
     return cols, np.sqrt(np.abs(evals))
 
 

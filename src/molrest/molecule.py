@@ -110,6 +110,15 @@ class Molecule:
         )
 
 
+def fix_column_signs(q):
+    """Flip each column of ``q`` in place so its largest-magnitude entry is positive."""
+    for k in range(q.shape[1]):
+        j = int(np.argmax(np.abs(q[:, k])))
+        if q[j, k] < 0.0:
+            q[:, k] = -q[:, k]
+    return q
+
+
 def _principal_axes(masses, centered):
     """Right-handed eigenbasis of the planar tensor, moments descending."""
     s = np.einsum("m,mi,mj->ij", masses, centered, centered)
@@ -122,10 +131,7 @@ def _principal_axes(masses, centered):
         raise CollinearGeometryError(
             "equilibrium geometry is collinear; a non-linear reference is required"
         )
-    for k in range(2):
-        j = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[j, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
+    fix_column_signs(vecs[:, :2])
     vecs[:, 2] = np.cross(vecs[:, 0], vecs[:, 1])
     return evals, vecs
 

@@ -173,20 +173,16 @@ class GridWavefunction:
     @classmethod
     def from_profile(cls, grid, profile):
         """Sample, normalize, and keep a consistently scaled profile."""
-        if isinstance(grid, LineGrid):
-            raw = np.asarray(profile(grid.points), dtype=complex)
-            weights = grid.weights
-        else:
-            raw = np.asarray(profile(grid.nodes), dtype=complex)
-            weights = grid.haar_weights
-        scale = float(np.sqrt(np.sum(weights * np.abs(raw) ** 2)))
+        points = grid.points if isinstance(grid, LineGrid) else grid.nodes
+        raw = cls(grid=grid, amplitudes=profile(points))
+        scale = raw.norm()
         if not scale > 0.0:
             raise GridError("profile vanishes on the grid")
 
         def scaled(points, _profile=profile, _scale=scale):
             return np.asarray(_profile(points), dtype=complex) / _scale
 
-        return cls(grid=grid, amplitudes=raw / scale, profile=scaled)
+        return cls(grid=grid, amplitudes=raw.amplitudes / scale, profile=scaled)
 
     def boundary_mass(self):
         """Probability carried by the outermost two rotation-angle shells."""

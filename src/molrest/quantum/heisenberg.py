@@ -69,7 +69,8 @@ def dispersion(psi, a_psi):
     a_psi is a GridWavefunction on psi's grid.  Variances inside
     [-1e-12, 0) are clamped to zero (quadrature rounding); anything more
     negative signals a broken quadrature and raises, as does a variance
-    beyond the float range.
+    beyond the float range or an <A^2> that underflows it while A psi is
+    nonzero.
     """
     norm = psi.norm()
     if abs(norm - 1.0) > 1e-8:
@@ -83,7 +84,7 @@ def dispersion(psi, a_psi):
         variance = second - (mean.real**2 + mean.imag**2)
     except OverflowError:
         variance = math.inf
-    if not math.isfinite(variance):
+    if not math.isfinite(variance) or (second < np.finfo(float).tiny and np.any(amps)):
         raise GridError(f"dispersion out of float range: <A^2> = {second:.3e}")
     if variance < 0.0:
         if variance < -1e-12:

@@ -4,9 +4,12 @@ Line states are gaussians (optionally with a momentum phase) and
 harmonic-oscillator eigenstates.  Orientation states are wrapped
 gaussians in the group geodesic distance d(omega, center), which makes
 them smooth across the antipodal seam of the axis-angle chart, times an
-optional plane-wave phase exp(i a . omega).  All factories normalize on
-the given grid and keep the generating profile so finite-difference
-operators can evaluate the state off the nodes.
+optional plane-wave phase exp(i a . omega).  Each gaussian is written
+once per grid kind, as a mixture (``_line_mixture``, ``_so3_mixture``):
+the single-gaussian factories are its one-term case and the random
+factories pass their draws.  All factories normalize on the given grid
+and keep the generating profile so finite-difference operators can
+evaluate the state off the nodes.
 """
 
 import numpy as np
@@ -25,6 +28,31 @@ __all__ = [
 ]
 
 
+def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
+    """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2 + i k_i x) over the terms."""
+
+    def profile(x, c=centers, s=sigmas, k=wavenumbers, a=amps):
+        x = np.asarray(x, dtype=float)[..., None]
+        parts = a * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)
+        return parts.sum(axis=-1)
+
+    return GridWavefunction.from_profile(grid, profile)
+
+
+def _so3_mixture(grid, centers, sigmas, waves, amps):
+    """Normalized sum of a_i exp(-d(omega, c_i)^2/4 s_i^2 + i w_i . omega) over the terms."""
+
+    def profile(pts, c=centers, s=sigmas, w=waves, a=amps):
+        pts = np.asarray(pts, dtype=float)
+        total = np.zeros(pts.shape[:-1], dtype=complex)
+        for ci, si, wi, ai in zip(c, s, w, a):
+            d = geodesic_distance(pts, ci)
+            total = total + ai * np.exp(-(d * d) / (4.0 * si * si) + 1j * (pts @ wi))
+        return total
+
+    return GridWavefunction.from_profile(grid, profile)
+
+
 def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
     """Normalized gaussian exp(-(x-c)^2/4 sigma^2 + i k x / hbar).
 
@@ -32,13 +60,8 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    k = momentum / hbar
-
-    def profile(x, c=float(center), s=float(sigma), k=float(k)):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)
-
-    return GridWavefunction.from_profile(grid, profile)
+    return _line_mixture(grid, np.array([float(center)]), np.array([float(sigma)]),
+                         np.array([float(momentum / hbar)]), np.ones(1))
 
 
 def oscillator_state(grid, n=0, mass=1.0, omega=1.0, hbar=1.0):
@@ -66,15 +89,8 @@ def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    center = np.asarray(center, dtype=float)
-    wave = np.asarray(wave, dtype=float)
-
-    def profile(pts, c=center, s=float(sigma), a=wave):
-        pts = np.asarray(pts, dtype=float)
-        d = geodesic_distance(pts, c)
-        return np.exp(-(d * d) / (4.0 * s * s) + 1j * (pts @ a))
-
-    return GridWavefunction.from_profile(grid, profile)
+    return _so3_mixture(grid, [np.asarray(center, dtype=float)], [float(sigma)],
+                        [np.asarray(wave, dtype=float)], [1.0])
 
 
 def random_line_state(grid, rng, hbar=1.0):
@@ -88,13 +104,7 @@ def random_line_state(grid, rng, hbar=1.0):
     sigmas = rng.uniform(0.02, 0.045, size=2) * span
     ks = rng.uniform(-2.0, 2.0, size=2) / sigmas.max()
     amps = rng.uniform(0.5, 1.0, size=2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
-
-    def profile(x, c=centers, s=sigmas, k=ks, a=amps, kk=float(1.0 / hbar)):
-        x = np.asarray(x, dtype=float)[..., None]
-        parts = a * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * kk * k * x)
-        return parts.sum(axis=-1)
-
-    return GridWavefunction.from_profile(grid, profile)
+    return _line_mixture(grid, centers, sigmas, float(1.0 / hbar) * ks, amps)
 
 
 def random_so3_state(grid, rng, max_sigma=0.35):
@@ -113,13 +123,4 @@ def random_so3_state(grid, rng, max_sigma=0.35):
         u /= np.linalg.norm(u)
         centers.append(u * rng.uniform(0.0, reach))
     waves = rng.uniform(-1.0, 1.0, size=(2, 3))
-
-    def profile(pts, c=centers, s=sigmas, a=amps, w=waves):
-        pts = np.asarray(pts, dtype=float)
-        total = np.zeros(pts.shape[:-1], dtype=complex)
-        for ci, si, ai, wi in zip(c, s, a, w):
-            d = geodesic_distance(pts, ci)
-            total = total + ai * np.exp(-(d * d) / (4.0 * si * si) + 1j * (pts @ wi))
-        return total
-
-    return GridWavefunction.from_profile(grid, profile)
+    return _so3_mixture(grid, centers, sigmas, waves, amps)

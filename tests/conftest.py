@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from molrest.molecule import Molecule, prepare_equilibrium
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result depends on the code alone.
+settings.register_profile("molrest", derandomize=True, deadline=None, database=None,
+                          max_examples=100)
+settings.load_profile("molrest")
 
 
 @pytest.fixture

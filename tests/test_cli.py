@@ -231,6 +231,16 @@ class TestCheckFailures:
         assert err.splitlines()[-1].startswith("molrest: check failed: dispersion")
         assert "Traceback" not in err
 
+    def test_tiny_hbar_names_dispersion(self, tmp_path, capsys):
+        # the momentum variance underflows: a check failure, not 18 "violated" rows
+        out = tmp_path / "report.json"
+        assert invoke("heisenberg", "--input", MOLECULE, "--hbar", "1e-300",
+                      "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "molrest: check failed: dispersion out of float range")
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

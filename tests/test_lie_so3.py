@@ -72,7 +72,7 @@ def test_exp_map_is_proper_orthogonal():
 
 
 def test_exp_map_series_branch_is_continuous():
-    # Straddle the series/trig switch.
+    # Straddle the chart coefficients' series switch; exp_map has no branch there.
     u = np.array([1.0, 2.0, -2.0]) / 3.0
     for theta in (0.9999 * SERIES_SWITCH, 1.0001 * SERIES_SWITCH):
         omega = theta * u
@@ -86,6 +86,24 @@ def test_exp_map_rejects_bad_input():
         exp_map(np.zeros(4))
     with pytest.raises(ValueError):
         exp_map(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_stacks_name_the_first_bad_vector():
+    omegas = np.zeros((4, 3))
+    omegas[2, 0] = omegas[3, 1] = 4.0
+    with pytest.raises(ValueError, match=r"outside the canonical ball \(index 2\)"):
+        exp_map(omegas)
+    with pytest.raises(ValueError, match=r"outside the canonical ball \(index 2\)"):
+        killing_frame(omegas)
+    omegas[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entries \(index 1\)"):
+        exp_map(omegas)
+    near = np.zeros((2, 2, 3))
+    near[1, 0, 2] = near[1, 1, 0] = np.pi - 0.5 * EPS_BOUNDARY
+    with pytest.raises(GridError, match=r"near-singular: .* \(index 2\)"):
+        killing_frame(near)
+    with pytest.raises(ValueError, match="shape"):
+        exp_map(np.zeros((4, 2)))
 
 
 def test_log_map_rejects_non_rotations():
@@ -220,7 +238,6 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 # Each chart coefficient as its Taylor series in t, far past the order the
 # implementation switches to.
 _COEFFICIENT_SERIES = {
-    "sin_t_over_t": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 1) for n in range(8)),
     "one_minus_cos_over_t2": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 2)
                                            for n in range(8)),
     "t_minus_sin_over_t3": lambda t: sum((-1) ** n * t ** (2 * n) / factorial(2 * n + 3)

@@ -98,6 +98,16 @@ class TestDispersion:
         with pytest.raises(GridError, match="dispersion"):
             dispersion(psi, huge)
 
+    def test_variance_below_float_range_rejected(self, line):
+        # ||A psi||^2 underflows to a subnormal: a scale failure, not a zero dispersion
+        psi = gaussian_line_state(line)
+        tiny = GridWavefunction(grid=line, amplitudes=1e-160 * position_op(psi).amplitudes)
+        with pytest.raises(GridError, match="dispersion out of float range"):
+            dispersion(psi, tiny)
+        # an A psi that is exactly zero still has dispersion 0
+        zero = GridWavefunction(grid=line, amplitudes=np.zeros(line.size))
+        assert dispersion(psi, zero) == 0.0
+
     def test_indefinite_quadrature_detected(self):
         # a hand-built sign-indefinite weight vector breaks Cauchy-Schwarz
         pts = np.linspace(0.0, 1.0, 64)
