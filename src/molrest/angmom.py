@@ -7,13 +7,14 @@ equilibrium tensor and the coupling tensors
     (I_alpha)_kl = sum_mu sqrt(M_mu) (e_k x X_{mu alpha}) . (e_l x R0_mu)
 
 are symmetric exactly when the mode basis satisfies the rotational sum
-rule; symmetry is asserted, never patched up by symmetrization.  The
+rule (their antisymmetric part is [sum_mu sqrt(M_mu) R0_mu x X_mu alpha]x);
+the rule is asserted by ``verify_eckart``, never patched up.  The
 rest-frame angular momentum splits into rigid I(Q) Omega, a
 mode-coupling (deformation) term, and an electronic term.
 
 Every function accepts one frame or a stack of T frames: mode
 amplitudes (K,) or (T, K), particle blocks (N, 3) or (T, N, 3).  All
-three angular-momentum terms go through the one cross-sum ``cross_sum``.
+three angular-momentum terms go through the one ``lie_so3.cross_sum``.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EckartViolationError, SingularInertiaError
-from .lie_so3 import cross
+from .lie_so3 import cross_sum, first_failure
+from .modes import verify_eckart
 from .molecule import equilibrium_inertia
 
 __all__ = [
@@ -53,29 +55,25 @@ class InertiaModel:
 def build_inertia(mol, basis, symmetry_tol=1e-10):
     """Assemble the InertiaModel for a molecule and mode basis.
 
-    Raises ``EckartViolationError`` (carrying the measured residual)
-    when some coupling tensor is asymmetric beyond ``symmetry_tol``
-    relative to the equilibrium scale, which happens exactly when the
-    basis violates the rotational sum rule.
+    Raises ``EckartViolationError`` when the basis violates the
+    rotational sum rule, the condition for symmetric coupling tensors:
+    when ``verify_eckart(mol, basis).rotation``, a relative residual,
+    exceeds ``symmetry_tol``.  The error carries that residual;
+    ``symmetry_tol=np.inf`` disables the check.
     """
-    i0 = equilibrium_inertia(mol)
+    rotation = verify_eckart(mol, basis).rotation
+    if rotation > symmetry_tol:
+        raise EckartViolationError(
+            f"inertia coupling tensors asymmetric (relative residual {rotation:.3e} > "
+            f"{symmetry_tol:g}): mode basis violates the rotational sum rule",
+            residual=rotation,
+        )
     sqrt_m = np.sqrt(mol.masses)
     x = basis.x
     dot = np.einsum("m,mak,mk->a", sqrt_m, x, mol.positions)
     outer = np.einsum("m,mk,mal->akl", sqrt_m, mol.positions, x)
     i_alpha = dot[:, None, None] * np.eye(3)[None, :, :] - outer
-    if i_alpha.size:
-        asym = float(np.max(np.abs(i_alpha - np.transpose(i_alpha, (0, 2, 1)))))
-    else:
-        asym = 0.0
-    scale = max(float(np.trace(i0)), 1e-300)
-    if asym > symmetry_tol * scale:
-        raise EckartViolationError(
-            f"inertia coupling tensors asymmetric (residual {asym:.3e}, "
-            f"scale {scale:.3e}): mode basis violates the rotational sum rule",
-            residual=asym,
-        )
-    return InertiaModel(i0=i0, i_alpha=i_alpha)
+    return InertiaModel(i0=equilibrium_inertia(mol), i_alpha=i_alpha)
 
 
 def inertia_at(model, q, checked=False):
@@ -98,11 +96,10 @@ def inertia_at(model, q, checked=False):
         smallest, largest = evals[..., 0], evals[..., -1]
         lost = ~(smallest > 0.0) | (largest > MAX_INERTIA_COND * smallest)
         if lost.any():
-            i = int(np.flatnonzero(lost)[0])
-            q_i = q.reshape(-1, k)[i]
+            i, (low, high, q_i) = first_failure(lost, smallest, largest, q)
             raise SingularInertiaError(
                 f"instantaneous inertia is singular at frame {i} (eigenvalues "
-                f"{smallest.ravel()[i]:.3e} .. {largest.ravel()[i]:.3e}: not positive-definite "
+                f"{low:.3e} .. {high:.3e}: not positive-definite "
                 f"or cond > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
             )
     return inertia
@@ -120,11 +117,6 @@ def pd_bound(model):
     norms = np.linalg.norm(model.i_alpha, ord=2, axis=(1, 2))
     total = float(np.sqrt(np.sum(norms**2)))
     return np.inf if total == 0.0 else smallest / total
-
-
-def cross_sum(a, b):
-    """sum_mu a_mu x b_mu over the particle axis: (..., M, 3) pairs -> (..., 3)."""
-    return cross(a, b).sum(axis=-2)
 
 
 def mode_sum(coeff, directions):

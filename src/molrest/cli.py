@@ -40,6 +40,7 @@ from .errors import (
     SingularInertiaError,
 )
 from .frames import BLOCKS, analyze, load_trajectory, reconstruct
+from .lie_so3 import length, relative
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
 from .quantum import (
@@ -132,7 +133,8 @@ def parse_args(argv=None):
     parser.add_argument("--output", dest="output_path", help="report file (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--tol-eckart", type=float,
-                        help="mode sum-rule and frame residual ceiling")
+                        help="ceiling on every relative Eckart residual: the mode sum rules, "
+                             "the centre of mass and the frame orientation")
     parser.add_argument("--tol-quad", type=float,
                         help="uncertainty-product quadrature allowance (times hbar)")
     parser.add_argument("--grid-line", type=int,
@@ -238,45 +240,30 @@ def _load(config):
     return mol
 
 
-def _residual_block(mol, basis, tol):
-    res = verify_eckart(mol, basis)
-    inertia = equilibrium_inertia(mol)
-    off = inertia - np.diag(np.diag(inertia))
-    return {
-        "translation": res.translation,
-        "rotation": res.rotation,
-        "duality": res.duality,
-        "com_norm": float(np.linalg.norm(mol.masses @ mol.positions)),
-        "inertia_offdiagonal": float(np.abs(off).max()),
-    }, res.max <= tol
-
-
-def _cmd_validate(config, mol, rng):
-    basis = build_modes(mol, rng=rng)
-    residuals, ok = _residual_block(mol, basis, config.tol_eckart)
-    scale = float(np.abs(mol.positions).max())
-    geom_ok = residuals["com_norm"] <= config.tol_eckart * max(1.0, scale)
-    return {
-        "command": "validate",
-        "n_modes": basis.n_modes,
-        "residuals": residuals,
-        "tolerance": config.tol_eckart,
-        "passed": bool(ok and geom_ok),
-    }
-
-
 def _cmd_modes(config, mol, rng):
+    """The validate and modes report, which adds the frequencies: --tol-eckart gates the
+    relative residuals of every Eckart condition, com_norm = |sum M R0| / sum M |R0|."""
     basis = build_modes(mol, rng=rng)
-    residuals, ok = _residual_block(mol, basis, config.tol_eckart)
-    freqs = None if basis.frequencies is None else [float(f) for f in basis.frequencies]
-    return {
-        "command": "modes",
+    res = verify_eckart(mol, basis)
+    com = float(relative(length(mol.masses @ mol.positions), mol.masses @ length(mol.positions)))
+    inertia = equilibrium_inertia(mol)
+    report = {
+        "command": config.command,
         "n_modes": basis.n_modes,
-        "frequencies": freqs,
-        "residuals": residuals,
+        "residuals": {
+            "translation": res.translation,
+            "rotation": res.rotation,
+            "duality": res.duality,
+            "com_norm": com,
+            "inertia_offdiagonal": float(np.abs(inertia - np.diag(np.diag(inertia))).max()),
+        },
         "tolerance": config.tol_eckart,
-        "passed": bool(ok),
+        "passed": max(res.max, com) <= config.tol_eckart,
     }
+    if config.command == "modes":
+        report["frequencies"] = (None if basis.frequencies is None
+                                 else [float(f) for f in basis.frequencies])
+    return report
 
 
 def _roundtrip_error(cfg, rebuilt):
@@ -420,7 +407,7 @@ def _cmd_commutators(config, mol, rng):
 
 
 _DISPATCH = {
-    "validate": _cmd_validate,
+    "validate": _cmd_modes,
     "modes": _cmd_modes,
     "frame": _cmd_frame,
     "decompose": _cmd_decompose,

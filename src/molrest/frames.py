@@ -20,16 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angmom import (
-    build_inertia,
-    cross_sum,
-    deformation_angmom,
-    inertia_at,
-    mode_sum,
-    relative_angmom,
-)
+from .angmom import build_inertia, deformation_angmom, inertia_at, mode_sum, relative_angmom
 from .errors import EckartSolveError, SchemaError
-from .lie_so3 import cross, length, quaternion_form, quaternion_to_matrix, quaternion_to_vector
+from .lie_so3 import (cross, cross_sum, first_failure, length, quaternion_form,
+                      quaternion_to_matrix, quaternion_to_vector, relative)
 
 __all__ = [
     "Configuration",
@@ -104,9 +98,9 @@ class EckartFrame:
 
     rotation : (3, 3) proper orthogonal matrix R mapping body to lab.
     orientation : (3,) rotation vector of R in the canonical ball.
-    residual : norm of the orientation condition after the solve.
-    scale : sum_mu M_mu |R0_mu| |R'_mu| over the relative positions,
-        the magnitude the residual is measured against.
+    residual : |sum_mu M_mu R0_mu x R'_mu| after the solve, R' in the body frame.
+    scale : sum_mu M_mu |R0_mu| |R'_mu|; ``relative_residual`` is
+        ``lie_so3.relative(residual, scale)``, free of the units.
     degenerate : True when the orientation is not uniquely determined
         (near-degenerate top eigenvalue of the quaternion problem).
 
@@ -121,7 +115,7 @@ class EckartFrame:
 
     @property
     def relative_residual(self):
-        return self.residual / np.maximum(self.scale, 1e-300)
+        return relative(self.residual, self.scale)
 
 
 @dataclass(frozen=True)
@@ -168,12 +162,6 @@ def _check_config(mol, cfg):
             f"configuration has {cfg.electron_positions.shape[-2]} electrons, "
             f"molecule defines {mol.electron_count}"
         )
-
-
-def _first(bad, *values):
-    """Index of the first flagged frame and each value's entry there."""
-    i = int(np.flatnonzero(bad)[0])
-    return i, [np.reshape(v, (bad.size, -1))[i].squeeze() for v in values]
 
 
 def com_split(mol, cfg):
@@ -232,23 +220,23 @@ def solve_eckart(mol, positions):
     rotation = quaternion_to_matrix(quaternion)
 
     body = positions @ rotation
-    residual = length(np.einsum("m,...mk->...k", mol.masses, cross(mol.positions, body)))
-    scale = np.sum(mol.masses * np.linalg.norm(mol.positions, axis=1)
-                   * np.linalg.norm(positions, axis=-1), axis=-1)
-    failed = ~np.isfinite(residual) | (residual > 1e-8 * np.maximum(scale, 1e-300))
-    if failed.any():
-        i, (res, sc) = _first(failed, residual, scale)
-        raise EckartSolveError(
-            f"orientation solve failed at frame {i}: residual {res:.3e} for scale {sc:.3e} "
-            f"(relative {res / max(sc, 1e-300):.3e} > 1e-8)"
-        )
-    return EckartFrame(
+    frame = EckartFrame(
         rotation=rotation,
         orientation=quaternion_to_vector(quaternion),
-        residual=residual[()],
-        scale=scale[()],
+        residual=length(cross_sum(mol.masses[:, None] * mol.positions, body))[()],
+        scale=np.sum(mol.masses * np.linalg.norm(mol.positions, axis=1)
+                     * np.linalg.norm(positions, axis=-1), axis=-1)[()],
         degenerate=(gap < 1e-9)[()],
     )
+    rel = frame.relative_residual
+    failed = ~(rel <= 1e-8)  # a residual that is not finite fails too
+    if failed.any():
+        i, (res, sc, r) = first_failure(failed, frame.residual, frame.scale, rel)
+        raise EckartSolveError(
+            f"orientation solve failed at frame {i}: residual {res:.3e} for scale {sc:.3e} "
+            f"(relative {r:.3e} > 1e-8)"
+        )
+    return frame
 
 
 def to_rest(frame, cfg):

@@ -34,7 +34,10 @@ __all__ = [
     "skew",
     "vee",
     "cross",
+    "cross_sum",
     "length",
+    "relative",
+    "first_failure",
     "chart_coefficients",
     "exp_map",
     "log_map",
@@ -92,7 +95,7 @@ def _check_omega(omega):
     theta = length(omega)
     outside = theta > np.pi + 1e-10
     if outside.any():
-        first = np.ravel(theta)[np.argmax(outside)]
+        _, (first,) = first_failure(outside, theta)
         raise ValueError(f"orientation vector norm {first:.6f} outside the canonical ball"
                          + _where(outside))
     return omega, theta
@@ -134,9 +137,17 @@ def exp_map(omega):
     return quaternion_to_matrix(unit_quaternion(omega))
 
 
+def first_failure(bad, *values):
+    """Index of the first set entry of a boolean mask (0 for a 0-d one), and each
+    value's entry there; a value has the mask's shape plus any trailing axes."""
+    bad = np.asarray(bad)
+    i = int(np.flatnonzero(bad)[0])
+    return i, [np.reshape(v, (bad.size,) + np.shape(v)[bad.ndim:])[i] for v in values]
+
+
 def _where(bad):
     """Suffix naming the first flagged entry of a stack; empty for a single one."""
-    return "" if bad.ndim == 0 else f" (index {int(np.flatnonzero(bad)[0])})"
+    return "" if bad.ndim == 0 else f" (index {first_failure(bad)[0]})"
 
 
 def _check_rotation(r, atol=1e-8):
@@ -174,6 +185,17 @@ def cross(a, b):
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def cross_sum(a, b):
+    """sum_mu a_mu x b_mu over the particle axis: (..., M, 3) pairs -> (..., 3)."""
+    return cross(a, b).sum(axis=-2)
+
+
+def relative(residual, scale):
+    """residual / scale, the scale floored at 1e-300: every Eckart condition is
+    |sum w a o b| / sum w |a| |b|, a ratio free of the units of mass and length."""
+    return residual / np.maximum(scale, 1e-300)
 
 
 def log_map(r):
@@ -236,10 +258,9 @@ def killing_frame(omega, eps_boundary=EPS_BOUNDARY):
     omega, theta = _check_omega(omega)
     near = theta >= np.pi - eps_boundary
     if near.any():
-        raise GridError(
-            f"killing frame near-singular: |omega| = {np.ravel(theta)[np.argmax(near)]:.9f}"
-            f" >= pi - {eps_boundary:g}" + _where(near)
-        )
+        _, (first,) = first_failure(near, theta)
+        raise GridError(f"killing frame near-singular: |omega| = {first:.9f}"
+                        f" >= pi - {eps_boundary:g}" + _where(near))
     n, m = frame_fields(omega)
     return KillingFrame(n=n, m=m)
 

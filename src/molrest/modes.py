@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearGeometryError
+from .lie_so3 import cross, cross_sum, length, relative
 from .molecule import equilibrium_inertia, fix_column_signs
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
@@ -45,7 +46,12 @@ class ModeBasis:
 
 @dataclass(frozen=True)
 class EckartResiduals:
-    """Max-norm residuals of the three sum rules."""
+    """Worst residual over the modes of each sum rule, all free of units.
+
+    translation |sum sqrt(M) X| / sum sqrt(M) |X| and rotation
+    |sum sqrt(M) R0 x X| / sum sqrt(M) |R0| |X| (``lie_so3.relative``);
+    duality is the largest entry of |X . X_dual - 1|.
+    """
 
     translation: float
     rotation: float
@@ -69,20 +75,14 @@ def external_subspace(mol):
     (vanishing principal moment) are rejected.
     """
     _require_prepared(mol)
-    n = mol.n_nuclei
-    sqrt_m = np.sqrt(mol.masses)
-    cols = np.zeros((3 * n, 6))
-    for axis in range(3):
-        block = np.zeros((n, 3))
-        block[:, axis] = sqrt_m
-        cols[:, axis] = block.ravel() / np.sqrt(mol.masses.sum())
     moments = np.diag(equilibrium_inertia(mol))
     if np.min(moments) <= 1e-10 * max(np.max(moments), 1e-300):
         raise CollinearGeometryError("rotational directions degenerate: collinear geometry")
-    eye = np.eye(3)
-    for axis in range(3):
-        block = sqrt_m[:, None] * np.cross(eye[axis], mol.positions)
-        cols[:, 3 + axis] = block.ravel() / np.sqrt(moments[axis])
+    sqrt_m = np.sqrt(mol.masses)[:, None]
+    cols = np.zeros((3 * mol.n_nuclei, 6))
+    for axis, unit in enumerate(np.eye(3)):
+        cols[:, axis] = (sqrt_m * unit).ravel() / np.sqrt(mol.masses.sum())
+        cols[:, 3 + axis] = (sqrt_m * cross(unit, mol.positions)).ravel() / np.sqrt(moments[axis])
     return cols
 
 
@@ -163,16 +163,16 @@ def build_modes(mol, seed=None, rng=None):
 
 
 def verify_eckart(mol, basis):
-    """Residuals of the translation, rotation and duality sum rules."""
+    """Relative residuals of the translation and rotation sum rules, and the duality residual."""
     sqrt_m = np.sqrt(mol.masses)
-    x = basis.x
-    if x.shape[1] == 0:
-        return EckartResiduals(0.0, 0.0, 0.0)
-    trans = np.einsum("m,mak->ak", sqrt_m, x)
-    rot = np.einsum("m,mak->ak", sqrt_m, np.cross(mol.positions[:, None, :], x))
-    pairing = np.einsum("mak,mbk->ab", x, basis.x_dual)
+    x = np.swapaxes(basis.x, 0, 1)  # (K, N, 3): the particle axis second to last
+    size = sqrt_m * length(x)
+    trans = relative(length(np.sum(sqrt_m[:, None] * x, axis=-2)), np.sum(size, axis=-1))
+    rot = relative(length(cross_sum(mol.positions, sqrt_m[:, None] * x)),
+                   size @ length(mol.positions))
+    pairing = np.einsum("mak,mbk->ab", basis.x, basis.x_dual)
     return EckartResiduals(
-        translation=float(np.max(np.linalg.norm(trans, axis=1))),
-        rotation=float(np.max(np.linalg.norm(rot, axis=1))),
-        duality=float(np.max(np.abs(pairing - np.eye(x.shape[1])))),
+        translation=float(np.max(trans, initial=0.0)),
+        rotation=float(np.max(rot, initial=0.0)),
+        duality=float(np.max(np.abs(pairing - np.eye(x.shape[0])), initial=0.0)),
     )

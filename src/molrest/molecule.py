@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CollinearGeometryError, SchemaError
+from .lie_so3 import cross
 
 __all__ = [
     "MassSummary",
@@ -132,7 +133,7 @@ def _principal_axes(masses, centered):
             "equilibrium geometry is collinear; a non-linear reference is required"
         )
     fix_column_signs(vecs[:, :2])
-    vecs[:, 2] = np.cross(vecs[:, 0], vecs[:, 1])
+    vecs[:, 2] = cross(vecs[:, 0], vecs[:, 1])
     return evals, vecs
 
 

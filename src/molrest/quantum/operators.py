@@ -78,8 +78,16 @@ def _line_derivative(amplitudes, step, order):
         raise GridError(f"unsupported stencil order {order}")
     offsets, nums, den = _STENCILS[order]
     pad = np.pad(amplitudes, (2, 2))
-    total = sum(num * pad[2 + off:pad.size - 2 + off] for off, num in zip(offsets, nums))
-    return total / (den * step)
+    total = None
+    for off, num in zip(offsets, nums):
+        term = pad[2 + off:pad.size - 2 + off]
+        term = term if abs(num) == 1 else abs(num) * term
+        if total is None:  # the sum starts from its first term, as a fresh array
+            total = term.copy() if num > 0 else -term
+        else:
+            (np.add if num > 0 else np.subtract)(total, term, out=total)
+    total /= den * step
+    return total
 
 
 def momentum_op(psi, hbar=1.0, order=4):

@@ -10,7 +10,7 @@ from molrest.angmom import (
 )
 from molrest.errors import EckartViolationError, SingularInertiaError
 from molrest.frames import Configuration, analyze, com_split, reconstruct, to_rest
-from molrest.modes import ModeBasis, build_modes
+from molrest.modes import ModeBasis, build_modes, verify_eckart
 
 
 def test_i0_matches_hand_value(square):
@@ -40,6 +40,15 @@ def test_broken_basis_fails_symmetry_assertion(water):
     with pytest.raises(EckartViolationError) as err:
         build_inertia(water, broken)
     assert err.value.residual > 1e-3
+
+
+def test_violation_carries_the_relative_rotation_residual(penta):
+    basis = build_modes(penta, rng=4)
+    rng = np.random.default_rng(11)
+    broken = ModeBasis(x=basis.x + 0.01 * rng.normal(size=basis.x.shape), x_dual=basis.x_dual)
+    with pytest.raises(EckartViolationError) as err:
+        build_inertia(penta, broken)
+    assert err.value.residual == verify_eckart(penta, broken).rotation
 
 
 def test_zero_basis_gives_zero_coupling(square):

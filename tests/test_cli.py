@@ -1,11 +1,15 @@
 """Command-line contract: exit codes, determinism, report formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molrest
 from molrest import cli
 from molrest.cli import RunConfig, main, parse_args
 from molrest.quantum import GridWavefunction
@@ -114,6 +118,47 @@ class TestExitZero:
         assert report["passed"] is True
         assert report["n_frames"] == 3
         assert all(f["passed"] for f in report["frames"])
+
+
+class TestUnits:
+    @pytest.mark.parametrize("command", ["validate", "modes"])
+    def test_verdict_does_not_depend_on_units(self, command, tmp_path):
+        # every Eckart residual is relative: masses x1e6 and lengths x1e3 pass as the originals do
+        mol = json.loads(Path(MOLECULE).read_text())
+        for nucleus in mol["nuclei"]:
+            nucleus["mass"] *= 1e6
+            nucleus["position"] = [1e3 * v for v in nucleus["position"]]
+        mol["electrons"]["mass"] *= 1e6
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(mol))
+        out = tmp_path / "report.json"
+        assert invoke(command, "--input", str(scaled), "--output", str(out)) == 0
+        residuals = json.loads(out.read_text())["residuals"]
+        for key in ("translation", "rotation", "duality", "com_norm"):
+            assert residuals[key] <= 1e-14, key
+
+
+def test_commands_need_numpy_only(tmp_path):
+    # the runtime dependency is numpy: no command may load a test-only package
+    script = f"""
+import json, sys
+from molrest.cli import main
+data = {str(DATA)!r}
+runs = [["validate"], ["modes"], ["heisenberg"], ["commutators"],
+        ["frame", "--trajectory", data + "/water_traj.xyz"],
+        ["decompose", "--trajectory", data + "/water_traj.xyz"]]
+codes = [main([cmd, "--input", data + "/water.json", *rest,
+               "--output", {str(tmp_path)!r} + "/" + cmd]) for cmd, *rest in runs]
+loaded = sorted({{name.split(".")[0] for name in sys.modules}} & {{"scipy", "hypothesis", "pytest"}})
+print(json.dumps([codes, loaded]))
+"""
+    src = str(Path(molrest.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * 6
+    assert loaded == []
 
 
 PLAIN = (str, int, bool, float, type(None))

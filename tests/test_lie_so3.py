@@ -10,6 +10,7 @@ from molrest.lie_so3 import (
     SERIES_SWITCH,
     chart_coefficients,
     exp_map,
+    first_failure,
     haar_density,
     killing_frame,
     log_density_gradient,
@@ -104,6 +105,19 @@ def test_stacks_name_the_first_bad_vector():
         killing_frame(near)
     with pytest.raises(ValueError, match="shape"):
         exp_map(np.zeros((4, 2)))
+
+
+def test_first_failure_picks_the_first_flagged_entry():
+    bad = np.array([[False, False], [True, True]])
+    values = np.arange(4.0).reshape(2, 2)
+    rows = np.arange(12.0).reshape(2, 2, 3)
+    i, (value, row) = first_failure(bad, values, rows)
+    assert i == 2 and value == 2.0
+    assert np.array_equal(row, [6.0, 7.0, 8.0])
+    # a single item is index 0, and its trailing axes are kept
+    i, (value, row) = first_failure(np.True_, 5.0, np.array([1.0]))
+    assert i == 0 and value == 5.0
+    assert np.array_equal(row, [1.0])
 
 
 def test_log_map_rejects_non_rotations():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,18 @@ def test_verify_eckart_flags_broken_basis(water):
     broken = ModeBasis(x=bad_x, x_dual=basis.x_dual)
     res = verify_eckart(water, broken)
     assert res.translation > 1e-3
+
+
+@pytest.mark.parametrize("mass_scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("length_scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("fixture", ["water", "penta"])
+def test_verify_eckart_does_not_depend_on_units(fixture, mass_scale, length_scale, request):
+    # the mode directions are dimensionless: one basis fits the molecule in
+    # any units, and every residual is relative, so each stays at round-off
+    mol = request.getfixturevalue(fixture)
+    basis = build_modes(mol, rng=5)
+    scaled = replace(mol, masses=mass_scale * mol.masses, positions=length_scale * mol.positions)
+    res = verify_eckart(scaled, basis)
+    assert res.translation <= 1e-14
+    assert res.rotation <= 1e-14
+    assert res.duality <= 1e-14
