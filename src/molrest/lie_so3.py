@@ -43,7 +43,6 @@ __all__ = [
     "log_map",
     "frame_fields",
     "killing_frame",
-    "haar_density",
     "log_density_gradient",
     "unit_quaternion",
     "quaternion_to_vector",
@@ -106,9 +105,9 @@ def chart_coefficients(theta):
 
     Returns ``(c2, c3, d)``:
 
-        c2 = (1 - cos(theta)) / theta^2          (n, Haar density)
+        c2 = (1 - cos(theta)) / theta^2          (n)
         c3 = (theta - sin(theta)) / theta^3      (n)
-        d  = 1/theta^2 - (1 + cos(theta)) / (2 theta sin(theta))   (m = n^-1)
+        d  = (2/theta - cot(theta/2)) / (2 theta)   (m = n^-1, log_density_gradient)
 
     Below ``SERIES_SWITCH`` each is its quartic Taylor series.
     """
@@ -123,7 +122,7 @@ def chart_coefficients(theta):
         c3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                       (safe - np.sin(safe)) / (safe2 * safe))
         d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                     1.0 / safe2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
+                     (2.0 / safe - 1.0 / np.tan(0.5 * safe)) / (2.0 * safe))
     return c2, c3, d
 
 
@@ -246,32 +245,23 @@ def frame_fields(omega):
     return n, m
 
 
-def killing_frame(omega, eps_boundary=EPS_BOUNDARY):
+def killing_frame(omega):
     """``frame_fields`` at chart points checked as ``exp_map`` checks them.
 
     Raises
     ------
     GridError
-        If ``||omega|| >= pi - eps_boundary``, where the frame field is
+        If ``||omega|| >= pi - EPS_BOUNDARY``, where the frame field is
         (nearly) singular, naming the first such index of a stack.
     """
     omega, theta = _check_omega(omega)
-    near = theta >= np.pi - eps_boundary
+    near = theta >= np.pi - EPS_BOUNDARY
     if near.any():
         _, (first,) = first_failure(near, theta)
         raise GridError(f"killing frame near-singular: |omega| = {first:.9f}"
-                        f" >= pi - {eps_boundary:g}" + _where(near))
+                        f" >= pi - {EPS_BOUNDARY:g}" + _where(near))
     n, m = frame_fields(omega)
     return KillingFrame(n=n, m=m)
-
-
-def haar_density(omega):
-    """Normalized Haar density on the ball, (1 - cos theta)/(4 pi^2 theta^2).
-
-    Accepts (..., 3) stacks; the theta -> 0 limit 1/(8 pi^2) is handled.
-    """
-    theta = np.linalg.norm(np.asarray(omega, dtype=float), axis=-1)
-    return chart_coefficients(theta)[0] / (4.0 * np.pi**2)
 
 
 def log_density_gradient(omega):

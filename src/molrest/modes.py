@@ -7,10 +7,10 @@ translations and infinitesimal rotations of the equilibrium geometry):
     sum_mu sqrt(M_mu) X_{mu alpha} = 0
     sum_mu sqrt(M_mu) R0_mu x X_{mu alpha} = 0
 
-Every basis produced here is orthonormal, so the dual basis (the one
-pairing with mode momenta) coincides with it up to round-off; the dual
-is nevertheless computed through the Gram matrix so slightly skewed
-bases remain consistent.
+``build_modes`` makes every basis one way: the orthonormal complement of
+the external directions, turned by an orthogonal matrix from the
+molecule's seed.  Such a basis is orthonormal, so it is its own dual
+(the directions that pair with mode momenta).
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,10 @@ class ModeBasis:
 
     x : (N, K, 3) array, K = 3N - 6; x[mu, alpha] is the displacement
         direction of nucleus mu in mode alpha (mass-weighted).
-    x_dual : (N, K, 3) array, the dual directions.
+    x_dual : (N, K, 3) array, the dual directions, with
+        sum_{mu, i} x[mu, alpha, i] x_dual[mu, beta, i] = delta.
+        ``build_modes`` returns orthonormal bases, whose x_dual is x
+        itself; a hand-built basis supplies its own.
     frequencies : (K,) array of mode frequencies when the basis came
         from a force-constant matrix, else None.
     """
@@ -62,11 +65,6 @@ class EckartResiduals:
         return max(self.translation, self.rotation, self.duality)
 
 
-def _require_prepared(mol):
-    if not mol.prepared:
-        raise ValueError("a prepared molecule is required (run prepare_equilibrium)")
-
-
 def external_subspace(mol):
     """Orthonormal (3N, 6) basis of mass-weighted translations and rotations.
 
@@ -74,7 +72,8 @@ def external_subspace(mol):
     principal axes.  Requires a prepared molecule; collinear geometries
     (vanishing principal moment) are rejected.
     """
-    _require_prepared(mol)
+    if not mol.prepared:
+        raise ValueError("a prepared molecule is required (run prepare_equilibrium)")
     moments = np.diag(equilibrium_inertia(mol))
     if np.min(moments) <= 1e-10 * max(np.max(moments), 1e-300):
         raise CollinearGeometryError("rotational directions degenerate: collinear geometry")
@@ -86,80 +85,52 @@ def external_subspace(mol):
     return cols
 
 
-def _internal_complement(external):
-    full, _ = np.linalg.qr(external, mode="complete")
-    return fix_column_signs(full[:, external.shape[1]:])
+def build_modes(mol, rng=None):
+    """Construct the orthonormal internal ModeBasis of a prepared molecule.
 
+    Every basis is the internal complement of ``external_subspace`` (the
+    last 3N-6 columns of its complete QR, sign-fixed) turned by an
+    orthogonal (3N-6, 3N-6) matrix U taken from the molecule's seed:
 
-def _from_candidate(external, candidate):
-    projected = candidate - external @ (external.T @ candidate)
-    q, r = np.linalg.qr(projected)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1e-300):
-        raise ValueError("candidate directions are rank-deficient after projection")
-    return fix_column_signs(q), None
+    - ``mol.mode_seed`` (3N, 3N-6) candidate directions, which win when
+      both seeds are present: U is the Q factor of their internal
+      components;
+    - else ``mol.hessian``, a symmetric (3N, 3N) force-constant matrix:
+      U holds the eigenvectors of its mass-weighted internal block, whose
+      eigenvalues give the frequencies;
+    - else one (3N, 3N-6) normal draw from ``rng`` (an int seed or a
+      numpy Generator), treated as candidate directions.
 
-
-def _from_hessian(mol, external, hessian):
-    if not np.allclose(hessian, hessian.T, atol=1e-8 * max(1.0, np.abs(hessian).max())):
-        raise ValueError("hessian must be symmetric")
-    inv_sqrt = np.repeat(1.0 / np.sqrt(mol.masses), 3)
-    weighted = hessian * inv_sqrt[:, None] * inv_sqrt[None, :]
-    basis = _internal_complement(external)
-    evals, evecs = np.linalg.eigh(basis.T @ weighted @ basis)
-    cols = fix_column_signs(basis @ evecs)
-    return cols, np.sqrt(np.abs(evals))
-
-
-def build_modes(mol, seed=None, rng=None):
-    """Construct an orthonormal internal ModeBasis.
-
-    Parameters
-    ----------
-    mol : prepared Molecule.
-    seed : optional array.  Shape (3N, 3N) means a symmetric
-        force-constant matrix (modes diagonalize its mass-weighted
-        internal block, frequencies are returned); shape (3N, 3N-6)
-        means candidate directions (projected and orthonormalized).
-        When omitted, the molecule's own hessian or mode seed is used
-        if present, otherwise random candidates drawn from ``rng``.
-    rng : int seed or numpy Generator for the random fallback.
-
-    The returned basis satisfies the sum rules to round-off regardless
-    of the seed; different random seeds span the identical subspace.
+    The columns are sign-fixed and the basis is its own dual, so it
+    satisfies the sum rules to round-off whatever the seed; different
+    random draws span the identical subspace.  Only the random path
+    draws from ``rng``.
     """
-    _require_prepared(mol)
-    n3 = 3 * mol.n_nuclei
-    k = n3 - 6
-    external = external_subspace(mol)
-
-    if seed is None:
-        if mol.mode_seed is not None:
-            seed = mol.mode_seed
-        elif mol.hessian is not None:
-            seed = mol.hessian
+    full, _ = np.linalg.qr(external_subspace(mol), mode="complete")
+    internal = fix_column_signs(full[:, 6:])
 
     freqs = None
-    if seed is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        cols, freqs = _from_candidate(external, gen.normal(size=(n3, k)))
+    if mol.mode_seed is None and mol.hessian is not None:
+        hessian = mol.hessian
+        if not np.allclose(hessian, hessian.T, atol=1e-8 * max(1.0, np.abs(hessian).max())):
+            raise ValueError("hessian must be symmetric")
+        inv_sqrt = np.repeat(1.0 / np.sqrt(mol.masses), 3)
+        weighted = hessian * inv_sqrt[:, None] * inv_sqrt[None, :]
+        evals, turn = np.linalg.eigh(internal.T @ weighted @ internal)
+        freqs = np.sqrt(np.abs(evals))
     else:
-        seed = np.asarray(seed, dtype=float)
-        if seed.shape == (n3, n3):
-            cols, freqs = _from_hessian(mol, external, seed)
-        elif seed.shape == (n3, k):
-            cols, freqs = _from_candidate(external, seed)
-        else:
-            raise ValueError(
-                f"seed must have shape ({n3}, {n3}) for a hessian or ({n3}, {k}) "
-                f"for candidate directions, got {seed.shape}"
-            )
+        candidate = mol.mode_seed
+        if candidate is None:
+            gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+            candidate = gen.normal(size=internal.shape)
+        turn, r = np.linalg.qr(internal.T @ candidate)
+        diag = np.abs(np.diag(r))
+        if diag.min() <= 1e-10 * max(diag.max(), 1e-300):
+            raise ValueError("candidate directions are rank-deficient after projection")
 
-    x = np.transpose(cols.reshape(mol.n_nuclei, 3, k), (0, 2, 1))
-    gram = np.einsum("mak,mbk->ab", x, x)
-    dual_cols = np.linalg.solve(gram.T, cols.T).T
-    x_dual = np.transpose(dual_cols.reshape(mol.n_nuclei, 3, k), (0, 2, 1))
-    return ModeBasis(x=x, x_dual=x_dual, frequencies=freqs)
+    cols = fix_column_signs(internal @ turn)
+    x = np.transpose(cols.reshape(mol.n_nuclei, 3, -1), (0, 2, 1))
+    return ModeBasis(x=x, x_dual=x, frequencies=freqs)
 
 
 def verify_eckart(mol, basis):

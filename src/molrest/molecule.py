@@ -17,6 +17,7 @@ from .errors import CollinearGeometryError, SchemaError
 from .lie_so3 import cross
 
 __all__ = [
+    "MAX_ELECTRONS",
     "MassSummary",
     "Molecule",
     "load_molecule",
@@ -27,6 +28,14 @@ __all__ = [
 # Relative floor on the second planar moment below which the geometry is
 # treated as collinear (3N-6 internal coordinates assume a non-linear frame).
 _COLLINEAR_RTOL = 1e-10
+
+# Largest electrons.count an input may give.  heisenberg holds 3 * count
+# electronic line states at once, each of --grid-line complex amplitudes
+# (16 bytes apiece), and reports a row for each of their (3 * count)^2
+# pairs: at the default 16384 points this ceiling is 96 MiB of amplitudes
+# and 147456 rows (water: 4 s and 270 MB peak on a 2-CPU VM).  Both grow
+# without bound with the count, which the input alone sets.
+MAX_ELECTRONS = 128
 
 
 @dataclass(frozen=True)
@@ -276,6 +285,8 @@ def load_molecule(path):
     count = electrons["count"]
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise SchemaError("electrons.count: expected a non-negative integer")
+    if count > MAX_ELECTRONS:
+        raise SchemaError(f"electrons.count: at most {MAX_ELECTRONS} electrons are supported")
     emass = _require_number(electrons["mass"], "electrons.mass", positive=True)
 
     n3 = 3 * len(nuclei)

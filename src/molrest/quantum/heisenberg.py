@@ -43,6 +43,11 @@ from .operators import (
 
 __all__ = ["DispersionReport", "dispersion", "heisenberg_suite"]
 
+# every dispersion differentiates with the 4th-order stencil, and the
+# orientation derivatives step 5e-3 along each chart direction
+STENCIL_ORDER = 4
+ORIENTATION_STEP = 5e-3
+
 
 @dataclass(frozen=True)
 class DispersionReport:
@@ -139,8 +144,7 @@ def _line_states(psi_set, kind):
     return states, [a for a, _ in labels], [b for _, b in labels]
 
 
-def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
-                     fd_step=5e-3, order=4):
+def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False):
     """Uncertainty reports for every conjugate pair of a state family.
 
     psi_set layout per kind:
@@ -160,7 +164,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
 
     if kind in ("vibrational", "electronic"):
         states, la, lb = _line_states(psi_set, kind)
-        d_p = [dispersion(s, momentum_op(s, hbar=hbar, order=order)) for s in states]
+        d_p = [dispersion(s, momentum_op(s, hbar=hbar, order=STENCIL_ORDER)) for s in states]
         d_q = [dispersion(s, position_op(s)) for s in states]
         return _pair_rows(la, d_p, lb, d_q, half, tolerance)
 
@@ -175,8 +179,8 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False,
         rows = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
-            l_psi = l_op(s, hbar=hbar, step=fd_step, order=order, symmetric=True,
-                         enforce_boundary=False)
+            l_psi = l_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
+                         symmetric=True, enforce_boundary=False)
             d_l = [dispersion(s, a) for a in l_psi]
             d_w = [dispersion(s, position_op(s, component=k)) for k in range(3)]
             la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]

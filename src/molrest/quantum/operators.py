@@ -50,6 +50,9 @@ __all__ = [
 
 BOUNDARY_MASS_TOL = 1e-8
 
+# nodes left out at each end of a line grid by line_commutator_residual
+LINE_BOUNDARY_NODES = 8
+
 # central first-derivative stencils: offsets, integer numerators, denominator
 _STENCILS = {
     2: ((-1, 1), (-1, 1), 2),
@@ -220,18 +223,18 @@ def _chart_residual(psi, hbar, step, order, enforce_boundary):
     return comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
 
 
-def line_commutator_residual(psi, hbar=1.0, order=2, boundary_nodes=8):
+def line_commutator_residual(psi, hbar=1.0, order=2):
     """Worst relative residual of [P, Q] psi + i hbar psi on a LineGrid.
 
-    P(Q psi) needs two derivative passes, so a few nodes at each end are
-    excluded where the zero padding truncates the stencil.
+    P(Q psi) needs two derivative passes, so LINE_BOUNDARY_NODES nodes at
+    each end are excluded where the zero padding truncates the stencil.
     """
     q_psi = position_op(psi, component=0)
     pq = momentum_op(q_psi, hbar=hbar, order=order).amplitudes
     qp = position_op(momentum_op(psi, hbar=hbar, order=order), component=0).amplitudes
     residual = pq - qp + 1j * hbar * psi.amplitudes
     mask = np.zeros(psi.grid.size, dtype=bool)
-    mask[boundary_nodes:-boundary_nodes] = True
+    mask[LINE_BOUNDARY_NODES:-LINE_BOUNDARY_NODES] = True
     return float(_relative(residual, psi, mask, hbar))
 
 

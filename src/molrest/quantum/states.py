@@ -27,6 +27,9 @@ __all__ = [
     "geodesic_distance",
 ]
 
+# widest gaussian of random_so3_state
+SO3_MAX_SIGMA = 0.35
+
 
 def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
     """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2 + i k_i x) over the terms."""
@@ -107,14 +110,14 @@ def random_line_state(grid, rng, hbar=1.0):
     return _line_mixture(grid, centers, sigmas, float(1.0 / hbar) * ks, amps)
 
 
-def random_so3_state(grid, rng, max_sigma=0.35):
+def random_so3_state(grid, rng):
     """Seeded mixture of two wrapped gaussians, interior by construction.
 
-    Widths land in [0.2, max_sigma] and centers stay within
+    Widths land in [0.2, SO3_MAX_SIGMA] and centers stay within
     min(0.7, pi - 6.8 sigma) of the identity so the boundary shells see
     only exponentially small mass.
     """
-    sigmas = rng.uniform(0.2, max_sigma, size=2)
+    sigmas = rng.uniform(0.2, SO3_MAX_SIGMA, size=2)
     amps = rng.uniform(0.5, 1.0, size=2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
     centers = []
     for s in sigmas:

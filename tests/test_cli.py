@@ -12,6 +12,7 @@ import pytest
 import molrest
 from molrest import cli
 from molrest.cli import RunConfig, main, parse_args
+from molrest.molecule import MAX_ELECTRONS
 from molrest.quantum import GridWavefunction
 
 DATA = Path(__file__).parent / "data"
@@ -233,6 +234,16 @@ class TestInputErrors:
         bad.write_text("\n".join(lines) + "\n")
         assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
         assert "line 10: non-finite coordinate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [10**30, MAX_ELECTRONS + 1])
+    def test_electron_count_above_ceiling_names_field(self, count, tmp_path, capsys):
+        # rejected on load, so heisenberg never builds 3 * count line states
+        payload = json.loads(Path(MOLECULE).read_text())
+        payload["electrons"]["count"] = count
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert invoke("validate", "--input", str(bad)) == 1
+        assert "electrons.count" in capsys.readouterr().err
 
     def test_frame_without_trajectory(self):
         assert invoke("frame", "--input", MOLECULE) == 1

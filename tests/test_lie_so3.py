@@ -11,7 +11,6 @@ from molrest.lie_so3 import (
     chart_coefficients,
     exp_map,
     first_failure,
-    haar_density,
     killing_frame,
     log_density_gradient,
     log_map,
@@ -21,6 +20,12 @@ from molrest.lie_so3 import (
     unit_quaternion,
     vee,
 )
+
+
+def haar_density(omega):
+    # the normalized Haar density (1 - cos theta)/(4 pi^2 theta^2) on the
+    # ball, the reference for log_density_gradient
+    return chart_coefficients(np.linalg.norm(omega, axis=-1))[0] / (4.0 * np.pi**2)
 
 
 def series_exp(omega, terms=30):
@@ -246,7 +251,7 @@ def test_haar_density_limit_and_continuity():
     assert np.isclose(haar_density(omega), ref, rtol=1e-14)
 
 
-# Bernoulli numbers B_2, B_4, ... for the series of d = 1/t^2 - (1 + cos t)/(2 t sin t)
+# Bernoulli numbers B_2, B_4, ... for the series of d = (2/t - cot(t/2))/(2t)
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 # Each chart coefficient as its Taylor series in t, far past the order the
@@ -274,6 +279,19 @@ def test_chart_coefficients_match_series_across_switch(index, name):
         assert np.allclose(got, ref, rtol=rtol, atol=0.0), (name, got / ref - 1.0)
     # the stacked call and the one-angle call agree
     assert chart_coefficients(0.1)[index] == chart_coefficients(np.array([0.1]))[index][0]
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7])
+def test_chart_coefficient_d_is_exact_near_the_seam(gap):
+    # d keeps full precision up to the seam, where 1/t^2 - (1 + cos t)/(2 t sin t)
+    # would cancel to 6.3e-11 relative at pi - 1e-7
+    mpmath = pytest.importorskip("mpmath")
+    theta = np.pi - gap
+    with mpmath.workdps(50):
+        t = mpmath.mpf(theta)
+        ref = (2 / t - mpmath.cot(t / 2)) / (2 * t)
+        err = abs((mpmath.mpf(float(chart_coefficients(theta)[2])) - ref) / ref)
+    assert err <= 1e-15
 
 
 def test_log_density_gradient_matches_finite_differences():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from molrest.errors import CollinearGeometryError
+from molrest.molecule import Molecule, prepare_equilibrium
 from molrest.modes import ModeBasis, build_modes, external_subspace, verify_eckart
 
 
@@ -68,7 +69,7 @@ def test_build_modes_candidate_with_external_contamination(water):
     rng = np.random.default_rng(5)
     ext = external_subspace(water)
     cand = rng.normal(size=(9, 3)) + ext[:, :3] @ rng.normal(size=(3, 3)) * 10.0
-    basis = build_modes(water, seed=cand)
+    basis = build_modes(replace(water, mode_seed=cand))
     assert verify_eckart(water, basis).max <= 1e-10
 
 
@@ -78,12 +79,12 @@ def test_build_modes_rejects_rank_deficient_candidate(water):
     cand = np.stack([col, col, rng.normal(size=9)], axis=1)
     cand[:, 1] = cand[:, 0]  # duplicated direction
     with pytest.raises(ValueError):
-        build_modes(water, seed=cand)
+        build_modes(replace(water, mode_seed=cand))
 
 
 def test_build_modes_rejects_bad_seed_shape(water):
     with pytest.raises(ValueError):
-        build_modes(water, seed=np.zeros((9, 5)))
+        build_modes(replace(water, mode_seed=np.zeros((9, 5))))
 
 
 def test_build_modes_requires_prepared(water_raw):
@@ -102,7 +103,7 @@ def test_build_modes_from_hessian_recovers_spectrum(penta):
     sqrt_m = np.repeat(np.sqrt(penta.masses), 3)
     hessian = weighted * sqrt_m[:, None] * sqrt_m[None, :]
 
-    basis = build_modes(penta, seed=hessian)
+    basis = build_modes(replace(penta, hessian=hessian))
     assert basis.frequencies is not None
     assert np.allclose(np.sort(basis.frequencies), np.sqrt(w), atol=1e-10)
     assert verify_eckart(penta, basis).max <= 1e-10
@@ -115,13 +116,11 @@ def test_build_modes_from_hessian_recovers_spectrum(penta):
 def test_build_modes_rejects_asymmetric_hessian(water):
     h = np.arange(81, dtype=float).reshape(9, 9)
     with pytest.raises(ValueError):
-        build_modes(water, seed=h)
+        build_modes(replace(water, hessian=h))
 
 
 def test_build_modes_uses_molecule_payload(water):
     rng = np.random.default_rng(9)
-    from dataclasses import replace
-
     carried = replace(water, mode_seed=rng.normal(size=(9, 3)))
     basis = build_modes(carried)
     assert verify_eckart(carried, basis).max <= 1e-10
@@ -149,3 +148,55 @@ def test_verify_eckart_does_not_depend_on_units(fixture, mass_scale, length_scal
     assert res.translation <= 1e-14
     assert res.rotation <= 1e-14
     assert res.duality <= 1e-14
+
+
+def _heavy_clusters(count, seed=3):
+    # 20-nucleus clusters in electron-mass units, far from the origin
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mol = Molecule(masses=rng.uniform(1.0, 20.0, 20) * 1822.9,
+                       positions=rng.normal(0.0, 3.0, (20, 3)) + rng.uniform(-30.0, 30.0, 3))
+        yield prepare_equilibrium(mol), rng.normal(size=(60, 54))
+
+
+def test_build_modes_round_off_floor_on_heavy_clusters():
+    # the sum rules hold to round-off whatever the condition number of the
+    # candidates, which reaches 2e5 on these clusters
+    worst_random = worst_seeded = 0.0
+    for i, (mol, candidate) in enumerate(_heavy_clusters(200)):
+        worst_random = max(worst_random, verify_eckart(mol, build_modes(mol, rng=i)).max)
+        seeded = replace(mol, mode_seed=candidate)
+        worst_seeded = max(worst_seeded, verify_eckart(mol, build_modes(seeded)).max)
+    assert worst_random <= 1e-14
+    assert worst_seeded <= 1e-14
+
+
+def test_build_modes_draws_one_block_on_the_random_path_only(penta):
+    # heisenberg draws its states from the generator after the basis
+    def state_after(mol):
+        gen = np.random.default_rng(11)
+        build_modes(mol, rng=gen)
+        return gen.bit_generator.state
+
+    drawn = np.random.default_rng(11)
+    drawn.normal(size=(15, 9))
+    assert state_after(penta) == drawn.bit_generator.state
+    untouched = np.random.default_rng(11).bit_generator.state
+    rng = np.random.default_rng(12)
+    assert state_after(replace(penta, mode_seed=rng.normal(size=(15, 9)))) == untouched
+    hessian = rng.normal(size=(15, 15))
+    assert state_after(replace(penta, hessian=hessian + hessian.T)) == untouched
+
+
+def test_mode_seed_wins_over_hessian(water):
+    rng = np.random.default_rng(13)
+    candidate = rng.normal(size=(9, 3))
+    hessian = rng.normal(size=(9, 9))
+    both = build_modes(replace(water, mode_seed=candidate, hessian=hessian + hessian.T))
+    assert both.frequencies is None
+    assert np.array_equal(both.x, build_modes(replace(water, mode_seed=candidate)).x)
+
+
+def test_built_basis_is_its_own_dual(penta):
+    basis = build_modes(penta, rng=14)
+    assert basis.x_dual is basis.x

@@ -5,6 +5,7 @@ import pytest
 
 from molrest.errors import CollinearGeometryError, SchemaError
 from molrest.molecule import (
+    MAX_ELECTRONS,
     Molecule,
     equilibrium_inertia,
     load_molecule,
@@ -171,6 +172,12 @@ def test_load_molecule_optional_blocks(tmp_path):
     mol = load_molecule(write_json(tmp_path, payload))
     assert mol.mode_seed.shape == (9, 3)
     assert mol.hessian.shape == (9, 9)
+
+
+def test_load_molecule_accepts_the_electron_ceiling(tmp_path):
+    payload = valid_payload()
+    payload["electrons"]["count"] = MAX_ELECTRONS
+    assert load_molecule(write_json(tmp_path, payload)).electron_count == MAX_ELECTRONS
 
 
 @pytest.mark.parametrize(
