@@ -12,7 +12,8 @@ machine-readable report:
   commutators  canonical commutator residual table
 
 Exit codes: 0 when every check passes its tolerance, 1 for input errors
-(bad flags, unreadable or malformed files), 2 when a check fails.
+(bad flags, unreadable or malformed files, an unwritable --output), 2
+when a check fails.
 Reports are deterministic: the same input and --seed produce
 byte-identical output (JSON keys sorted, shortest round-trip float
 formatting).
@@ -21,6 +22,7 @@ formatting).
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,6 +38,7 @@ from .errors import (
     EckartSolveError,
     EckartViolationError,
     GridError,
+    OutputError,
     SchemaError,
     SingularInertiaError,
 )
@@ -156,6 +159,7 @@ class Table(dict):
 
 
 _SLOT = "\x01"  # a leaf's place in a template ("\x00" does not survive np.full)
+_BLOCK_ROWS = 256  # table rows formatted together and written as one piece
 
 
 def _flatten(value, prefix=""):
@@ -181,53 +185,125 @@ def _cell(value, fmt):
     return json.dumps(value) if fmt == "json" else str(value)
 
 
-def _render(report, fmt):
-    """The report as text, laid out as README "Reports" describes.
+def _column_text(block, fmt):
+    """Every leaf of a column block as ``_cell`` writes it, in row-major order."""
+    values = block.ravel().tolist()
+    kind = block.dtype.kind
+    if kind == "f" and (fmt == "csv" or np.isfinite(block).all()):
+        return list(map(repr, values))
+    if kind == "b":
+        return list(map(("false", "true").__getitem__, values))
+    if kind in "iu":
+        return list(map(str, values))
+    return [_cell(v, fmt) for v in values]
 
-    The only code that turns report values into text: a Table's leaves go
-    through ``_cell`` once per column, and a template of one probe row
-    places them.
+
+def _blocks(table, fmt):
+    """The table in blocks of ``_BLOCK_ROWS`` rows: (first row, rows, leaves).
+
+    ``leaves`` holds the texts of one leaf position per list, ordered by
+    sorted column name and then row-major within a column, so that
+    ``zip(*leaves)`` gives the block's rows.
+    """
+    columns = [np.asarray(table[name]) for name in sorted(table)]
+    n_rows = len(columns[0])
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        leaves = []
+        for col in columns:
+            text = _column_text(col[lo:lo + _BLOCK_ROWS], fmt)
+            width = math.prod(col.shape[1:])
+            leaves += [text[k::width] for k in range(width)]
+        yield lo, min(_BLOCK_ROWS, n_rows - lo), leaves
+
+
+def _cells(leaves):
+    """A block's leaf texts in the order the text holds them, row by row."""
+    return itertools.chain.from_iterable(zip(*leaves))
+
+
+def _probe(table):
+    """One row of the table as nested lists, every leaf a slot."""
+    return {name: np.full(np.shape(col)[1:], _SLOT, dtype=object).tolist()
+            for name, col in table.items()}
+
+
+def _json_pieces(scalars, tables):
+    text = json.dumps(scalars, sort_keys=True, indent=2) + "\n"
+    for key in sorted(tables):  # the order of their slots in the sorted dump
+        head, text = text.split(json.dumps(_SLOT + key), 1)
+        yield head
+        row = json.dumps(_probe(tables[key]), sort_keys=True, indent=2).replace("%", "%%")
+        row = "    " + row.replace("\n", "\n    ").replace(json.dumps(_SLOT), "%s")
+        sep = "[\n"
+        for _, n, leaves in _blocks(tables[key], "json"):
+            yield sep + ",\n".join([row] * n) % tuple(_cells(leaves))
+            sep = ",\n"
+        yield "\n  ]"
+    yield text
+
+
+def _csv_pieces(scalars, tables):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def text(lines):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerows(lines)
+        return buf.getvalue()
+
+    if "rows" in tables:  # a header of column names, then one line per row
+        yield text([sorted(tables["rows"])])
+        for _, _, leaves in _blocks(tables["rows"], "csv"):
+            yield text(zip(*leaves))
+        del scalars["rows"]
+    lines = []
+    for key, value in _flatten(scalars):
+        if key not in tables:
+            lines.append((key, _cell(value, "csv")))
+            continue
+        yield text(lines)
+        lines = []
+        paths = [path for path, _ in _flatten(_probe(tables[key]))]
+        for lo, n, leaves in _blocks(tables[key], "csv"):
+            keys = []
+            for t in range(lo, lo + n):
+                keys += map(f"{key}.{t}.".__add__, paths)
+            yield text(zip(keys, _cells(leaves)))
+    yield text(lines)
+
+
+def _render(report, fmt):
+    """The report as pieces of text, laid out as README "Reports" describes.
+
+    The only code that turns report values into text.  Each Table is cut
+    into blocks of ``_BLOCK_ROWS`` rows; within a block every column is
+    formatted at once by its dtype (``_column_text``), and a template of
+    one probe row places the leaves.  Pieces are made as they are asked
+    for, one per block and one per stretch of scalars, so the whole text
+    is never held at once.
     """
     tables = {k: v for k, v in report.items() if isinstance(v, Table)}
     scalars = {**report, **{k: _SLOT + k for k in tables}}
-    blocks = {}
-    for key, table in tables.items():
-        n = len(next(iter(table.values())))
-        probe = {name: np.full(np.shape(col)[1:], _SLOT, dtype=object).tolist()
-                 for name, col in table.items()}
-        columns = [np.array([_cell(v, fmt) for v in np.ravel(table[name]).tolist()], dtype=object)
-                   for name in sorted(table)]
-        cells = np.concatenate([col.reshape(n, -1) for col in columns], axis=1).ravel().tolist()
-        if fmt == "json":
-            row = json.dumps(probe, sort_keys=True, indent=2).replace("%", "%%")
-            row = "    " + row.replace("\n", "\n    ").replace(json.dumps(_SLOT), "%s")
-            blocks[key] = "[\n" + ",\n".join([row] * n) % tuple(cells) + "\n  ]"
-        elif key == "rows":
-            blocks[key] = [sorted(table), *zip(*[iter(cells)] * len(table))]
-        else:
-            row = "\n".join(path for path, _ in _flatten(probe, f"{key}.{_SLOT}"))
-            keys = "\n".join(row.replace(_SLOT, str(t)) for t in range(n)).split("\n")
-            blocks[key] = list(zip(keys, cells))
     if fmt == "json":
-        text = json.dumps(scalars, sort_keys=True, indent=2) + "\n"
-        for key, block in blocks.items():
-            text = text.replace(json.dumps(_SLOT + key), block)
-        return text
-    lines = blocks.pop("rows", [])
-    for key, value in _flatten({k: v for k, v in scalars.items() if k != "rows" or not lines}):
-        lines += blocks.get(key) or [(key, _cell(value, fmt))]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(lines)
-    return buf.getvalue()
+        return _json_pieces(scalars, tables)
+    return _csv_pieces(scalars, tables)
 
 
 def _emit(report, config):
-    text = _render(report, config.format)
-    if config.output_path:
+    """Write each piece of the report as it is made, to --output or stdout.
+
+    Raises ``OutputError`` when the --output file cannot be opened or written.
+    """
+    pieces = _render(report, config.format)
+    if not config.output_path:
+        sys.stdout.writelines(pieces)
+        return
+    try:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise OutputError(f"--output: {exc}") from None
 
 
 # --- commands --------------------------------------------------------------
@@ -438,7 +514,11 @@ def run(config):
     except _INPUT_ERRORS as exc:
         print(f"molrest: error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, config)
+    try:
+        _emit(report, config)
+    except OutputError as exc:
+        print(f"molrest: error: {exc}", file=sys.stderr)
+        return 1
     return 0 if report["passed"] else 2
 
 

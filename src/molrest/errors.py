@@ -5,6 +5,10 @@ class SchemaError(ValueError):
     """Input file violates the molecule or trajectory schema."""
 
 
+class OutputError(OSError):
+    """The report file named by --output cannot be opened or written."""
+
+
 class CollinearGeometryError(ValueError):
     """Equilibrium geometry is collinear (or has coincident nuclei)."""
 

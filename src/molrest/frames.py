@@ -15,7 +15,7 @@ ellipsis, which sum in the same order for a stack as for one frame, so
 a trajectory gives the same numbers as its frames one at a time.
 """
 
-import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +43,9 @@ __all__ = [
 
 BLOCKS = ("nuclei_positions", "nuclei_momenta", "electron_positions", "electron_momenta")
 
-# Particle rows converted per block by load_trajectory.
-PARSE_BLOCK_ROWS = 1024
+# A particle row: ``species x y z px py pz``.  Two characters of the label
+# tell the electron label "e" apart from every other.
+_ROW_DTYPE = np.dtype([("species", "U2"), ("values", float, 6)])
 
 
 @dataclass(frozen=True)
@@ -390,57 +391,62 @@ def _frame_starts(lines, n_total):
     return starts, None
 
 
-def _parse_rows(rows, n_total, n_nuclei):
-    """The six numbers of every particle row, as a (rows, 6) array.
+def _parse(rows):
+    """Particle rows as numpy's text parser reads them, ``None`` if it rejects one.
 
-    Returns ``None`` when some row is malformed: not seven fields, a
-    coordinate ``float`` rejects or reads as nan or inf, or a species
-    label out of place.
+    A row is rejected unless it has exactly 7 whitespace-separated fields
+    and numpy reads the last six as floats.  Blank rows are skipped, so
+    the result can be shorter than ``rows``.
     """
-    fields = list(map(str.split, rows))
-    if any(map((7).__ne__, map(len, fields))):
-        return None
-    tokens = list(itertools.chain.from_iterable(fields))
-    electron = np.array(tokens[0::7]) == "e"
-    if np.any(electron != (np.arange(len(rows)) % n_total >= n_nuclei)):
-        return None
-    del tokens[0::7]
-    try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        return None
-    return values.reshape(-1, 6) if np.isfinite(values).all() else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            return np.loadtxt(rows, dtype=_ROW_DTYPE, comments=None, ndmin=1)
+        except ValueError:
+            return None
 
 
-def _row_error(rows, starts, n_total, n_nuclei):
+def _well_formed(parsed, n_frames, n_total, n_nuclei):
+    """Whether parsed rows make n_frames whole frames of finite numbers,
+    each its nuclei first and its electrons (species ``e``) last."""
+    if parsed is None or len(parsed) != n_frames * n_total:
+        return False
+    electron = parsed["species"].reshape(n_frames, n_total) == "e"
+    return bool(np.isfinite(parsed["values"]).all()
+                and (electron == (np.arange(n_total) >= n_nuclei)).all())
+
+
+def _row_error(lines, starts, n_total, n_nuclei):
     """SchemaError for the first malformed row, in file order.
 
-    Within a frame every row's field count and numbers are checked
-    before any species label.
+    Rows are judged by the same parse as ``load_trajectory``'s.  Within
+    a frame every row's field count and numbers are checked before any
+    species label.
     """
-    for f, start in enumerate(starts):
-        frame_rows = rows[f * n_total:(f + 1) * n_total]
-        for j, row in enumerate(frame_rows):
-            parts = row.split()
-            if len(parts) != 7:
-                return SchemaError(
-                    f"line {start + 3 + j}: expected 'species x y z px py pz' (7 fields)")
-            try:
-                values = np.array(list(map(float, parts[1:])))
-            except ValueError:
-                return SchemaError(f"line {start + 3 + j}: non-numeric coordinate")
-            if not np.isfinite(values).all():
-                return SchemaError(f"line {start + 3 + j}: non-finite coordinate")
-        for j, row in enumerate(frame_rows):
-            species = row.split()[0]
-            if j < n_nuclei and species == "e":
+    for start in starts:
+        rows = lines[start + 2:start + 2 + n_total]
+        if _well_formed(_parse(rows), 1, n_total, n_nuclei):
+            continue
+        species = []
+        for line, row in enumerate(rows, start + 3):
+            parsed = _parse([row])
+            if parsed is None or len(parsed) != 1:
+                if len(row.split()) != 7:
+                    return SchemaError(
+                        f"line {line}: expected 'species x y z px py pz' (7 fields)")
+                return SchemaError(f"line {line}: non-numeric coordinate")
+            if not np.isfinite(parsed["values"]).all():
+                return SchemaError(f"line {line}: non-finite coordinate")
+            species.append(parsed["species"][0])
+        for j, label in enumerate(species):
+            if j < n_nuclei and label == "e":
                 return SchemaError(
                     f"line {start + 3 + j}: electron row among the first {n_nuclei} "
                     "(nuclei must come first)"
                 )
-            if j >= n_nuclei and species != "e":
+            if j >= n_nuclei and label != "e":
                 return SchemaError(f"line {start + 3 + j}: expected electron row (species 'e')")
-    raise AssertionError("_parse_rows rejected rows that _row_error accepts")
+    raise AssertionError("load_trajectory rejected rows that _row_error accepts")
 
 
 def load_trajectory(mol, path):
@@ -449,9 +455,12 @@ def load_trajectory(mol, path):
     Each frame is ``count`` / comment / ``count`` particle lines of the
     form ``species x y z px py pz``.  Nuclei come first (any species
     label except ``e``), then the electrons (species ``e``).  The count
-    must equal N + n of the molecule.  Returns (T, N, 3) blocks, T >= 1.
-    Raises ``SchemaError`` (with the line number of the first problem
-    in the file) on any malformed content.
+    must equal N + n of the molecule.  Every particle row of the file is
+    read by one ``np.loadtxt`` call, so numbers follow numpy's grammar:
+    ASCII digits, no ``_`` separators; ``nan`` and ``inf`` read but are
+    rejected.  Returns (T, N, 3) blocks, T >= 1.  Raises ``SchemaError``
+    (with the line number of the first problem in the file) on any
+    malformed content.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -462,18 +471,12 @@ def load_trajectory(mol, path):
     if not starts:
         raise header_error or SchemaError("trajectory holds no frames")
     picks = np.asarray(starts)[:, None] + 2 + np.arange(n_total)
-    rows = list(map(lines.__getitem__, picks.ravel().tolist()))
-    # Parsed in blocks of whole frames so the token lists stay small.
-    block = n_total * max(1, PARSE_BLOCK_ROWS // n_total)
-    data = np.empty((len(rows), 6))
-    for lo in range(0, len(rows), block):
-        values = _parse_rows(rows[lo:lo + block], n_total, n_nuclei)
-        if values is None:
-            raise _row_error(rows, starts, n_total, n_nuclei)
-        data[lo:lo + block] = values
+    parsed = _parse(map(lines.__getitem__, picks.ravel().tolist()))
+    if not _well_formed(parsed, len(starts), n_total, n_nuclei):
+        raise _row_error(lines, starts, n_total, n_nuclei)
     if header_error is not None:
         raise header_error
-    data = data.reshape(len(starts), n_total, 6)
+    data = parsed["values"].reshape(len(starts), n_total, 6)
     return Configuration(
         nuclei_positions=data[:, :n_nuclei, :3],
         nuclei_momenta=data[:, :n_nuclei, 3:],

@@ -139,6 +139,13 @@ class TestUnits:
             assert residuals[key] <= 1e-14, key
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this molrest."""
+    src = str(Path(molrest.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_commands_need_numpy_only(tmp_path):
     # the runtime dependency is numpy: no command may load a test-only package
     script = f"""
@@ -153,10 +160,8 @@ codes = [main([cmd, "--input", data + "/water.json", *rest,
 loaded = sorted({{name.split(".")[0] for name in sys.modules}} & {{"scipy", "hypothesis", "pytest"}})
 print(json.dumps([codes, loaded]))
 """
-    src = str(Path(molrest.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
+                          env=_child_env(), check=True)
     codes, loaded = json.loads(done.stdout)
     assert codes == [0] * 6
     assert loaded == []
@@ -257,6 +262,74 @@ class TestInputErrors:
         bad.write_text("5\nframe 0\nX0 0 0 0 0 0 0\n")
         assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
         assert "line" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_names_the_flag(self, where, tmp_path):
+        out = tmp_path / "missing" / "report.json" if where == "missing directory" else tmp_path
+        done = subprocess.run([sys.executable, "-m", "molrest.cli", "validate", "--input", MOLECULE,
+                               "--output", str(out)],
+                              capture_output=True, text=True, env=_child_env())
+        assert done.returncode == 1
+        assert done.stderr.startswith("molrest: error: --output: ")
+        assert "Traceback" not in done.stderr
+
+
+def _replace_field(row, k, value):
+    parts = row.split()
+    parts[k] = value
+    return " ".join(parts)
+
+
+class TestTrajectoryGrammar:
+    """Particle rows are read by numpy's text parser: what it accepts and rejects."""
+
+    # 0-based line 11 is nucleus 2 of frame 1, reported as line 12
+    @pytest.mark.parametrize("row, message", [
+        (lambda r: _replace_field(r, 2, "1_0"), "non-numeric coordinate"),
+        (lambda r: _replace_field(r, 2, "\u0661"), "non-numeric coordinate"),  # Arabic-Indic 1
+        (lambda r: _replace_field(r, 3, "0x10"), "non-numeric coordinate"),
+        (lambda r: _replace_field(r, 4, "."), "non-numeric coordinate"),
+        (lambda r: _replace_field(r, 5, "1e"), "non-numeric coordinate"),
+        (lambda r: r + " 1.0", "expected 'species x y z px py pz' (7 fields)"),
+        (lambda r: r.rsplit(" ", 1)[0], "expected 'species x y z px py pz' (7 fields)"),
+        (lambda r: r + " # tail", "expected 'species x y z px py pz' (7 fields)"),
+        (lambda r: "", "expected 'species x y z px py pz' (7 fields)"),
+        (lambda r: " \t ", "expected 'species x y z px py pz' (7 fields)"),
+        (lambda r: _replace_field(r, 1, "nan"), "non-finite coordinate"),
+        (lambda r: _replace_field(r, 6, "inf"), "non-finite coordinate"),
+    ], ids=["underscore", "arabic-indic", "hex", "point", "bare-exponent", "8-fields",
+            "6-fields", "comment-tail", "blank", "whitespace", "nan", "inf"])
+    def test_rejected_rows_name_their_line(self, row, message, tmp_path, capsys):
+        lines = Path(TRAJECTORY).read_text().splitlines()
+        lines[11] = row(lines[11])
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert f"molrest: error: line 12: {message}" in err
+
+    def test_blank_row_inserted_in_a_frame_names_its_line(self, tmp_path, capsys):
+        lines = Path(TRAJECTORY).read_text().splitlines()
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines[:11] + [""] + lines[11:]) + "\n")
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
+        assert "line 12: expected 'species x y z px py pz' (7 fields)" in capsys.readouterr().err
+
+    def test_tabs_and_a_bare_sign_and_point_are_read(self, tmp_path):
+        from molrest.frames import load_trajectory
+        from molrest.molecule import load_molecule, prepare_equilibrium
+
+        mol = prepare_equilibrium(load_molecule(MOLECULE))
+        lines = Path(TRAJECTORY).read_text().splitlines()
+        lines[11] = "\t".join(_replace_field(lines[11], 1, "+1.").split())
+        path = tmp_path / "tabs.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        expected = load_trajectory(mol, TRAJECTORY).nuclei_positions.copy()
+        expected[1, 2, 0] = 1.0
+        assert np.array_equal(load_trajectory(mol, path).nuclei_positions, expected)
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(path),
+                      "--output", str(tmp_path / "report.json")) == 0
 
 
 class TestCheckFailures:
@@ -418,6 +491,17 @@ class TestReports:
         rows = dict(line.split(",", 1) for line in out.read_text().splitlines())
         assert rows["passed"] == "true"
         assert float(rows["residuals.translation"]) <= 1e-10
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["frame", "heisenberg"])
+    def test_output_file_matches_stdout(self, command, fmt, tmp_path, capsys):
+        args = [command, "--input", MOLECULE, "--trajectory", TRAJECTORY, "--format", fmt,
+                "--grid-line", "1024", "--grid-theta", "24", "--grid-dirs", "48"]
+        out = tmp_path / "report"
+        code = invoke(*args, "--output", str(out))
+        capsys.readouterr()
+        assert invoke(*args) == code
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_stdout_when_no_output_path(self, capsys):
         assert invoke("validate", "--input", MOLECULE) == 0

@@ -80,8 +80,11 @@ def synthetic(n_rows, one_leaf_per_column):
     """A table of every leaf kind; vector columns only when allowed."""
     rng = np.random.default_rng(n_rows)
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0 / 3.0, 1e-300, 2.5e17, 7.0])
+    x = floats[:n_rows] if n_rows < len(floats) else rng.normal(size=n_rows)
+    if n_rows > len(floats):  # finite blocks, and a last block that is not
+        x[-len(floats):] = floats
     columns = {
-        "x": floats[:n_rows] if n_rows < len(floats) else rng.normal(size=n_rows),
+        "x": x,
         "flag": np.array([None, True, False, None] * n_rows, dtype=object)[:n_rows],
         "passed": np.arange(n_rows) % 2 == 0,
         "label": np.array(["plain", "a,b", 'say "hi"', "100%s %d"] * n_rows)[:n_rows],
@@ -107,16 +110,33 @@ def report_with(key, table, n_rows):
     }
 
 
+BLOCK = cli._BLOCK_ROWS
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("n_rows", [1, 4])
+@pytest.mark.parametrize("n_rows", [1, 4, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 @pytest.mark.parametrize("key", ["frames", "rows"])
 def test_synthetic_tables_match_reference(key, n_rows, fmt):
     # a CSV rows table is one line per row, so there each column holds one leaf
     table = synthetic(n_rows, one_leaf_per_column=key == "rows" and fmt == "csv")
     report = report_with(key, table, n_rows)
     before = {k: v for k, v in report.items()}
-    assert cli._render(report, fmt) == reference_render(expand(report), fmt)
+    assert "".join(cli._render(report, fmt)) == reference_render(expand(report), fmt)
     assert report == before and report[key] is table
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("key", ["frames", "rows"])
+def test_tables_stream_one_block_per_piece(key, fmt):
+    def pieces(n_rows):
+        table = Table({"x": np.full(n_rows, 0.25), "passed": np.ones(n_rows, dtype=bool)})
+        return list(cli._render(report_with(key, table, n_rows), fmt))
+
+    streamed = pieces(10 * BLOCK)
+    # the text of the last block: the 9-block report differs only there
+    block = len("".join(streamed)) - len("".join(pieces(9 * BLOCK)))
+    assert 10 <= len(streamed) <= 15  # one piece a block, a few for the scalars
+    assert max(map(len, streamed)) <= block
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -126,4 +146,4 @@ def test_command_reports_match_reference(command, fmt, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda report, config: reports.append(report))
     cli.main([command, *ARGS, "--format", fmt])
     assert len(reports) == 1
-    assert cli._render(reports[0], fmt) == reference_render(expand(reports[0]), fmt)
+    assert "".join(cli._render(reports[0], fmt)) == reference_render(expand(reports[0]), fmt)
