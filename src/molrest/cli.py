@@ -12,19 +12,19 @@ machine-readable report:
   commutators  canonical commutator residual table
 
 Exit codes: 0 when every check passes its tolerance, 1 for input errors
-(bad flags, unreadable or malformed files, an unwritable --output), 2
-when a check fails.
+(bad flags, unreadable or malformed files, an unwritable --output or
+stdout), 2 when a check fails.
 Reports are deterministic: the same input and --seed produce
 byte-identical output (JSON keys sorted, shortest round-trip float
 formatting).
 """
 
 import argparse
-import csv
-import io
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 
 from dataclasses import dataclass, fields, replace
@@ -175,14 +175,22 @@ def _flatten(value, prefix=""):
 
 
 def _cell(value, fmt):
-    """One leaf as json.dumps writes it, or as the CSV writer is handed it."""
+    """One leaf as json.dumps writes it, or as its CSV field, quoted by ``_quote``."""
     if isinstance(value, float) and (fmt == "csv" or math.isfinite(value)):
         return repr(value)
     if value is None:
         return "null" if fmt == "json" else "indeterminate"
     if isinstance(value, bool):
         return "true" if value else "false"
-    return json.dumps(value) if fmt == "json" else str(value)
+    return json.dumps(value) if fmt == "json" else _quote(str(value))
+
+
+def _quote(text):
+    """A CSV field in double quotes, inner ones doubled, when it holds a
+    comma, a double quote, a ``\n`` or a ``\r``; otherwise as it is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _column_text(block, fmt):
@@ -243,34 +251,25 @@ def _json_pieces(scalars, tables):
 
 
 def _csv_pieces(scalars, tables):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-
-    def text(lines):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerows(lines)
-        return buf.getvalue()
-
     if "rows" in tables:  # a header of column names, then one line per row
-        yield text([sorted(tables["rows"])])
+        yield ",".join(map(_quote, sorted(tables["rows"]))) + "\n"
         for _, _, leaves in _blocks(tables["rows"], "csv"):
-            yield text(zip(*leaves))
+            yield "\n".join(map(",".join, zip(*leaves))) + "\n"
         del scalars["rows"]
     lines = []
     for key, value in _flatten(scalars):
         if key not in tables:
-            lines.append((key, _cell(value, "csv")))
+            lines.append(f"{_quote(key)},{_cell(value, 'csv')}\n")
             continue
-        yield text(lines)
+        yield "".join(lines)
         lines = []
-        paths = [path for path, _ in _flatten(_probe(tables[key]))]
+        # a leaf's key is "<key>.<t>.<path>": quoted once per path, the digits of t set in
+        keys = [_quote(f"{key}.{_SLOT}.{path}").partition(_SLOT)
+                for path, _ in _flatten(_probe(tables[key]))]
         for lo, n, leaves in _blocks(tables[key], "csv"):
-            keys = []
-            for t in range(lo, lo + n):
-                keys += map(f"{key}.{t}.".__add__, paths)
-            yield text(zip(keys, _cells(leaves)))
-    yield text(lines)
+            row_keys = [f"{head}{t}{tail}," for t in range(lo, lo + n) for head, _, tail in keys]
+            yield "\n".join(map(str.__add__, row_keys, _cells(leaves))) + "\n"
+    yield "".join(lines)
 
 
 def _render(report, fmt):
@@ -293,17 +292,25 @@ def _render(report, fmt):
 def _emit(report, config):
     """Write each piece of the report as it is made, to --output or stdout.
 
-    Raises ``OutputError`` when the --output file cannot be opened or written.
+    Raises ``OutputError`` naming the target when it cannot be opened or
+    written.  A stdout that fails is pointed at the null device, so the
+    text left in its buffer is not written again at exit.
     """
-    pieces = _render(report, config.format)
-    if not config.output_path:
-        sys.stdout.writelines(pieces)
-        return
+    target = "--output" if config.output_path else "stdout"
+    if not config.output_path and sys.stdout is None:  # started with stdout closed
+        raise OutputError("stdout: closed")
     try:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        with (open(config.output_path, "w", encoding="utf-8") if config.output_path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.writelines(_render(report, config.format))
+            fh.flush()
     except OSError as exc:
-        raise OutputError(f"--output: {exc}") from None
+        if not config.output_path:
+            with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        raise OutputError(f"{target}: {exc}") from None
 
 
 # --- commands --------------------------------------------------------------
@@ -351,12 +358,10 @@ def _roundtrip_error(cfg, rebuilt):
     return worst
 
 
-def _frame_table(config, mol, basis):
-    """Per-frame report table of the frame command.
-
-    The (T, N, 3) stacks stay local, so they are freed before the table
-    is rendered.
-    """
+def _cmd_frame(config, mol, rng):
+    if not config.trajectory_path:
+        raise SchemaError("the frame command needs --trajectory")
+    basis = build_modes(mol, rng=rng)
     traj = load_trajectory(mol, config.trajectory_path)
     state = analyze(mol, basis, traj)
     frame = state.frame
@@ -364,7 +369,7 @@ def _frame_table(config, mol, basis):
     rel_residual = frame.relative_residual
     passed = ((rel_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
               & ~frame.degenerate)
-    return Table({
+    frames = Table({
         "index": np.arange(len(rt)),
         "orientation": frame.orientation,
         "residual": frame.residual,
@@ -381,18 +386,12 @@ def _frame_table(config, mol, basis):
         "roundtrip_error": rt,
         "passed": passed,
     })
-
-
-def _cmd_frame(config, mol, rng):
-    if not config.trajectory_path:
-        raise SchemaError("the frame command needs --trajectory")
-    frames = _frame_table(config, mol, build_modes(mol, rng=rng))
     return {
         "command": "frame",
-        "n_frames": len(frames["index"]),
+        "n_frames": len(rt),
         "frames": frames,
         "tolerance": {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP},
-        "passed": bool(frames["passed"].all()),
+        "passed": bool(passed.all()),
     }
 
 

@@ -44,7 +44,8 @@ __all__ = [
 BLOCKS = ("nuclei_positions", "nuclei_momenta", "electron_positions", "electron_momenta")
 
 # A particle row: ``species x y z px py pz``.  Two characters of the label
-# tell the electron label "e" apart from every other.
+# tell the electron label "e" apart from every other, once ``load_trajectory``
+# has turned each NUL into ``\x01`` (numpy's ``U2`` drops trailing NULs).
 _ROW_DTYPE = np.dtype([("species", "U2"), ("values", float, 6)])
 
 
@@ -463,7 +464,8 @@ def load_trajectory(mol, path):
     malformed content.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        # "e\0" and "e\0X" would read as "e"; "\x01" is no whitespace and no digit
+        lines = fh.read().replace("\0", "\x01").splitlines()
 
     n_nuclei = mol.n_nuclei
     n_total = n_nuclei + mol.electron_count

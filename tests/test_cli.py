@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, determinism, report formats."""
 
+import io
 import json
 import os
 import subprocess
@@ -273,6 +274,33 @@ class TestInputErrors:
         assert done.returncode == 1
         assert done.stderr.startswith("molrest: error: --output: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("how", ["pipe", "closed"])
+    def test_closed_stdout_names_it(self, how):
+        # a pipe whose read end is closed, as under `| head -1` once head
+        # has exited, so every write fails; or no stdout at all, as `>&-`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "molrest.cli", "frame", "--input", MOLECULE,
+                                   "--trajectory", TRAJECTORY, "--format", "csv"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=_child_env(),
+                                  preexec_fn=(lambda: os.close(1)) if how == "closed" else None)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr.startswith("molrest: error: stdout: ")
+        assert done.stderr.count("\n") == 1  # no traceback, no "Exception ignored" at exit
+
+    def test_stdout_without_descriptor_names_it(self, monkeypatch, capsys):
+        class Failing(io.StringIO):  # no fileno(), and every write fails
+            def write(self, text):
+                raise OSError("no room")
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        assert main(["frame", "--input", MOLECULE, "--trajectory", TRAJECTORY]) == 1
+        assert capsys.readouterr().err == "molrest: error: stdout: no room\n"
 
 
 def _replace_field(row, k, value):

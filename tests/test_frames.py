@@ -458,3 +458,19 @@ def test_trajectory_non_finite_coordinate_names_its_line(tmp_path, penta, token)
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(SchemaError, match=r"^line 31: non-finite coordinate"):
         load_trajectory(penta, path)
+
+
+@pytest.mark.parametrize("label", ["e\0", "e\0X"])
+def test_trajectory_nul_label_is_no_electron(tmp_path, penta, label):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "traj.xyz"
+    write_trajectory(penta, path, [random_config(penta, rng) for _ in range(4)])
+    rows = path.read_text().splitlines()
+    # frame f starts at row 11 f; its particle j is row 11 f + 2 + j, line 11 f + 3 + j
+    rows[13] = label + " " + rows[13].split(" ", 1)[1]  # frame 1, nucleus j=0: accepted
+    path.write_text("\n".join(rows) + "\n")
+    assert load_trajectory(penta, path).nuclei_positions.shape == (4, 5, 3)
+    rows[29] = label + " " + rows[29].split(" ", 1)[1]  # frame 2, electron j=5
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=r"^line 30: expected electron row"):
+        load_trajectory(penta, path)

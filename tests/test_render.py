@@ -87,9 +87,12 @@ def synthetic(n_rows, one_leaf_per_column):
         "x": x,
         "flag": np.array([None, True, False, None] * n_rows, dtype=object)[:n_rows],
         "passed": np.arange(n_rows) % 2 == 0,
-        "label": np.array(["plain", "a,b", 'say "hi"', "100%s %d"] * n_rows)[:n_rows],
+        # texts the CSV writer quotes; a lone "\r" is in test_csv_quotes_a_lone_carriage_return
+        "label": np.array(["plain", "a,b", 'say "hi"', "two\nlines", '"', '""',
+                           "100%s %d"] * n_rows)[:n_rows],
         "count": np.arange(n_rows) * 10**12 - 3,
         "share %d": np.linspace(0.0, 1.0, n_rows),  # a name that is no template slot
+        'ratio, "a/b"': np.linspace(-1.0, 1.0, n_rows),  # a name the CSV writer quotes
     }
     if not one_leaf_per_column:
         columns["electrons"] = np.zeros((n_rows, 0, 3))
@@ -104,7 +107,7 @@ def report_with(key, table, n_rows):
         "command": "synthetic",
         "n_rows": n_rows,
         key: table,
-        "tolerance": {"eckart": 1e-10, "bound": float("inf"), "missing": None},
+        "tolerance": {"eckart": 1e-10, "bound": float("inf"), "missing": None, 'odd, "key"': 2},
         "labels": ["x", "y,z"],
         "passed": False,
     }
@@ -123,6 +126,15 @@ def test_synthetic_tables_match_reference(key, n_rows, fmt):
     before = {k: v for k, v in report.items()}
     assert "".join(cli._render(report, fmt)) == reference_render(expand(report), fmt)
     assert report == before and report[key] is table
+
+
+def test_csv_quotes_a_lone_carriage_return():
+    # csv.writer leaves it bare on Python 3.11 and quotes it on later
+    # versions, so the expected text is written out here
+    table = Table({"label": np.array(["\r", "a\rb", "plain"])})
+    report = {"command": "synthetic", "rows": table, "note": "\r", "passed": True}
+    assert "".join(cli._render(report, "csv")) == (
+        'label\n"\r"\n"a\rb"\nplain\ncommand,synthetic\nnote,"\r"\npassed,true\n')
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

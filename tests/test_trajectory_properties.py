@@ -43,8 +43,7 @@ def reference_float(token):
 
 
 def is_electron(label):
-    # numpy keeps two characters of a label and drops trailing NULs
-    return label[:2].rstrip("\0") == "e"
+    return label == "e"
 
 
 def reference(lines):
