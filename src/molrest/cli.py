@@ -28,6 +28,7 @@ import os
 import sys
 
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -203,6 +204,8 @@ def _column_text(block, fmt):
         return list(map(("false", "true").__getitem__, values))
     if kind in "iu":
         return list(map(str, values))
+    if kind == "U":  # the C encoder json.dumps calls, and the one CSV quoting rule
+        return list(map(encode_basestring_ascii if fmt == "json" else _quote, values))
     return [_cell(v, fmt) for v in values]
 
 
@@ -432,12 +435,12 @@ def _cmd_heisenberg(config, mol, rng):
     ball = So3Grid.make(config.grid_theta, config.grid_dirs)
     basis = build_modes(mol, rng=rng)
 
-    rows = []
-    vib = [random_line_state(line, rng, hbar=hbar) for _ in range(basis.n_modes)]
-    rows += heisenberg_suite(vib, "vibrational", hbar=hbar, tolerance=tol)
+    # generators: the suite draws each line state as it needs it, in this order
+    vib = (random_line_state(line, rng, hbar=hbar) for _ in range(basis.n_modes))
+    rows = heisenberg_suite(vib, "vibrational", hbar=hbar, tolerance=tol)
     if mol.electron_count:
-        elec = [[random_line_state(line, rng, hbar=hbar) for _ in range(3)]
-                for _ in range(mol.electron_count)]
+        elec = ((random_line_state(line, rng, hbar=hbar) for _ in range(3))
+                for _ in range(mol.electron_count))
         rows += heisenberg_suite(elec, "electronic", hbar=hbar, tolerance=tol)
     rot = [so3_gaussian_state(ball, sigma=0.1)]
     rot += [random_so3_state(ball, rng) for _ in range(2)]

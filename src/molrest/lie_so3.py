@@ -335,10 +335,17 @@ def quaternion_to_matrix(q):
     ).reshape(q.shape[:-1] + (3, 3))
 
 
-def geodesic_distance(omegas, center):
-    """Rotation angle between R(omega) and R(center), vectorized."""
+def geodesic_distance(omegas, centers):
+    """Rotation angle between R(omega) and R(center), vectorized.
+
+    ``centers`` is one rotation vector (3,), which gives distances of
+    shape (...) for omegas (..., 3), or a stack (C, 3), which gives
+    (C, ...) distances from one quaternion conversion of the omegas.
+    """
     # the parts, not the packed (..., 4) array: strided access slowed the grid profiles
     w1, v1 = _quaternion_parts(omegas)
-    w2, v2 = _quaternion_parts(center)
+    w2, v2 = _quaternion_parts(centers)
+    w2 = w2.reshape(w2.shape + (1,) * w1.ndim)
+    v2 = v2.reshape(w2.shape + (3,))
     dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))

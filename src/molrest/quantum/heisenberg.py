@@ -124,24 +124,39 @@ def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary
     return rows
 
 
-def _line_states(psi_set, kind):
-    """Flattened LineGrid states of a vibrational or electronic set, with their labels."""
-    if kind == "vibrational":
-        states = list(psi_set)
-        labels = [(f"P_{i}", f"Q^{i}") for i in range(1, len(states) + 1)]
-    else:
-        groups = [list(g) for g in psi_set]
-        if any(len(g) != 3 for g in groups):
-            raise GridError("electronic states come as one triple per electron")
-        states = [s for g in groups for s in g]
-        labels = [(f"p_({nu})_{j}", f"q_({nu})^{j}")
-                  for nu in range(1, len(groups) + 1) for j in (1, 2, 3)]
-    if not states:
-        raise GridError("empty state set")
-    for s in states:
+def _line_dispersions(psi_set, kind, hbar):
+    """Labels and (momentum, position) dispersions of a vibrational or electronic set.
+
+    States are taken one at a time and only their two dispersions are
+    kept, so a state is released before the next one is asked for.  They
+    go through ``map``, which drops each one when its call returns; a
+    for loop's variable would hold it while the next is drawn.
+    """
+
+    def pair(s):
         if not isinstance(s, GridWavefunction) or not isinstance(s.grid, LineGrid):
             raise GridError(f"{kind} checks need LineGrid states")
-    return states, [a for a, _ in labels], [b for _, b in labels]
+        return (dispersion(s, momentum_op(s, hbar=hbar, order=STENCIL_ORDER)),
+                dispersion(s, position_op(s)))
+
+    def electron(group):
+        triple = list(map(pair, group))
+        if len(triple) != 3:
+            raise GridError("electronic states come as one triple per electron")
+        return triple
+
+    if kind == "vibrational":
+        pairs = list(map(pair, psi_set))
+        labels = [(f"P_{i}", f"Q^{i}") for i in range(1, len(pairs) + 1)]
+    else:
+        pairs = [p for triple in map(electron, psi_set) for p in triple]
+        labels = [(f"p_({nu})_{j}", f"q_({nu})^{j}")
+                  for nu in range(1, len(pairs) // 3 + 1) for j in (1, 2, 3)]
+    if not pairs:
+        raise GridError("empty state set")
+    la, lb = zip(*labels)
+    d_p, d_q = zip(*pairs)
+    return la, d_p, lb, d_q
 
 
 def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False):
@@ -149,9 +164,13 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
 
     psi_set layout per kind:
       vibrational: one LineGrid state per mode;
-      electronic:  one sequence of three LineGrid states per electron
+      electronic:  one iterable of three LineGrid states per electron
                    (Cartesian components of a product state);
       rotational:  So3Grid states.
+    psi_set (and each electron's triple) may be any iterable, a
+    generator included.  Line states are used one at a time: each one's
+    dispersions are taken as it arrives and it is released before the
+    next is drawn, so a generator keeps one line state alive at once.
     tolerance defaults to the quadrature allowance 1e-6 * hbar.
     fixed_frame swaps the chart operator n_(j)(omega).L for the body
     component L_j referenced at the identity orientation.
@@ -163,10 +182,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
     half = 0.5 * hbar
 
     if kind in ("vibrational", "electronic"):
-        states, la, lb = _line_states(psi_set, kind)
-        d_p = [dispersion(s, momentum_op(s, hbar=hbar, order=STENCIL_ORDER)) for s in states]
-        d_q = [dispersion(s, position_op(s)) for s in states]
-        return _pair_rows(la, d_p, lb, d_q, half, tolerance)
+        return _pair_rows(*_line_dispersions(psi_set, kind, hbar), half, tolerance)
 
     if kind == "rotational":
         states = list(psi_set)

@@ -31,13 +31,22 @@ __all__ = [
 SO3_MAX_SIGMA = 0.35
 
 
+def _leading(values, ndim):
+    """Per-term values (T,) shaped (T, 1, ..., 1) to broadcast over ndim point axes."""
+    return values.reshape(values.shape + (1,) * ndim)
+
+
 def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
     """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2 + i k_i x) over the terms."""
 
     def profile(x, c=centers, s=sigmas, k=wavenumbers, a=amps):
-        x = np.asarray(x, dtype=float)[..., None]
-        parts = a * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)
-        return parts.sum(axis=-1)
+        x = np.asarray(x, dtype=float)
+        c, s, k, a = (_leading(v, x.ndim) for v in (c, s, k, a))
+        z = np.empty(c.shape[:1] + x.shape, dtype=complex)  # the exponent, then its exp
+        np.divide(-((x - c) ** 2), 4.0 * s * s, out=z.real)
+        np.multiply(k, x, out=z.imag)
+        # out of place: an in-place z *= a rounds differently
+        return (a * np.exp(z, out=z)).sum(axis=0)
 
     return GridWavefunction.from_profile(grid, profile)
 
@@ -47,11 +56,13 @@ def _so3_mixture(grid, centers, sigmas, waves, amps):
 
     def profile(pts, c=centers, s=sigmas, w=waves, a=amps):
         pts = np.asarray(pts, dtype=float)
-        total = np.zeros(pts.shape[:-1], dtype=complex)
-        for ci, si, wi, ai in zip(c, s, w, a):
-            d = geodesic_distance(pts, ci)
-            total = total + ai * np.exp(-(d * d) / (4.0 * si * si) + 1j * (pts @ wi))
-        return total
+        d = geodesic_distance(pts, c)
+        s, a = (_leading(v, d.ndim - 1) for v in (s, a))
+        z = np.empty(d.shape, dtype=complex)  # the exponent, then its exp
+        np.divide(-(d * d), 4.0 * s * s, out=z.real)
+        for z_term, w_term in zip(z, w):
+            z_term.imag = pts @ w_term
+        return (a * np.exp(z, out=z)).sum(axis=0)
 
     return GridWavefunction.from_profile(grid, profile)
 
@@ -92,8 +103,8 @@ def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    return _so3_mixture(grid, [np.asarray(center, dtype=float)], [float(sigma)],
-                        [np.asarray(wave, dtype=float)], [1.0])
+    return _so3_mixture(grid, np.asarray(center, dtype=float)[None], np.array([float(sigma)]),
+                        np.asarray(wave, dtype=float)[None], np.ones(1))
 
 
 def random_line_state(grid, rng, hbar=1.0):

@@ -18,7 +18,8 @@ Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
 a scale built from lab-frame positions and now divides by the
 translation-free scale of the Eckart solve; it is only required to stay
-below the Eckart tolerance.
+below the Eckart tolerance.  The heisenberg report is also pinned byte
+for byte.
 """
 
 import csv
@@ -96,6 +97,12 @@ def test_frame_json_matches_reference(tmp_path):
 ], ids=["commutators", "heisenberg"])
 def test_quantum_json_matches_reference(tmp_path, command, args, reference):
     _compare_json(_run(tmp_path, command, "json", args), reference)
+
+
+def test_heisenberg_json_is_byte_identical_to_reference(tmp_path):
+    _run(tmp_path, "heisenberg", "json", [*MOLECULE, "--seed", "3"])
+    reference = (DATA / "water_heisenberg_report.json").read_bytes()
+    assert (tmp_path / "heisenberg.json").read_bytes() == reference
 
 
 def test_decompose_csv_matches_reference(tmp_path):

@@ -9,6 +9,7 @@ physics.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +202,68 @@ class TestElectronicSuite:
     def test_malformed_group_rejected(self, line):
         with pytest.raises(GridError):
             heisenberg_suite([[gaussian_line_state(line)] * 2], "electronic")
+
+
+def drawn(line, rng, n, refs, released):
+    """n seeded random line states, made one per request.
+
+    Before each draw it appends to ``released`` whether every state it
+    made so far (``refs`` may be shared between generators) is gone.
+    """
+    for _ in range(n):
+        released.append(all(ref() is None for ref in refs))
+        psi = random_line_state(line, rng)
+        refs.append(weakref.ref(psi))
+        yield psi
+        del psi
+
+
+def streamed(line, kind, seed, n_states, released):
+    """The states of ``listed(line, kind, seed, n_states)``, drawn as they are asked for."""
+    rng, refs = np.random.default_rng(seed), []
+    if kind == "vibrational":
+        return drawn(line, rng, n_states, refs, released)
+    return (drawn(line, rng, 3, refs, released) for _ in range(n_states // 3))
+
+
+def listed(line, kind, seed, n_states):
+    states = list(drawn(line, np.random.default_rng(seed), n_states, [], []))
+    if kind == "vibrational":
+        return states
+    return [states[i:i + 3] for i in range(0, n_states, 3)]
+
+
+class TestStreamedLineStates:
+    @pytest.mark.parametrize("kind", ["vibrational", "electronic"])
+    def test_generator_gives_the_rows_of_a_list(self, line, kind):
+        rows = heisenberg_suite(streamed(line, kind, 21, 6, []), kind)
+        assert len(rows) == 36
+        assert rows == heisenberg_suite(listed(line, kind, 21, 6), kind)
+
+    @pytest.mark.parametrize("kind", ["vibrational", "electronic"])
+    def test_each_state_is_released_before_the_next_draw(self, line, kind):
+        released = []
+        heisenberg_suite(streamed(line, kind, 22, 9, released), kind)
+        assert released == [True] * 9
+
+    def test_empty_generator_rejected(self, line):
+        for kind in ("vibrational", "electronic"):
+            with pytest.raises(GridError, match="empty state set"):
+                heisenberg_suite(iter(()), kind)
+
+    @pytest.mark.parametrize("size", [0, 2, 4])
+    def test_generated_group_that_is_no_triple_rejected(self, line, size):
+        groups = (iter([gaussian_line_state(line)] * n) for n in (3, size))
+        with pytest.raises(GridError, match="one triple per electron"):
+            heisenberg_suite(groups, "electronic")
+
+    def test_generated_state_off_the_line_rejected(self, line, ball):
+        wrong = so3_gaussian_state(ball, sigma=0.3)
+        with pytest.raises(GridError, match="vibrational checks need LineGrid states"):
+            heisenberg_suite(iter([gaussian_line_state(line), wrong]), "vibrational")
+        group = iter([gaussian_line_state(line), wrong, gaussian_line_state(line)])
+        with pytest.raises(GridError, match="electronic checks need LineGrid states"):
+            heisenberg_suite(iter([group]), "electronic")
 
 
 class TestRotationalSuite:

@@ -14,6 +14,8 @@ from molrest.quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
+from molrest.quantum.grids import GridWavefunction
+from molrest.quantum.states import _line_mixture, _so3_mixture
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,77 @@ class TestGeodesicDistance:
         just_in = axis * (np.pi - 1e-4)
         wrapped = axis * -(np.pi - 1e-4)
         assert geodesic_distance(just_in[None], wrapped)[0] <= 1e-3
+
+    def test_center_stack_equals_one_call_per_center(self, ball):
+        rng = np.random.default_rng(12)
+        centers = rng.normal(size=(4, 3)) * rng.uniform(0.0, 3.0, size=(4, 1))
+        centers[1] = 0.0
+        for pts in (ball.nodes, rng.normal(size=(2, 5, 3)), centers[2]):
+            stacked = geodesic_distance(pts, centers)
+            assert stacked.shape == (4,) + np.shape(pts)[:-1]
+            for row, center in zip(stacked, centers):
+                assert_bitwise_equal(row, geodesic_distance(pts, center))
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.reshape(-1).view(np.int64), b.reshape(-1).view(np.int64))
+
+
+def broadcast_line_profile(c, s, k, a):
+    """The line mixture as one broadcast expression, terms on the last axis."""
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return (a * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)).sum(axis=-1)
+
+    return profile
+
+
+def summed_so3_profile(c, s, w, a):
+    """The orientation mixture as a running sum, one geodesic distance per term."""
+
+    def profile(pts):
+        pts = np.asarray(pts, dtype=float)
+        total = np.zeros(pts.shape[:-1], dtype=complex)
+        for ci, si, wi, ai in zip(c, s, w, a):
+            d = geodesic_distance(pts, ci)
+            total = total + ai * np.exp(-(d * d) / (4.0 * si * si) + 1j * (pts @ wi))
+        return total
+
+    return profile
+
+
+class TestMixtureProfiles:
+    """The in-place mixtures give the bits of the plain formulas they replaced."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    def test_line_mixture_is_bitwise_the_broadcast_formula(self, line, n_terms):
+        rng = np.random.default_rng(40 + n_terms)
+        c = rng.uniform(-1.5, 1.5, n_terms)
+        s = rng.uniform(0.4, 0.9, n_terms)
+        k = rng.uniform(-3.0, 3.0, n_terms)
+        a = rng.uniform(0.5, 1.0, n_terms) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_terms))
+        new = _line_mixture(line, c, s, k, a)
+        old = GridWavefunction.from_profile(line, broadcast_line_profile(c, s, k, a))
+        assert_bitwise_equal(new.amplitudes, old.amplitudes)
+        for x in (rng.uniform(-10.0, 10.0, 17), rng.uniform(-3.0, 3.0, (2, 3)), 0.25):
+            assert_bitwise_equal(new.profile(x), old.profile(x))
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    def test_so3_mixture_is_bitwise_the_summed_formula(self, ball, n_terms):
+        rng = np.random.default_rng(50 + n_terms)
+        c = rng.normal(size=(n_terms, 3)) * 0.3
+        s = rng.uniform(0.2, 0.45, n_terms)
+        w = rng.uniform(-1.0, 1.0, (n_terms, 3))
+        a = rng.uniform(0.5, 1.0, n_terms) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_terms))
+        new = _so3_mixture(ball, c, s, w, a)
+        old = GridWavefunction.from_profile(ball, summed_so3_profile(c, s, w, a))
+        assert_bitwise_equal(new.amplitudes, old.amplitudes)
+        stencil = ball.nodes + np.array([0.0, 5e-3, 0.0])
+        for pts in (stencil, rng.normal(size=(2, 4, 3))):
+            assert_bitwise_equal(new.profile(pts), old.profile(pts))
 
 
 class TestSo3States:

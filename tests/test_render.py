@@ -87,9 +87,10 @@ def synthetic(n_rows, one_leaf_per_column):
         "x": x,
         "flag": np.array([None, True, False, None] * n_rows, dtype=object)[:n_rows],
         "passed": np.arange(n_rows) % 2 == 0,
-        # texts the CSV writer quotes; a lone "\r" is in test_csv_quotes_a_lone_carriage_return
+        # texts the CSV writer quotes, and one JSON escapes; a lone "\r" is
+        # in test_csv_quotes_a_lone_carriage_return
         "label": np.array(["plain", "a,b", 'say "hi"', "two\nlines", '"', '""',
-                           "100%s %d"] * n_rows)[:n_rows],
+                           "100%s %d", "é "] * n_rows)[:n_rows],
         "count": np.arange(n_rows) * 10**12 - 3,
         "share %d": np.linspace(0.0, 1.0, n_rows),  # a name that is no template slot
         'ratio, "a/b"': np.linspace(-1.0, 1.0, n_rows),  # a name the CSV writer quotes
