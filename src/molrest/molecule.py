@@ -254,7 +254,7 @@ def load_molecule(path):
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested deeper than the stack
             raise SchemaError(f"invalid JSON: {exc}") from exc
 
     _require_keys(

@@ -1,7 +1,7 @@
 """Grid wavefunctions, operators, and uncertainty checks."""
 
 from .grids import GridWavefunction, LineGrid, So3Grid, wrap_to_ball
-from .heisenberg import DispersionReport, dispersion, heisenberg_suite
+from .heisenberg import dispersion, heisenberg_suite
 from .operators import (
     BOUNDARY_MASS_TOL,
     angmom_op,
@@ -26,7 +26,6 @@ from .states import (
 
 __all__ = [
     "BOUNDARY_MASS_TOL",
-    "DispersionReport",
     "GridWavefunction",
     "LineGrid",
     "So3Grid",

@@ -19,15 +19,16 @@ position_op per state, and the rotational branch makes one call of
 stencil sweep yields all three components (12 profile evaluations per
 state at order 4).
 
-Rotational dispersions are only meaningful for states concentrated away
-from the chart seam: when the boundary mass of a state reaches 1e-8 the
-report's satisfied field is None (indeterminate) rather than a verdict.
+``heisenberg_suite`` returns one numpy record array with a record per
+pair, built column by column.  Rotational dispersions are only
+meaningful for states concentrated away from the chart seam: when the
+boundary mass of a state reaches 1e-8 its records' satisfied field is
+None (indeterminate) rather than a verdict.
 Angular-momentum dispersions use the Haar-symmetrized derivative so the
 operator is hermitian under the weighted quadrature.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,31 +42,12 @@ from .operators import (
     position_op,
 )
 
-__all__ = ["DispersionReport", "dispersion", "heisenberg_suite"]
+__all__ = ["dispersion", "heisenberg_suite"]
 
 # every dispersion differentiates with the 4th-order stencil, and the
 # orientation derivatives step 5e-3 along each chart direction
 STENCIL_ORDER = 4
 ORIENTATION_STEP = 5e-3
-
-
-@dataclass(frozen=True)
-class DispersionReport:
-    """One uncertainty-product row: Delta_a * Delta_b vs its lower bound.
-
-    satisfied is True/False against bound - product <= tolerance, or
-    None when the state's boundary mass makes the orientation
-    dispersion indeterminate.
-    """
-
-    observable_a: str
-    observable_b: str
-    delta_a: float
-    delta_b: float
-    product: float
-    bound: float
-    satisfied: object
-    boundary_mass: float = 0.0
 
 
 def dispersion(psi, a_psi):
@@ -99,29 +81,21 @@ def dispersion(psi, a_psi):
 
 
 def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary_mass=0.0):
-    """One row per (a, b) pair; the bound is ``half`` on the diagonal and 0 off it.
+    """One record per (a, b) pair, a-major; the bound is ``half`` on the diagonal and 0 off it.
 
     A state whose boundary mass reaches BOUNDARY_MASS_TOL gets no verdict.
     """
-    gated = boundary_mass >= BOUNDARY_MASS_TOL
-    rows = []
-    for ia, (la, da) in enumerate(zip(labels_a, deltas_a)):
-        for ib, (lb, db) in enumerate(zip(labels_b, deltas_b)):
-            bound = half if ia == ib else 0.0
-            product = da * db
-            rows.append(
-                DispersionReport(
-                    observable_a=la,
-                    observable_b=lb,
-                    delta_a=float(da),
-                    delta_b=float(db),
-                    product=float(product),
-                    bound=float(bound),
-                    satisfied=None if gated else bool(bound - product <= tolerance),
-                    boundary_mass=float(boundary_mass),
-                )
-            )
-    return rows
+    n = len(deltas_a)
+    delta_a, delta_b = np.repeat(deltas_a, n), np.tile(deltas_b, n)
+    product = delta_a * delta_b
+    bound = np.where(np.eye(n, dtype=bool).ravel(), half, 0.0)
+    satisfied = (bound - product <= tolerance).astype(object)  # Python bools
+    if boundary_mass >= BOUNDARY_MASS_TOL:
+        satisfied[:] = None
+    return np.rec.fromarrays(
+        [np.repeat(labels_a, n), np.tile(labels_b, n), delta_a, delta_b, product, bound,
+         satisfied, np.full(n * n, float(boundary_mass))],
+        names="observable_a,observable_b,delta_a,delta_b,product,bound,satisfied,boundary_mass")
 
 
 def _line_dispersions(psi_set, kind, hbar):
@@ -160,7 +134,15 @@ def _line_dispersions(psi_set, kind, hbar):
 
 
 def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False):
-    """Uncertainty reports for every conjugate pair of a state family.
+    """Uncertainty-product records for every conjugate pair of a state family.
+
+    Returns an ``np.recarray`` with one record per (a, b) pair, a-major,
+    and the fields observable_a, observable_b (str), delta_a, delta_b,
+    product = delta_a * delta_b, bound (hbar/2 for a conjugate pair, 0
+    otherwise), satisfied and boundary_mass (float; 0 for line states).
+    satisfied is a Python bool, ``bound - product <= tolerance``, or None
+    when the state's boundary mass reaches BOUNDARY_MASS_TOL and makes
+    the orientation dispersion indeterminate.
 
     psi_set layout per kind:
       vibrational: one LineGrid state per mode;
@@ -171,14 +153,17 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
     generator included.  Line states are used one at a time: each one's
     dispersions are taken as it arrives and it is released before the
     next is drawn, so a generator keeps one line state alive at once.
-    tolerance defaults to the quadrature allowance 1e-6 * hbar.
+    hbar and tolerance must be positive and finite; tolerance defaults
+    to the quadrature allowance 1e-6 * hbar.
     fixed_frame swaps the chart operator n_(j)(omega).L for the body
     component L_j referenced at the identity orientation.
     """
+    if not hbar > 0.0 or not math.isfinite(hbar):
+        raise GridError(f"hbar must be positive and finite, got {hbar!r}")
     if tolerance is None:
         tolerance = 1e-6 * hbar
-    if tolerance <= 0.0:
-        raise GridError("tolerance must be positive")
+    if not tolerance > 0.0 or not math.isfinite(tolerance):
+        raise GridError(f"tolerance must be positive and finite, got {tolerance!r}")
     half = 0.5 * hbar
 
     if kind in ("vibrational", "electronic"):
@@ -192,7 +177,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
             if not isinstance(s, GridWavefunction) or not isinstance(s.grid, So3Grid):
                 raise GridError("rotational checks need So3Grid states")
         l_op = body_angmom_op if fixed_frame else angmom_op
-        rows = []
+        per_state = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
             l_psi = l_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
@@ -201,7 +186,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
             d_w = [dispersion(s, position_op(s, component=k)) for k in range(3)]
             la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]
             lb = [f"omega^{k + 1}" + tag for k in range(3)]
-            rows.extend(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))
-        return rows
+            per_state.append(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))
+        return np.concatenate(per_state).view(np.recarray)
 
     raise GridError(f"unknown suite kind {kind!r}")

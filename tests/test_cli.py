@@ -210,6 +210,15 @@ class TestInputErrors:
         bad.write_text("{not json")
         assert invoke("validate", "--input", str(bad)) == 1
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.load recurses once per level: past the stack it is bad input, not a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        assert invoke("validate", "--input", str(deep)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("molrest: error: invalid JSON")
+        assert err.count("\n") == 1
+
     def test_missing_mass_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -14,12 +14,17 @@ the single stencil sweep and the shared chart coefficients:
     molrest commutators --input tests/data/water.json --format json
     molrest heisenberg --input tests/data/water.json --seed 3 --format json
 
+The heisenberg CSV report, pinned byte for byte, was generated by the
+implementation that built one row object per pair:
+
+    molrest heisenberg --input tests/data/water.json --seed 3 --format csv
+
 Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
 a scale built from lab-frame positions and now divides by the
 translation-free scale of the Eckart solve; it is only required to stay
-below the Eckart tolerance.  The heisenberg report is also pinned byte
-for byte.
+below the Eckart tolerance.  The heisenberg JSON report is also pinned
+byte for byte.
 """
 
 import csv
@@ -103,6 +108,12 @@ def test_heisenberg_json_is_byte_identical_to_reference(tmp_path):
     _run(tmp_path, "heisenberg", "json", [*MOLECULE, "--seed", "3"])
     reference = (DATA / "water_heisenberg_report.json").read_bytes()
     assert (tmp_path / "heisenberg.json").read_bytes() == reference
+
+
+def test_heisenberg_csv_is_byte_identical_to_reference(tmp_path):
+    _run(tmp_path, "heisenberg", "csv", [*MOLECULE, "--seed", "3"])
+    reference = (DATA / "water_heisenberg_report.csv").read_bytes()
+    assert (tmp_path / "heisenberg.csv").read_bytes() == reference
 
 
 def test_decompose_csv_matches_reference(tmp_path):

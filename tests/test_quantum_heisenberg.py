@@ -8,7 +8,6 @@ tolerance so the false verdict path is covered without weakening any
 physics.
 """
 
-import dataclasses
 import weakref
 
 import numpy as np
@@ -16,10 +15,12 @@ import pytest
 
 from molrest.errors import GridError
 from molrest.quantum import (
-    DispersionReport,
+    BOUNDARY_MASS_TOL,
     GridWavefunction,
     LineGrid,
     So3Grid,
+    angmom_op,
+    body_angmom_op,
     dispersion,
     gaussian_line_state,
     heisenberg_suite,
@@ -238,7 +239,7 @@ class TestStreamedLineStates:
     def test_generator_gives_the_rows_of_a_list(self, line, kind):
         rows = heisenberg_suite(streamed(line, kind, 21, 6, []), kind)
         assert len(rows) == 36
-        assert rows == heisenberg_suite(listed(line, kind, 21, 6), kind)
+        assert rows.tolist() == heisenberg_suite(listed(line, kind, 21, 6), kind).tolist()
 
     @pytest.mark.parametrize("kind", ["vibrational", "electronic"])
     def test_each_state_is_released_before_the_next_draw(self, line, kind):
@@ -313,20 +314,110 @@ class TestRotationalSuite:
             heisenberg_suite([gaussian_line_state(line)], "spin")
 
 
-class TestReportShape:
-    def test_to_dict_round_trip(self, line):
-        # the CLI's heisenberg rows table is built from these fields
-        r = heisenberg_suite([oscillator_state(line, 1)], "vibrational")[0]
-        d = dataclasses.asdict(r)
-        assert set(d) == {
-            "observable_a", "observable_b", "delta_a", "delta_b",
-            "product", "bound", "satisfied", "boundary_mass",
-        }
-        assert isinstance(d["delta_a"], float)
-        assert d["satisfied"] is True
-        assert DispersionReport(**d) == r
+def reference_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary_mass):
+    """The suite's rows as a loop over (a, b) pairs, one tuple of fields per pair."""
+    gated = boundary_mass >= BOUNDARY_MASS_TOL
+    rows = []
+    for ia, (la, da) in enumerate(zip(labels_a, deltas_a)):
+        for ib, (lb, db) in enumerate(zip(labels_b, deltas_b)):
+            bound = half if ia == ib else 0.0
+            product = da * db
+            satisfied = None if gated else bool(bound - product <= tolerance)
+            rows.append((la, lb, float(da), float(db), float(product), float(bound),
+                         satisfied, float(boundary_mass)))
+    return rows
 
-    def test_report_is_frozen(self, line):
-        r = heisenberg_suite([oscillator_state(line, 0)], "vibrational")[0]
-        with pytest.raises(AttributeError):
-            r.product = 0.0
+
+def assert_rows_are(rows, expected):
+    """Every column of ``rows`` equal to the reference's, floats bit for bit."""
+    assert len(rows) == len(expected)
+    for k, name in enumerate(rows.dtype.names):
+        want = [row[k] for row in expected]
+        if rows.dtype[name].kind == "f":
+            got = rows[name].view(np.int64)
+            assert np.array_equal(got, np.array(want, dtype=float).view(np.int64)), name
+        elif name == "satisfied":
+            assert all(g is w for g, w in zip(rows[name], want)), name
+        else:
+            assert rows[name].tolist() == want, name
+
+
+class TestRecordsAgainstPairLoop:
+    """The column-built records against the per-pair loop they replace."""
+
+    @pytest.mark.parametrize("hbar, tolerance", [(1.0, None), (2.5, 1e-14)])
+    def test_vibrational(self, line, hbar, tolerance):
+        rng = np.random.default_rng(31)
+        states = [oscillator_state(line, 0)] + [random_line_state(line, rng, hbar=hbar)
+                                                for _ in range(4)]
+        tol = 1e-6 * hbar if tolerance is None else tolerance
+        deltas_p = [dispersion(s, momentum_op(s, hbar=hbar, order=4)) for s in states]
+        deltas_q = [dispersion(s, position_op(s)) for s in states]
+        expected = reference_rows([f"P_{i}" for i in range(1, 6)], deltas_p,
+                                  [f"Q^{i}" for i in range(1, 6)], deltas_q,
+                                  0.5 * hbar, tol, 0.0)
+        rows = heisenberg_suite(states, "vibrational", hbar=hbar, tolerance=tolerance)
+        assert_rows_are(rows, expected)
+        if tolerance is not None:  # the saturated ground state fails a sub-rounding tolerance
+            assert rows[0].satisfied is False
+
+    def test_electronic(self, line):
+        rng = np.random.default_rng(32)
+        groups = [[random_line_state(line, rng) for _ in range(3)] for _ in range(2)]
+        flat = [s for g in groups for s in g]
+        labels = [(f"p_({nu})_{j}", f"q_({nu})^{j}") for nu in (1, 2) for j in (1, 2, 3)]
+        expected = reference_rows([a for a, _ in labels],
+                                  [dispersion(s, momentum_op(s, order=4)) for s in flat],
+                                  [b for _, b in labels],
+                                  [dispersion(s, position_op(s)) for s in flat],
+                                  0.5, 1e-6, 0.0)
+        assert_rows_are(heisenberg_suite(groups, "electronic"), expected)
+
+    @pytest.mark.parametrize("fixed_frame", [False, True])
+    def test_rotational_with_a_gated_state(self, ball, fixed_frame):
+        states = [so3_gaussian_state(ball, sigma=0.1),
+                  so3_gaussian_state(ball, center=(0.0, 0.0, 1.2), sigma=0.6)]
+        assert states[0].boundary_mass() < BOUNDARY_MASS_TOL <= states[1].boundary_mass()
+        op = body_angmom_op if fixed_frame else angmom_op
+        expected = []
+        for idx, s in enumerate(states, start=1):
+            l_psi = op(s, step=5e-3, order=4, symmetric=True, enforce_boundary=False)
+            name = "L_{}" if fixed_frame else "n_({}).L"
+            expected += reference_rows([name.format(j) + f"[{idx}]" for j in (1, 2, 3)],
+                                       [dispersion(s, a) for a in l_psi],
+                                       [f"omega^{k}[{idx}]" for k in (1, 2, 3)],
+                                       [dispersion(s, position_op(s, component=k))
+                                        for k in range(3)],
+                                       0.5, 1e-6, s.boundary_mass())
+        rows = heisenberg_suite(states, "rotational", fixed_frame=fixed_frame)
+        assert isinstance(rows, np.recarray)
+        assert_rows_are(rows, expected)
+        assert [r.satisfied for r in rows[9:]] == [None] * 9
+
+
+class TestReportShape:
+    def test_fields_and_their_kinds(self, line, ball):
+        # the CLI's heisenberg rows table is built from these fields
+        for rows in (heisenberg_suite([oscillator_state(line, 1)], "vibrational"),
+                     heisenberg_suite([so3_gaussian_state(ball, sigma=0.1)], "rotational")):
+            assert isinstance(rows, np.recarray)
+            assert rows.dtype.names == (
+                "observable_a", "observable_b", "delta_a", "delta_b",
+                "product", "bound", "satisfied", "boundary_mass",
+            )
+            assert [rows.dtype[k].kind for k in range(8)] == ["U", "U"] + ["f"] * 4 + ["O", "f"]
+            assert all(rows.dtype[k].itemsize == 8 for k in (2, 3, 4, 5, 7))
+            assert all(type(v) is bool for v in rows["satisfied"])
+            assert rows[0].satisfied is True
+
+
+class TestArguments:
+    @pytest.mark.parametrize("hbar, tolerance", [
+        (1.0, float("nan")), (1.0, float("inf")), (1.0, 0.0), (1.0, -1e-6),
+        (-1.0, 1e-6), (0.0, 1e-6), (float("nan"), 1e-6), (float("inf"), 1e-6),
+        (-1.0, None), (float("nan"), None),
+    ])
+    def test_hbar_and_tolerance_must_be_positive_and_finite(self, line, hbar, tolerance):
+        psi = oscillator_state(line, 0)
+        with pytest.raises(GridError, match="must be positive and finite"):
+            heisenberg_suite([psi], "vibrational", hbar=hbar, tolerance=tolerance)
