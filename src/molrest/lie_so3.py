@@ -19,6 +19,22 @@ only.  Both directions of the chart go through them, at every angle:
 ``exp_map`` is the matrix of ``unit_quaternion``, and every rotation
 vector taken from a matrix or an Eckart solve comes from
 ``quaternion_to_vector``; ``quaternion_form`` builds the one 4x4 matrix.
+
+Lengths of 3-vectors come in two roundings, each kept where the reports
+were built with it:
+
+- ``component_length`` sums the three squares left to right, as
+  ``np.linalg.norm(v, axis=-1)`` does, without numpy's slow reduction
+  over a short axis.  The orientation hot path uses it: the angles of
+  ``frame_fields``, ``log_density_gradient`` and the quaternions
+  (``unit_quaternion``, ``geodesic_distance``), ``grids.wrap_to_ball``
+  and ``So3Grid.interior``, and outside the grids the Eckart scale of
+  ``frames.solve_eckart`` and the geometry checks of ``molecule``.
+  ``geodesic_distance`` sums its quaternion dot product the same way.
+- ``length`` rounds as the dot product of one vector does: the angle
+  checks of ``exp_map`` and ``killing_frame``, ``quaternion_to_vector``,
+  and the Eckart and sum-rule residuals of ``frames``, ``modes`` and the
+  CLI.
 """
 
 from dataclasses import dataclass
@@ -36,6 +52,7 @@ __all__ = [
     "cross",
     "cross_sum",
     "length",
+    "component_length",
     "relative",
     "first_failure",
     "chart_coefficients",
@@ -172,9 +189,30 @@ def length(v):
     """Euclidean length over the last axis of an (..., 3) array.
 
     Uses the same dot product as ``np.linalg.norm`` of a single vector,
-    so one vector and a stack of them give bit-identical lengths.
+    so one vector and a stack of them give bit-identical lengths.  The
+    Eckart residuals and the rotation vectors of ``quaternion_to_vector``
+    are measured with it, and ``component_length`` rounds differently in
+    about one entry in ten, so swapping the two would move report bytes.
     """
     return np.sqrt(_dot(v, v))
+
+
+def _component_dot(a, b):
+    """Dot product over a last axis of 3, summed left to right by component."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def component_length(v):
+    """Euclidean length over the last axis of an (..., 3) array, by components.
+
+    Bit-identical to ``np.linalg.norm(v, axis=-1)``, whose reduction adds
+    the three squares left to right, at about a quarter of its cost on a
+    large stack: numpy reduces a short last axis slowly.  The order
+    matters, v0^2 + (v1^2 + v2^2) rounds differently.  ``length`` is the
+    other length of this module: it rounds as the dot product does, and
+    the frame reports were built with it.
+    """
+    return np.sqrt(_component_dot(v, v))
 
 
 def cross(a, b):
@@ -236,7 +274,7 @@ def frame_fields(omega):
     the checked form.
     """
     omega = np.asarray(omega, dtype=float)
-    c2, c3, d = chart_coefficients(np.linalg.norm(omega, axis=-1))
+    c2, c3, d = chart_coefficients(component_length(omega))
     k = skew(omega)
     k2 = k @ k
     eye = np.broadcast_to(np.eye(3), k.shape)
@@ -270,13 +308,13 @@ def log_density_gradient(omega):
     d = (2/theta - cot(theta/2)) / (2 theta) is the m-matrix coefficient of ``chart_coefficients``.
     """
     omega = np.asarray(omega, dtype=float)
-    return -2.0 * chart_coefficients(np.linalg.norm(omega, axis=-1))[2][..., None] * omega
+    return -2.0 * chart_coefficients(component_length(omega))[2][..., None] * omega
 
 
 def _quaternion_parts(omega):
     """Scalar and vector parts of the unit quaternions of rotation vectors, (...) and (..., 3)."""
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
+    theta = component_length(omega)
     half = 0.5 * theta
     small = theta < 1e-12
     scale = np.empty_like(theta)
@@ -347,5 +385,5 @@ def geodesic_distance(omegas, centers):
     w2, v2 = _quaternion_parts(centers)
     w2 = w2.reshape(w2.shape + (1,) * w1.ndim)
     v2 = v2.reshape(w2.shape + (3,))
-    dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
+    dot = np.abs(w1 * w2 + _component_dot(v1, v2))
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))

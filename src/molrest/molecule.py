@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CollinearGeometryError, SchemaError
-from .lie_so3 import cross
+from .lie_so3 import component_length, cross
 
 __all__ = [
     "MAX_ELECTRONS",
@@ -161,9 +161,9 @@ def prepare_equilibrium(mol):
     if mol.n_nuclei < 3:
         raise ValueError("preparation requires at least 3 nuclei")
     pos = mol.positions
-    extent = float(np.max(np.linalg.norm(pos - pos.mean(axis=0), axis=1)))
+    extent = float(np.max(component_length(pos - pos.mean(axis=0))))
     diffs = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diffs, axis=-1)
+    dist = component_length(diffs)
     np.fill_diagonal(dist, np.inf)
     if np.min(dist) <= 1e-9 * max(extent, 1.0):
         raise CollinearGeometryError("coincident nuclei in the equilibrium geometry")

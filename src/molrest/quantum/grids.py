@@ -19,9 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import GridError
+from ..lie_so3 import component_length
 
 __all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "LineGrid", "So3Grid",
-           "GridWavefunction", "wrap_to_ball"]
+           "GridWavefunction", "wrap_to_ball", "check_hbar"]
 
 # smallest grids ``make`` builds: line points, angle shells, directions per shell
 MIN_LINE_POINTS = 64
@@ -54,6 +55,17 @@ class LineGrid:
         return self.points.size
 
 
+def check_hbar(hbar):
+    """Raise GridError unless hbar is positive and finite.
+
+    Every operator, state factory and suite that takes hbar calls this:
+    a negative hbar flips the sign of every residual and bound, and 0 or
+    a non-finite one makes them nan.
+    """
+    if not hbar > 0.0 or not math.isfinite(hbar):
+        raise GridError(f"hbar must be positive and finite, got {hbar!r}")
+
+
 def wrap_to_ball(points):
     """Map axis-angle points with norm > pi through the antipode.
 
@@ -62,7 +74,7 @@ def wrap_to_ball(points):
     stencils poke outside the canonical ball.
     """
     points = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(points, axis=-1)
+    norms = component_length(points)
     outside = norms > np.pi
     if np.any(outside):
         points = points.copy()
@@ -134,7 +146,7 @@ class So3Grid:
         """Nodes more than ``boundary_layers`` shell spacings inside the seam at pi."""
         if boundary_layers <= 0:
             return np.ones(self.size, dtype=bool)
-        return np.linalg.norm(self.nodes, axis=1) < np.pi - boundary_layers * self.radial_step
+        return component_length(self.nodes) < np.pi - boundary_layers * self.radial_step
 
     @cached_property
     def boundary_mask(self):

@@ -17,7 +17,8 @@ operator runs once per state: the line branch applies momentum_op and
 position_op per state, and the rotational branch makes one call of
 ``angmom_op`` (or ``body_angmom_op`` with fixed_frame), whose single
 stencil sweep yields all three components (12 profile evaluations per
-state at order 4).
+state at order 4).  The suite checks each state's normalization once,
+not once per dispersion as a direct ``dispersion`` call does.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from ..errors import GridError
-from .grids import GridWavefunction, LineGrid, So3Grid
+from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
 from .operators import (
     BOUNDARY_MASS_TOL,
     angmom_op,
@@ -59,9 +60,19 @@ def dispersion(psi, a_psi):
     beyond the float range or an <A^2> that underflows it while A psi is
     nonzero.
     """
+    _check_normalized(psi)
+    return _spread(psi, a_psi)
+
+
+def _check_normalized(psi):
+    """Raise GridError unless psi's norm is 1 within 1e-8."""
     norm = psi.norm()
     if abs(norm - 1.0) > 1e-8:
         raise GridError(f"dispersion needs a normalized state, got norm {norm!r}")
+
+
+def _spread(psi, a_psi):
+    """``dispersion`` of a state already checked to be normalized."""
     weights = psi.weights
     amps = a_psi.amplitudes
     mean = complex(np.sum(weights * np.conj(psi.amplitudes) * amps))
@@ -110,8 +121,9 @@ def _line_dispersions(psi_set, kind, hbar):
     def pair(s):
         if not isinstance(s, GridWavefunction) or not isinstance(s.grid, LineGrid):
             raise GridError(f"{kind} checks need LineGrid states")
-        return (dispersion(s, momentum_op(s, hbar=hbar, order=STENCIL_ORDER)),
-                dispersion(s, position_op(s)))
+        p_psi = momentum_op(s, hbar=hbar, order=STENCIL_ORDER)
+        _check_normalized(s)
+        return _spread(s, p_psi), _spread(s, position_op(s))
 
     def electron(group):
         triple = list(map(pair, group))
@@ -158,8 +170,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
     fixed_frame swaps the chart operator n_(j)(omega).L for the body
     component L_j referenced at the identity orientation.
     """
-    if not hbar > 0.0 or not math.isfinite(hbar):
-        raise GridError(f"hbar must be positive and finite, got {hbar!r}")
+    check_hbar(hbar)
     if tolerance is None:
         tolerance = 1e-6 * hbar
     if not tolerance > 0.0 or not math.isfinite(tolerance):
@@ -182,8 +193,9 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
             l_psi = l_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
                          symmetric=True, enforce_boundary=False)
-            d_l = [dispersion(s, a) for a in l_psi]
-            d_w = [dispersion(s, position_op(s, component=k)) for k in range(3)]
+            _check_normalized(s)
+            d_l = [_spread(s, a) for a in l_psi]
+            d_w = [_spread(s, position_op(s, component=k)) for k in range(3)]
             la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]
             lb = [f"omega^{k + 1}" + tag for k in range(3)]
             per_state.append(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))

@@ -26,13 +26,16 @@ wrapped coordinate times the profile there).
   to hbar * max|psi| and excludes a configurable number of boundary
   shells (the chart seam is where the finite-difference wrap stops being
   exact for the coordinate functions themselves).
+
+Every operator and check raises GridError for an hbar that is not
+positive and finite (``grids.check_hbar``) before it differentiates.
 """
 
 import numpy as np
 
 from ..errors import BoundaryMassError, GridError, SingularInertiaError
 from ..lie_so3 import frame_fields, log_density_gradient
-from .grids import GridWavefunction, LineGrid, So3Grid, wrap_to_ball
+from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar, wrap_to_ball
 
 __all__ = [
     "BOUNDARY_MASS_TOL",
@@ -100,6 +103,7 @@ def momentum_op(psi, hbar=1.0, order=4):
     at the two outermost nodes on each end must be below 1e-8 of the
     peak or the zero padding would corrupt the derivative.
     """
+    check_hbar(hbar)
     if not isinstance(psi.grid, LineGrid):
         raise GridError("momentum_op needs a LineGrid state")
     amp = psi.amplitudes
@@ -187,12 +191,14 @@ def angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_bounda
     makes each component hermitian under the weighted quadrature; the
     drift cancels in commutators with coordinate functions.
     """
+    check_hbar(hbar)
     deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
     return _components(psi, -1j * hbar * deriv)
 
 
 def body_angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
     """Body components L_k psi = sum_j m[j, k] D_j psi, k = 0, 1, 2, from one sweep."""
+    check_hbar(hbar)
     deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
     _, m = frame_fields(psi.grid.nodes)
     total = _body_components(np.moveaxis(m, 0, -1), deriv)  # m_t[j, k] = m[:, j, k]
@@ -229,6 +235,7 @@ def line_commutator_residual(psi, hbar=1.0, order=2):
     P(Q psi) needs two derivative passes, so LINE_BOUNDARY_NODES nodes at
     each end are excluded where the zero padding truncates the stencil.
     """
+    check_hbar(hbar)
     q_psi = position_op(psi, component=0)
     pq = momentum_op(q_psi, hbar=hbar, order=order).amplitudes
     qp = position_op(momentum_op(psi, hbar=hbar, order=order), component=0).amplitudes
@@ -251,6 +258,7 @@ def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=
     coordinate function (the wrapped coordinate jumps by 2 pi even when the
     state is smooth).
     """
+    check_hbar(hbar)
     i0 = np.asarray(i0, dtype=float)
     if i0.shape != (3, 3):
         raise SingularInertiaError("equilibrium inertia must be a 3x3 matrix")
@@ -272,6 +280,7 @@ def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=
 def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
                                enforce_boundary=True):
     """The chart matrix of ``commutator_residuals``, entry (j, k)."""
+    check_hbar(hbar)
     residual = _chart_residual(psi, hbar, step, order, enforce_boundary)
     return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from ..lie_so3 import geodesic_distance
-from .grids import GridWavefunction, LineGrid
+from .grids import GridWavefunction, LineGrid, check_hbar
 
 __all__ = [
     "gaussian_line_state",
@@ -74,6 +74,7 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    check_hbar(hbar)
     return _line_mixture(grid, np.array([float(center)]), np.array([float(sigma)]),
                          np.array([float(momentum / hbar)]), np.ones(1))
 
@@ -82,6 +83,7 @@ def oscillator_state(grid, n=0, mass=1.0, omega=1.0, hbar=1.0):
     """n-th harmonic oscillator eigenstate at the grid's resolution."""
     if n < 0:
         raise ValueError("quantum number must be nonnegative")
+    check_hbar(hbar)
     alpha = np.sqrt(mass * omega / hbar)
     coeff = np.zeros(n + 1)
     coeff[n] = 1.0
@@ -113,6 +115,7 @@ def random_line_state(grid, rng, hbar=1.0):
     Centers and widths scale with the grid span and stay narrow enough
     that the tails clear the momentum operator's edge-decay gate.
     """
+    check_hbar(hbar)
     span = float(grid.points[-1] - grid.points[0])
     centers = rng.uniform(-0.08, 0.08, size=2) * span
     sigmas = rng.uniform(0.02, 0.045, size=2) * span

@@ -8,22 +8,25 @@ implementation that preceded the batched pipeline:
     molrest decompose --input tests/data/water.json \
         --trajectory tests/data/water_traj.xyz --format csv
 
-The quantum reports were generated by the implementation that preceded
-the single stencil sweep and the shared chart coefficients:
+The heisenberg JSON report was generated by the implementation that
+preceded the single stencil sweep and the shared chart coefficients:
 
-    molrest commutators --input tests/data/water.json --format json
     molrest heisenberg --input tests/data/water.json --seed 3 --format json
 
-The heisenberg CSV report, pinned byte for byte, was generated by the
-implementation that built one row object per pair:
+The heisenberg CSV report was generated by the implementation that built
+one row object per pair, and the commutators JSON report by the one that
+took every orientation length from ``np.linalg.norm`` (its two residuals
+had drifted by up to 1.7e-17, 1.5e-11 relative, from a first generation
+that preceded the single stencil sweep):
 
     molrest heisenberg --input tests/data/water.json --seed 3 --format csv
+    molrest commutators --input tests/data/water.json --format json
 
 Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
 a scale built from lab-frame positions and now divides by the
 translation-free scale of the Eckart solve; it is only required to stay
-below the Eckart tolerance.  The heisenberg JSON report is also pinned
+below the Eckart tolerance.  The three quantum reports are also pinned
 byte for byte.
 """
 
@@ -108,6 +111,12 @@ def test_heisenberg_json_is_byte_identical_to_reference(tmp_path):
     _run(tmp_path, "heisenberg", "json", [*MOLECULE, "--seed", "3"])
     reference = (DATA / "water_heisenberg_report.json").read_bytes()
     assert (tmp_path / "heisenberg.json").read_bytes() == reference
+
+
+def test_commutators_json_is_byte_identical_to_reference(tmp_path):
+    _run(tmp_path, "commutators", "json", MOLECULE)
+    reference = (DATA / "water_commutators_report.json").read_bytes()
+    assert (tmp_path / "commutators.json").read_bytes() == reference
 
 
 def test_heisenberg_csv_is_byte_identical_to_reference(tmp_path):

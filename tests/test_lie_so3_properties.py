@@ -4,15 +4,21 @@ Rotation vectors are drawn in three angle regimes: at and next to the
 origin, in the bulk of the ball, and within 1e-3 of the seam at pi,
 where the chart is double-valued and a vector and its antipode
 omega (1 - 2 pi/|omega|) name the same rotation.
+
+``component_length`` is held bit for bit to ``np.linalg.norm(v, axis=-1)``
+over the layouts its callers pass, so a numpy that changes the order of
+its reduction fails here rather than moving report bytes.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from molrest.lie_so3 import (
     EPS_BOUNDARY,
+    component_length,
     exp_map,
     killing_frame,
     log_map,
@@ -82,3 +88,45 @@ def test_killing_frame_stack_is_each_single_call(omegas):
     for i, w in enumerate(omegas):
         single = killing_frame(w)
         assert (stack.n[i] == single.n).all() and (stack.m[i] == single.m).all()
+
+
+# mantissas in [-10, 10], zeros among them, times one power of ten per
+# array from 1e-150 to 1e149: components of one size round differently in
+# the two summation orders far more often than components decades apart
+MANTISSAS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+DECADES = st.integers(-150, 149)
+
+
+def _layout(kind, array):
+    """The (..., 3) view of ``array`` that a caller of the given kind passes."""
+    if kind == "strided":  # the position half of (T, N, 6) particle rows
+        return array[..., :3]
+    if kind == "fortran":
+        return np.asfortranarray(array)
+    return array
+
+
+def vector_stacks():
+    shapes = st.one_of(
+        st.tuples(st.just("single"), st.just(())),
+        st.tuples(st.just("stack"), hnp.array_shapes(min_dims=1, max_dims=1, max_side=40)),
+        st.tuples(st.just("stacks"), hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),
+        st.tuples(st.just("strided"), hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),
+        st.tuples(st.just("fortran"), hnp.array_shapes(min_dims=1, max_dims=2, max_side=12)),
+    )
+
+    def arrays(kind_and_shape):
+        kind, shape = kind_and_shape
+        full = tuple(shape) + ((6,) if kind == "strided" else (3,))
+        return st.builds(lambda a, decade: _layout(kind, a * 10.0**decade),
+                         hnp.arrays(np.float64, full, elements=MANTISSAS), DECADES)
+
+    return shapes.flatmap(arrays)
+
+
+@given(vector_stacks())
+def test_component_length_is_bitwise_numpy_norm(v):
+    got = component_length(v)
+    ref = np.linalg.norm(v, axis=-1)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)

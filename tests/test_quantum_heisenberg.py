@@ -421,3 +421,50 @@ class TestArguments:
         psi = oscillator_state(line, 0)
         with pytest.raises(GridError, match="must be positive and finite"):
             heisenberg_suite([psi], "vibrational", hbar=hbar, tolerance=tolerance)
+
+
+class TestNormalizationChecks:
+    """The suite checks each state's norm once; ``dispersion`` checks it per call."""
+
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+        norm = GridWavefunction.norm
+
+        def counted(psi):
+            calls.append(psi)
+            return norm(psi)
+
+        monkeypatch.setattr(GridWavefunction, "norm", counted)
+        return calls
+
+    def test_one_check_per_state(self, line, ball, norm_calls):
+        rng = np.random.default_rng(4)
+        modes = [random_line_state(line, rng) for _ in range(2)]
+        triple = [random_line_state(line, rng) for _ in range(3)]
+        orientations = [random_so3_state(ball, rng) for _ in range(2)]
+        norm_calls.clear()
+        for states, kind, checked in ((modes, "vibrational", modes),
+                                      ([triple], "electronic", triple),
+                                      (orientations, "rotational", orientations)):
+            heisenberg_suite(states, kind)
+            assert [id(s) for s in norm_calls] == [id(s) for s in checked]
+            norm_calls.clear()
+
+    def test_direct_call_still_checks(self, line, norm_calls):
+        psi = gaussian_line_state(line)
+        norm_calls.clear()
+        dispersion(psi, position_op(psi))
+        assert norm_calls == [psi]
+
+    @pytest.mark.parametrize("kind", ["vibrational", "electronic", "rotational"])
+    def test_unnormalized_state_rejected(self, line, ball, kind):
+        if kind == "rotational":
+            psi = so3_gaussian_state(ball, sigma=0.3)
+        else:
+            psi = gaussian_line_state(line)
+        bad = GridWavefunction(grid=psi.grid, amplitudes=2.0 * psi.amplitudes,
+                               profile=psi.profile)
+        states = [[psi, bad, psi]] if kind == "electronic" else [psi, bad]
+        with pytest.raises(GridError, match="dispersion needs a normalized state"):
+            heisenberg_suite(states, kind)

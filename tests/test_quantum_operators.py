@@ -374,3 +374,41 @@ class TestStencilSweep:
                                 fixed_frame=fixed_frame)
         assert len(rows) == 18
         assert [len(seen) for _, seen in counted] == [12, 12]
+
+
+BAD_HBARS = [-1.0, 0.0, float("nan"), float("inf")]
+
+
+class TestHbarChecked:
+    """Every operator rejects an hbar that is not positive and finite.
+
+    A negative hbar gave a negative residual that passed every
+    ``res <= tol`` check, and 0 gave nan.
+    """
+
+    @pytest.mark.parametrize("hbar", BAD_HBARS)
+    @pytest.mark.parametrize("call", [
+        lambda psi, hbar: momentum_op(psi, hbar=hbar),
+        lambda psi, hbar: line_commutator_residual(psi, hbar=hbar),
+    ], ids=["momentum_op", "line_commutator_residual"])
+    def test_line_operators(self, line, call, hbar):
+        psi = gaussian_line_state(line)
+        with pytest.raises(GridError, match="hbar must be positive and finite"):
+            call(psi, hbar)
+
+    @pytest.mark.parametrize("hbar", BAD_HBARS)
+    @pytest.mark.parametrize("call", [
+        lambda psi, hbar: angmom_op(psi, hbar=hbar),
+        lambda psi, hbar: body_angmom_op(psi, hbar=hbar),
+        lambda psi, hbar: commutator_residuals(psi, np.eye(3), hbar=hbar),
+        lambda psi, hbar: chart_commutator_residuals(psi, hbar=hbar),
+        lambda psi, hbar: body_commutator_residuals(psi, hbar=hbar),
+        lambda psi, hbar: angvel_commutator_check(np.eye(3), psi, hbar=hbar),
+    ], ids=["angmom_op", "body_angmom_op", "commutator_residuals",
+            "chart_commutator_residuals", "body_commutator_residuals",
+            "angvel_commutator_check"])
+    def test_orientation_operators(self, interior, call, hbar):
+        psi, seen = counting(interior)
+        with pytest.raises(GridError, match="hbar must be positive and finite"):
+            call(psi, hbar)
+        assert seen == []  # rejected before the stencil sweep

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from molrest.errors import GridError
 from molrest.lie_so3 import exp_map, log_map
 from molrest.quantum import (
     LineGrid,
@@ -14,7 +15,7 @@ from molrest.quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
-from molrest.quantum.grids import GridWavefunction
+from molrest.quantum.grids import GridWavefunction, wrap_to_ball
 from molrest.quantum.states import _line_mixture, _so3_mixture
 
 
@@ -108,6 +109,44 @@ class TestGeodesicDistance:
             assert stacked.shape == (4,) + np.shape(pts)[:-1]
             for row, center in zip(stacked, centers):
                 assert_bitwise_equal(row, geodesic_distance(pts, center))
+
+
+def reference_geodesic_distance(omegas, centers):
+    """``geodesic_distance`` with numpy's reductions: lengths from
+    ``np.linalg.norm(..., axis=-1)`` and the dot product from ``np.sum``."""
+
+    def parts(omega):
+        theta = np.linalg.norm(omega, axis=-1)
+        small = theta < 1e-12
+        scale = np.empty_like(theta)
+        scale[small] = 0.5
+        scale[~small] = np.sin(0.5 * theta[~small]) / theta[~small]
+        return np.cos(0.5 * theta), omega * scale[..., None]
+
+    w1, v1 = parts(np.asarray(omegas, dtype=float))
+    w2, v2 = parts(np.asarray(centers, dtype=float))
+    w2 = w2.reshape(w2.shape + (1,) * w1.ndim)
+    v2 = v2.reshape(w2.shape + (3,))
+    dot = np.abs(w1 * w2 + np.sum(v1 * v2, axis=-1))
+    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+
+
+class TestGeodesicReductions:
+    @pytest.mark.parametrize("step", [5e-3, 0.02, 0.2])
+    def test_equals_numpy_reductions_on_wrapped_stencil_points(self, step):
+        # the stencil points of a sweep, wrapped through the antipode where
+        # they leave the ball; a numpy that reorders its sums fails here
+        nodes = So3Grid.make(16, 32).nodes
+        rng = np.random.default_rng(16)
+        centers = rng.normal(size=(3, 3)) * rng.uniform(0.0, 3.0, size=(3, 1))
+        centers[0] = 0.0
+        for j in range(3):
+            for off in (-2, -1, 1, 2):
+                pts = wrap_to_ball(nodes + off * step * np.eye(3)[j])
+                assert_bitwise_equal(geodesic_distance(pts, centers),
+                                     reference_geodesic_distance(pts, centers))
+                assert_bitwise_equal(geodesic_distance(pts, centers[1]),
+                                     reference_geodesic_distance(pts, centers[1]))
 
 
 def assert_bitwise_equal(a, b):
@@ -205,3 +244,16 @@ class TestSo3States:
         a = random_so3_state(ball, np.random.default_rng(5))
         b = random_so3_state(ball, np.random.default_rng(5))
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestHbarChecked:
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("factory", [
+        lambda grid, hbar: gaussian_line_state(grid, momentum=0.5, hbar=hbar),
+        lambda grid, hbar: oscillator_state(grid, 1, hbar=hbar),
+        lambda grid, hbar: random_line_state(grid, np.random.default_rng(5), hbar=hbar),
+    ], ids=["gaussian_line_state", "oscillator_state", "random_line_state"])
+    def test_line_factories_reject_bad_hbar(self, line, factory, hbar):
+        # hbar = 0 ended in a ZeroDivisionError, -1 in a state of negated momentum
+        with pytest.raises(GridError, match="hbar must be positive and finite"):
+            factory(line, hbar)
