@@ -203,9 +203,10 @@ def solve_eckart(mol, positions):
     positions : (N, 3) or (T, N, 3) relative nuclear positions.
 
     Returns an ``EckartFrame``; ``degenerate`` is set when the top
-    eigenvalue is (nearly) repeated and the orientation is arbitrary
-    within the degenerate subspace.  Raises ``EckartSolveError`` naming
-    the first frame whose residual exceeds 1e-8 of its scale.
+    eigenvalue is (nearly) repeated, its gap below 1e-9 of the top
+    eigenvalue, and the orientation is arbitrary within the degenerate
+    subspace.  Raises ``EckartSolveError`` naming the first frame whose
+    residual exceeds 1e-8 of its scale.
     """
     if not mol.prepared:
         raise ValueError("solve_eckart requires a prepared molecule")
@@ -217,7 +218,7 @@ def solve_eckart(mol, positions):
     c = np.einsum("m,mi,...mj->...ij", mol.masses, mol.positions, positions)
     evals, evecs = np.linalg.eigh(quaternion_form(c))
 
-    gap = (evals[..., 3] - evals[..., 2]) / np.maximum(1.0, np.abs(evals[..., 3]))
+    gap = relative(evals[..., 3] - evals[..., 2], np.abs(evals[..., 3]))
     quaternion = evecs[..., 3]
     rotation = quaternion_to_matrix(quaternion)
 

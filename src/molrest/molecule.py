@@ -156,16 +156,21 @@ def prepare_equilibrium(mol):
 
     Returns a new prepared ``Molecule``.  Raises
     ``CollinearGeometryError`` for collinear or coincident-nucleus
-    geometries, ``ValueError`` for fewer than 3 nuclei.
+    geometries (coincident: closer than 1e-9 of the extent, in any
+    units), ``ValueError`` for fewer than 3 nuclei or an extent whose
+    square overflows.
     """
     if mol.n_nuclei < 3:
         raise ValueError("preparation requires at least 3 nuclei")
     pos = mol.positions
-    extent = float(np.max(component_length(pos - pos.mean(axis=0))))
+    with np.errstate(over="ignore"):  # a square beyond the float range raises below
+        extent = float(np.max(component_length(pos - pos.mean(axis=0))))
+    if not np.isfinite(extent):
+        raise ValueError("equilibrium geometry out of float range: its squared extent overflows")
     diffs = pos[:, None, :] - pos[None, :, :]
     dist = component_length(diffs)
     np.fill_diagonal(dist, np.inf)
-    if np.min(dist) <= 1e-9 * max(extent, 1.0):
+    if np.min(dist) <= 1e-9 * extent:
         raise CollinearGeometryError("coincident nuclei in the equilibrium geometry")
 
     com = mol.masses @ pos / mol.masses.sum()

@@ -6,7 +6,6 @@ from .operators import (
     BOUNDARY_MASS_TOL,
     angmom_op,
     angvel_commutator_check,
-    body_angmom_op,
     body_commutator_residuals,
     chart_commutator_residuals,
     commutator_residuals,
@@ -31,7 +30,6 @@ __all__ = [
     "So3Grid",
     "angmom_op",
     "angvel_commutator_check",
-    "body_angmom_op",
     "body_commutator_residuals",
     "chart_commutator_residuals",
     "commutator_residuals",

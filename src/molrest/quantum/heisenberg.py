@@ -11,14 +11,17 @@ observables per kind:
                hbar/2 only for the same electron and same component;
   rotational:  chart angular momentum n_(j).L vs orientation
                coordinate omega^k, bound hbar/2 only for j = k.
+               The chart pair is canonical, [n_(j).L, omega^k] =
+               -i hbar delta_jk, so Robertson's inequality gives the
+               bound hbar/2 at every orientation.
 
 ``dispersion`` takes the state and the already-applied A psi, so each
 operator runs once per state: the line branch applies momentum_op and
 position_op per state, and the rotational branch makes one call of
-``angmom_op`` (or ``body_angmom_op`` with fixed_frame), whose single
-stencil sweep yields all three components (12 profile evaluations per
-state at order 4).  The suite checks each state's normalization once,
-not once per dispersion as a direct ``dispersion`` call does.
+``angmom_op``, whose single stencil sweep yields all three chart
+components (12 profile evaluations per state at order 4).  The suite
+checks each state's normalization once, not once per dispersion as a
+direct ``dispersion`` call does.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
@@ -35,13 +38,7 @@ import numpy as np
 
 from ..errors import GridError
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
-from .operators import (
-    BOUNDARY_MASS_TOL,
-    angmom_op,
-    body_angmom_op,
-    momentum_op,
-    position_op,
-)
+from .operators import BOUNDARY_MASS_TOL, angmom_op, momentum_op, position_op
 
 __all__ = ["dispersion", "heisenberg_suite"]
 
@@ -145,7 +142,7 @@ def _line_dispersions(psi_set, kind, hbar):
     return la, d_p, lb, d_q
 
 
-def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False):
+def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None):
     """Uncertainty-product records for every conjugate pair of a state family.
 
     Returns an ``np.recarray`` with one record per (a, b) pair, a-major,
@@ -167,8 +164,6 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
     next is drawn, so a generator keeps one line state alive at once.
     hbar and tolerance must be positive and finite; tolerance defaults
     to the quadrature allowance 1e-6 * hbar.
-    fixed_frame swaps the chart operator n_(j)(omega).L for the body
-    component L_j referenced at the identity orientation.
     """
     check_hbar(hbar)
     if tolerance is None:
@@ -187,16 +182,15 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None, fixed_frame=False)
         for s in states:
             if not isinstance(s, GridWavefunction) or not isinstance(s.grid, So3Grid):
                 raise GridError("rotational checks need So3Grid states")
-        l_op = body_angmom_op if fixed_frame else angmom_op
         per_state = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
-            l_psi = l_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
-                         symmetric=True, enforce_boundary=False)
+            l_psi = angmom_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
+                              symmetric=True, enforce_boundary=False)
             _check_normalized(s)
             d_l = [_spread(s, a) for a in l_psi]
             d_w = [_spread(s, position_op(s, component=k)) for k in range(3)]
-            la = [(f"L_{j + 1}" if fixed_frame else f"n_({j + 1}).L") + tag for j in range(3)]
+            la = [f"n_({j + 1}).L" + tag for j in range(3)]
             lb = [f"omega^{k + 1}" + tag for k in range(3)]
             per_state.append(_pair_rows(la, d_l, lb, d_w, half, tolerance, s.boundary_mass()))
         return np.concatenate(per_state).view(np.recarray)

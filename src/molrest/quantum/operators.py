@@ -15,10 +15,9 @@ at order 4, 12 per state).  From those values it forms D_j psi and, for
 the commutator checks, D_j(w^k psi) (w^k psi at a stencil point is the
 wrapped coordinate times the profile there).
 
-- ``angmom_op`` returns the three chart components D_j psi and
-  ``body_angmom_op`` their contraction with m, both from one sweep; the
-  rotational dispersions (``heisenberg.heisenberg_suite``) call one of
-  them once per state.
+- ``angmom_op`` returns the three chart components D_j psi from one
+  sweep; the rotational dispersions (``heisenberg.heisenberg_suite``)
+  call it once per state.
 - ``commutator_residuals`` forms the chart residual field
   [D_j, w^k] psi + i hbar delta_jk psi from one sweep and reads the body
   and angular-velocity residuals off it through m and I0^-1 m, which
@@ -42,7 +41,6 @@ __all__ = [
     "position_op",
     "momentum_op",
     "angmom_op",
-    "body_angmom_op",
     "frame_fields",
     "line_commutator_residual",
     "commutator_residuals",
@@ -170,19 +168,6 @@ def _chart_sweep(psi, step, order, enforce_boundary, coordinates=True):
     return d_psi, d_xpsi
 
 
-def _angmom_derivatives(psi, step, order, symmetric, enforce_boundary):
-    """d(psi)/dw^j (3, K) from one sweep, plus the Haar drift when symmetric."""
-    d_psi, _ = _chart_sweep(psi, step, order, enforce_boundary, coordinates=False)
-    if symmetric:
-        d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
-    return d_psi
-
-
-def _components(psi, amplitudes):
-    """One profile-free state per row of amplitudes (3, K)."""
-    return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None) for a in amplitudes)
-
-
 def angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
     """The chart components (n_(j)(w) . L) psi = -i hbar d(psi)/dw^j on an So3Grid.
 
@@ -192,34 +177,19 @@ def angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_bounda
     drift cancels in commutators with coordinate functions.
     """
     check_hbar(hbar)
-    deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
-    return _components(psi, -1j * hbar * deriv)
-
-
-def body_angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
-    """Body components L_k psi = sum_j m[j, k] D_j psi, k = 0, 1, 2, from one sweep."""
-    check_hbar(hbar)
-    deriv = _angmom_derivatives(psi, step, order, symmetric, enforce_boundary)
-    _, m = frame_fields(psi.grid.nodes)
-    total = _body_components(np.moveaxis(m, 0, -1), deriv)  # m_t[j, k] = m[:, j, k]
-    return _components(psi, -1j * hbar * total)
-
-
-def _body_components(m_t, derivs):
-    """sum_j m_t[j] * derivs[j], summed in the order j = 0, 1, 2.
-
-    m_t[j] holds m[:, j, ...] node-last and broadcasts against derivs[j].
-    """
-    total = 0.0
-    for j in range(3):
-        total = total + m_t[j] * derivs[j]
-    return total
+    d_psi, _ = _chart_sweep(psi, step, order, enforce_boundary, coordinates=False)
+    if symmetric:
+        d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
+    return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None)
+                 for a in -1j * hbar * d_psi)
 
 
 def _relative(residual, psi, mask, hbar):
     """Worst interior-node |residual| over the last axis, relative to hbar * max|psi|."""
+    if not mask.any():
+        raise GridError("the boundary exclusion leaves no node to check")
     scale = hbar * float(np.abs(psi.amplitudes).max())
-    return np.abs(residual[..., mask]).max(axis=-1) / scale
+    return np.abs(residual).max(axis=-1, where=mask, initial=0.0) / scale
 
 
 def _chart_residual(psi, hbar, step, order, enforce_boundary):
@@ -270,8 +240,10 @@ def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=
 
     chart = _chart_residual(psi, hbar, step, order, enforce_boundary)
     _, m = frame_fields(psi.grid.nodes)
-    m_t = np.moveaxis(m, 0, -1)  # m_t[j, k] = m[:, j, k]
-    body = _body_components(m_t[:, :, None, :], chart[:, None])  # index [k, j]
+    m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
+    body = 0.0  # index [k, j]: sum_i m[:, i, k] chart[i, j], summed i = 0, 1, 2
+    for i in range(3):
+        body = body + m_t[i] * chart[i, None]
     angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)  # index [k, j]
     mask = psi.grid.interior(boundary_layers)
     return tuple(_relative(r, psi, mask, hbar) for r in (chart, body, angvel))

@@ -122,22 +122,66 @@ class TestExitZero:
         assert all(f["passed"] for f in report["frames"])
 
 
+def _scaled_water(tmp_path, mass, length):
+    """Water and its trajectory in other units: masses x mass, lengths x length.
+
+    Force constants scale with the mass and momenta with mass x length
+    (the unit of time is kept).  Returns the molecule and trajectory paths.
+    """
+    mol = json.loads(Path(MOLECULE).read_text())
+    for nucleus in mol["nuclei"]:
+        nucleus["mass"] *= mass
+        nucleus["position"] = [length * v for v in nucleus["position"]]
+    mol["electrons"]["mass"] *= mass
+    mol["hessian"] = [mass * v for v in mol["hessian"]]
+    rows = []
+    for line in Path(TRAJECTORY).read_text().splitlines():
+        fields = line.split()
+        if len(fields) == 7:
+            values = [length * float(v) for v in fields[1:4]]
+            values += [mass * length * float(v) for v in fields[4:]]
+            line = " ".join([fields[0]] + [repr(v) for v in values])
+        rows.append(line)
+    mol_path, traj_path = tmp_path / "scaled.json", tmp_path / "scaled.xyz"
+    mol_path.write_text(json.dumps(mol))
+    traj_path.write_text("\n".join(rows) + "\n")
+    return str(mol_path), str(traj_path)
+
+
 class TestUnits:
     @pytest.mark.parametrize("command", ["validate", "modes"])
     def test_verdict_does_not_depend_on_units(self, command, tmp_path):
         # every Eckart residual is relative: masses x1e6 and lengths x1e3 pass as the originals do
-        mol = json.loads(Path(MOLECULE).read_text())
-        for nucleus in mol["nuclei"]:
-            nucleus["mass"] *= 1e6
-            nucleus["position"] = [1e3 * v for v in nucleus["position"]]
-        mol["electrons"]["mass"] *= 1e6
-        scaled = tmp_path / "scaled.json"
-        scaled.write_text(json.dumps(mol))
+        scaled, _ = _scaled_water(tmp_path, 1e6, 1e3)
         out = tmp_path / "report.json"
-        assert invoke(command, "--input", str(scaled), "--output", str(out)) == 0
+        assert invoke(command, "--input", scaled, "--output", str(out)) == 0
         residuals = json.loads(out.read_text())["residuals"]
         for key in ("translation", "rotation", "duality", "com_norm"):
             assert residuals[key] <= 1e-14, key
+
+    @pytest.mark.parametrize("mass, length", [(1e-26, 1.0), (1.0, 1e-10), (1e-26, 1e-10)])
+    def test_gates_do_not_depend_on_units(self, mass, length, tmp_path):
+        # the coincident-nuclei and degenerate-frame gates are relative: water in
+        # kilograms (masses x1e-26) or metres (lengths x1e-10) passes as the original does
+        mol, traj = _scaled_water(tmp_path, mass, length)
+        out = tmp_path / "report.json"
+        assert invoke("validate", "--input", mol, "--output", str(out)) == 0
+        assert json.loads(out.read_text())["passed"] is True
+        assert invoke("frame", "--input", mol, "--trajectory", traj, "--output", str(out)) == 0
+        frames = json.loads(out.read_text())["frames"]
+        assert len(frames) == 3
+        assert not any(f["degenerate"] for f in frames)
+        assert all(f["passed"] for f in frames)
+
+    def test_coincident_nuclei_rejected_in_any_units(self, tmp_path, capsys):
+        mol = json.loads(Path(MOLECULE).read_text())
+        for nucleus in mol["nuclei"]:
+            nucleus["position"] = [1e-10 * v for v in nucleus["position"]]
+        mol["nuclei"][2]["position"] = mol["nuclei"][1]["position"]
+        path = tmp_path / "coincident.json"
+        path.write_text(json.dumps(mol))
+        assert invoke("validate", "--input", str(path)) == 1
+        assert "coincident nuclei" in capsys.readouterr().err
 
 
 def _child_env():

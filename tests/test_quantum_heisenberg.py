@@ -20,7 +20,6 @@ from molrest.quantum import (
     LineGrid,
     So3Grid,
     angmom_op,
-    body_angmom_op,
     dispersion,
     gaussian_line_state,
     heisenberg_suite,
@@ -299,16 +298,6 @@ class TestRotationalSuite:
         assert len(rows) == 54
         assert all(r.satisfied for r in rows)
 
-    def test_fixed_frame_variant(self, ball):
-        rows = heisenberg_suite([so3_gaussian_state(ball, sigma=0.1)], "rotational",
-                                fixed_frame=True)
-        assert all(r.observable_a.startswith("L_") for r in rows)
-        diag = [r for r in rows if r.bound > 0]
-        assert len(diag) == 3
-        for r in diag:
-            assert abs(r.product - 0.5) <= 0.05 * 0.5
-            assert r.satisfied is True
-
     def test_unknown_kind_rejected(self, line):
         with pytest.raises(GridError):
             heisenberg_suite([gaussian_line_state(line)], "spin")
@@ -373,23 +362,20 @@ class TestRecordsAgainstPairLoop:
                                   0.5, 1e-6, 0.0)
         assert_rows_are(heisenberg_suite(groups, "electronic"), expected)
 
-    @pytest.mark.parametrize("fixed_frame", [False, True])
-    def test_rotational_with_a_gated_state(self, ball, fixed_frame):
+    def test_rotational_with_a_gated_state(self, ball):
         states = [so3_gaussian_state(ball, sigma=0.1),
                   so3_gaussian_state(ball, center=(0.0, 0.0, 1.2), sigma=0.6)]
         assert states[0].boundary_mass() < BOUNDARY_MASS_TOL <= states[1].boundary_mass()
-        op = body_angmom_op if fixed_frame else angmom_op
         expected = []
         for idx, s in enumerate(states, start=1):
-            l_psi = op(s, step=5e-3, order=4, symmetric=True, enforce_boundary=False)
-            name = "L_{}" if fixed_frame else "n_({}).L"
-            expected += reference_rows([name.format(j) + f"[{idx}]" for j in (1, 2, 3)],
+            l_psi = angmom_op(s, step=5e-3, order=4, symmetric=True, enforce_boundary=False)
+            expected += reference_rows([f"n_({j}).L[{idx}]" for j in (1, 2, 3)],
                                        [dispersion(s, a) for a in l_psi],
                                        [f"omega^{k}[{idx}]" for k in (1, 2, 3)],
                                        [dispersion(s, position_op(s, component=k))
                                         for k in range(3)],
                                        0.5, 1e-6, s.boundary_mass())
-        rows = heisenberg_suite(states, "rotational", fixed_frame=fixed_frame)
+        rows = heisenberg_suite(states, "rotational")
         assert isinstance(rows, np.recarray)
         assert_rows_are(rows, expected)
         assert [r.satisfied for r in rows[9:]] == [None] * 9

@@ -17,7 +17,6 @@ from molrest.quantum import (
     So3Grid,
     angmom_op,
     angvel_commutator_check,
-    body_angmom_op,
     body_commutator_residuals,
     chart_commutator_residuals,
     commutator_residuals,
@@ -46,6 +45,11 @@ def ball():
 def interior(ball):
     return so3_gaussian_state(ball, center=(0.1, -0.1, 0.05), sigma=0.45,
                               wave=(0.8, -1.2, 0.4))
+
+
+def body_components(m, chart):
+    """L_k psi = sum_j m[:, j, k] D_j psi, k = 0, 1, 2, from the chart components D_j psi."""
+    return [sum(m[:, j, k] * chart[j] for j in range(3)) for k in range(3)]
 
 
 def expectation(psi, op_psi):
@@ -205,12 +209,13 @@ class TestAngmomOp:
             assert err <= 1e-6
 
     def test_duality_recovers_chart_derivative(self, ball, interior):
-        # sum_k n[k, j] L_k must reproduce -i hbar d/dw^j exactly
-        n, _ = frame_fields(ball.nodes)
-        l_parts = [l_psi.amplitudes for l_psi in body_angmom_op(interior)]
-        for j, d_psi in enumerate(angmom_op(interior)):
+        # the body components L_k = sum_j m[j, k] D_j, contracted back with
+        # n, must reproduce D_j = -i hbar d/dw^j exactly
+        n, m = frame_fields(ball.nodes)
+        d_parts = [d_psi.amplitudes for d_psi in angmom_op(interior)]
+        l_parts = body_components(m, d_parts)
+        for j, direct in enumerate(d_parts):
             recombined = sum(n[:, k, j] * l_parts[k] for k in range(3))
-            direct = d_psi.amplitudes
             assert np.abs(recombined - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_symmetrized_variant_hermitian(self, ball):
@@ -272,7 +277,8 @@ class TestBodyCommutators:
 
 class TestContractionIdentity:
     """The body and angular-velocity tables read off the chart residual
-    field equal the commutators formed from the public body operator."""
+    field equal the commutators formed from body components
+    L_k = sum_j m[j, k] D_j of the public chart operator."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -285,14 +291,19 @@ class TestContractionIdentity:
         _, m = frame_fields(nodes)
         i0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.1], [0.0, -0.1, 3.0]])
         i0_inv = np.linalg.inv(i0)
-        l_psi = [a.amplitudes for a in body_angmom_op(psi, hbar=hbar, enforce_boundary=False)]
+
+        def body_op(state):
+            chart = [a.amplitudes for a in angmom_op(state, hbar=hbar, enforce_boundary=False)]
+            return body_components(m, chart)
+
+        l_psi = body_op(psi)
         comm = np.empty((3, 3, psi.grid.size), dtype=complex)  # [L_k, w^j] psi at [k, j]
         for j in range(3):
             w_psi = GridWavefunction(grid=psi.grid, amplitudes=nodes[:, j] * psi.amplitudes,
                                      profile=lambda p, j=j: p[..., j] * psi.profile(p))
-            l_w_psi = body_angmom_op(w_psi, hbar=hbar, enforce_boundary=False)
+            l_w_psi = body_op(w_psi)
             for k in range(3):
-                comm[k, j] = l_w_psi[k].amplitudes - nodes[:, j] * l_psi[k]
+                comm[k, j] = l_w_psi[k] - nodes[:, j] * l_psi[k]
         body = comm + 1j * hbar * m.T * psi.amplitudes  # m.T[k, j] = m[:, j, k]
         # [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi at [k, j], Omega = I0^-1 L
         angvel = (np.einsum("jl,lkn->kjn", i0_inv, comm)
@@ -307,6 +318,23 @@ class TestContractionIdentity:
     def test_chart_table_is_the_chart_check(self, small):
         chart, _, _ = commutator_residuals(small, np.eye(3))
         assert np.array_equal(chart, chart_commutator_residuals(small))
+
+
+class TestEmptyInterior:
+    """Excluding every shell leaves no node to check: an error, not a residual of 0."""
+
+    @pytest.mark.parametrize("call", [
+        lambda psi, layers: commutator_residuals(psi, np.eye(3), boundary_layers=layers),
+        lambda psi, layers: chart_commutator_residuals(psi, boundary_layers=layers),
+        lambda psi, layers: body_commutator_residuals(psi, boundary_layers=layers),
+        lambda psi, layers: angvel_commutator_check(np.eye(3), psi, boundary_layers=layers),
+    ], ids=["commutator_residuals", "chart_commutator_residuals", "body_commutator_residuals",
+            "angvel_commutator_check"])
+    def test_all_shells_excluded(self, call):
+        psi = so3_gaussian_state(So3Grid.make(16, 32), sigma=0.3)
+        assert np.all(np.asarray(call(psi, 15)) > 0.0)  # the innermost shell is still checked
+        with pytest.raises(GridError, match="leaves no node"):
+            call(psi, 16)
 
 
 class TestAngvelCommutator:
@@ -346,8 +374,7 @@ def counting(psi):
 
 class TestStencilSweep:
     @pytest.mark.parametrize("order, calls", [(4, 12), (2, 6)])
-    @pytest.mark.parametrize("check", ["chart", "body", "angvel", "residuals", "angmom_op",
-                                       "body_angmom_op"])
+    @pytest.mark.parametrize("check", ["chart", "body", "angvel", "residuals", "angmom_op"])
     def test_profile_evaluations_per_check(self, interior, check, order, calls):
         # one sweep: each stencil offset along each direction is evaluated once
         psi, seen = counting(interior)
@@ -359,19 +386,15 @@ class TestStencilSweep:
             angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi, order=order)
         elif check == "residuals":
             assert len(commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]), order=order)) == 3
-        elif check == "angmom_op":
-            assert len(angmom_op(psi, order=order)) == 3
         else:
-            assert len(body_angmom_op(psi, order=order)) == 3
+            assert len(angmom_op(psi, order=order)) == 3
         assert len(seen) == calls
         assert all(shape == interior.grid.nodes.shape for shape in seen)
 
-    @pytest.mark.parametrize("fixed_frame", [False, True])
-    def test_profile_evaluations_per_rotational_state(self, interior, fixed_frame):
+    def test_profile_evaluations_per_rotational_state(self, interior):
         # the rotational dispersion suite differentiates each state once
         counted = [counting(interior), counting(interior)]
-        rows = heisenberg_suite([psi for psi, _ in counted], "rotational",
-                                fixed_frame=fixed_frame)
+        rows = heisenberg_suite([psi for psi, _ in counted], "rotational")
         assert len(rows) == 18
         assert [len(seen) for _, seen in counted] == [12, 12]
 
@@ -399,12 +422,11 @@ class TestHbarChecked:
     @pytest.mark.parametrize("hbar", BAD_HBARS)
     @pytest.mark.parametrize("call", [
         lambda psi, hbar: angmom_op(psi, hbar=hbar),
-        lambda psi, hbar: body_angmom_op(psi, hbar=hbar),
         lambda psi, hbar: commutator_residuals(psi, np.eye(3), hbar=hbar),
         lambda psi, hbar: chart_commutator_residuals(psi, hbar=hbar),
         lambda psi, hbar: body_commutator_residuals(psi, hbar=hbar),
         lambda psi, hbar: angvel_commutator_check(np.eye(3), psi, hbar=hbar),
-    ], ids=["angmom_op", "body_angmom_op", "commutator_residuals",
+    ], ids=["angmom_op", "commutator_residuals",
             "chart_commutator_residuals", "body_commutator_residuals",
             "angvel_commutator_check"])
     def test_orientation_operators(self, interior, call, hbar):
