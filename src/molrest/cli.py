@@ -44,7 +44,7 @@ from .errors import (
     SingularInertiaError,
 )
 from .frames import BLOCKS, analyze, load_trajectory, reconstruct
-from .lie_so3 import length, relative
+from .lie_so3 import component_length, relative
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
 from .quantum import (
@@ -330,7 +330,8 @@ def _cmd_modes(config, mol, rng):
     relative residuals of every Eckart condition, com_norm = |sum M R0| / sum M |R0|."""
     basis = build_modes(mol, rng=rng)
     res = verify_eckart(mol, basis)
-    com = float(relative(length(mol.masses @ mol.positions), mol.masses @ length(mol.positions)))
+    com = float(relative(component_length(mol.masses @ mol.positions),
+                         mol.masses @ component_length(mol.positions)))
     inertia = equilibrium_inertia(mol)
     report = {
         "command": config.command,
@@ -430,6 +431,8 @@ def _cmd_decompose(config, mol, rng):
 def _cmd_heisenberg(config, mol, rng):
     hbar = mol.hbar
     tol = config.tol_quad * hbar
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"--tol-quad times hbar must be positive and finite, got {tol!r}")
     line = LineGrid.make(-LINE_EXTENT, LINE_EXTENT, config.grid_line)
     ball = So3Grid.make(config.grid_theta, config.grid_dirs)
     basis = build_modes(mol, rng=rng)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .angmom import build_inertia, deformation_angmom, inertia_at, mode_sum, relative_angmom
 from .errors import EckartSolveError, SchemaError
-from .lie_so3 import (component_length, cross, cross_sum, first_failure, length,
-                      quaternion_form, quaternion_to_matrix, quaternion_to_vector, relative)
+from .lie_so3 import (component_length, cross, cross_sum, first_failure, quaternion_form,
+                      quaternion_to_matrix, quaternion_to_vector, relative)
 
 __all__ = [
     "Configuration",
@@ -226,7 +226,7 @@ def solve_eckart(mol, positions):
     frame = EckartFrame(
         rotation=rotation,
         orientation=quaternion_to_vector(quaternion),
-        residual=length(cross_sum(mol.masses[:, None] * mol.positions, body))[()],
+        residual=component_length(cross_sum(mol.masses[:, None] * mol.positions, body))[()],
         scale=np.sum(mol.masses * component_length(mol.positions) * component_length(positions),
                      axis=-1)[()],
         degenerate=(gap < 1e-9)[()],

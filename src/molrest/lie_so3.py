@@ -20,21 +20,11 @@ only.  Both directions of the chart go through them, at every angle:
 vector taken from a matrix or an Eckart solve comes from
 ``quaternion_to_vector``; ``quaternion_form`` builds the one 4x4 matrix.
 
-Lengths of 3-vectors come in two roundings, each kept where the reports
-were built with it:
-
-- ``component_length`` sums the three squares left to right, as
-  ``np.linalg.norm(v, axis=-1)`` does, without numpy's slow reduction
-  over a short axis.  The orientation hot path uses it: the angles of
-  ``frame_fields``, ``log_density_gradient`` and the quaternions
-  (``unit_quaternion``, ``geodesic_distance``), ``grids.wrap_to_ball``
-  and ``So3Grid.interior``, and outside the grids the Eckart scale of
-  ``frames.solve_eckart`` and the geometry checks of ``molecule``.
-  ``geodesic_distance`` sums its quaternion dot product the same way.
-- ``length`` rounds as the dot product of one vector does: the angle
-  checks of ``exp_map`` and ``killing_frame``, ``quaternion_to_vector``,
-  and the Eckart and sum-rule residuals of ``frames``, ``modes`` and the
-  CLI.
+Every length of a 3-vector is ``component_length``: the three squares
+summed left to right, as ``np.linalg.norm(v, axis=-1)`` does, without
+numpy's slow reduction over a short axis.  It is elementwise, so one
+vector and a stack give bit-identical lengths.  ``geodesic_distance``
+sums its quaternion dot product the same way.
 """
 
 from dataclasses import dataclass
@@ -51,7 +41,6 @@ __all__ = [
     "vee",
     "cross",
     "cross_sum",
-    "length",
     "component_length",
     "relative",
     "first_failure",
@@ -108,7 +97,7 @@ def _check_omega(omega):
     infinite = ~np.isfinite(omega).all(axis=-1)
     if infinite.any():
         raise ValueError("orientation vector has non-finite entries" + _where(infinite))
-    theta = length(omega)
+    theta = component_length(omega)
     outside = theta > np.pi + 1e-10
     if outside.any():
         _, (first,) = first_failure(outside, theta)
@@ -180,37 +169,18 @@ def _check_rotation(r, atol=1e-8):
     return r
 
 
-def _dot(a, b):
-    """Dot product over the last axis, by the routine ``a @ b`` uses for one pair."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def length(v):
-    """Euclidean length over the last axis of an (..., 3) array.
-
-    Uses the same dot product as ``np.linalg.norm`` of a single vector,
-    so one vector and a stack of them give bit-identical lengths.  The
-    Eckart residuals and the rotation vectors of ``quaternion_to_vector``
-    are measured with it, and ``component_length`` rounds differently in
-    about one entry in ten, so swapping the two would move report bytes.
-    """
-    return np.sqrt(_dot(v, v))
-
-
 def _component_dot(a, b):
     """Dot product over a last axis of 3, summed left to right by component."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def component_length(v):
-    """Euclidean length over the last axis of an (..., 3) array, by components.
+    """Euclidean length over the last axis of an (..., 3) array.
 
     Bit-identical to ``np.linalg.norm(v, axis=-1)``, whose reduction adds
     the three squares left to right, at about a quarter of its cost on a
     large stack: numpy reduces a short last axis slowly.  The order
-    matters, v0^2 + (v1^2 + v2^2) rounds differently.  ``length`` is the
-    other length of this module: it rounds as the dot product does, and
-    the frame reports were built with it.
+    matters, v0^2 + (v1^2 + v2^2) rounds differently.
     """
     return np.sqrt(_component_dot(v, v))
 
@@ -339,7 +309,7 @@ def quaternion_to_vector(q):
     q = np.asarray(q, dtype=float)
     q = np.where(q[..., :1] < 0.0, -q, q)
     v = q[..., 1:]
-    s = length(v)
+    s = component_length(v)
     theta = 2.0 * np.arctan2(s, q[..., 0])
     return v * (theta / np.where(s == 0.0, 1.0, s))[..., None]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearGeometryError
-from .lie_so3 import cross, cross_sum, length, relative
+from .lie_so3 import component_length, cross, cross_sum, relative
 from .molecule import equilibrium_inertia, fix_column_signs
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
@@ -137,10 +137,11 @@ def verify_eckart(mol, basis):
     """Relative residuals of the translation and rotation sum rules, and the duality residual."""
     sqrt_m = np.sqrt(mol.masses)
     x = np.swapaxes(basis.x, 0, 1)  # (K, N, 3): the particle axis second to last
-    size = sqrt_m * length(x)
-    trans = relative(length(np.sum(sqrt_m[:, None] * x, axis=-2)), np.sum(size, axis=-1))
-    rot = relative(length(cross_sum(mol.positions, sqrt_m[:, None] * x)),
-                   size @ length(mol.positions))
+    size = sqrt_m * component_length(x)
+    trans = relative(component_length(np.sum(sqrt_m[:, None] * x, axis=-2)),
+                     np.sum(size, axis=-1))
+    rot = relative(component_length(cross_sum(mol.positions, sqrt_m[:, None] * x)),
+                   size @ component_length(mol.positions))
     pairing = np.einsum("mak,mbk->ab", basis.x, basis.x_dual)
     return EckartResiduals(
         translation=float(np.max(trans, initial=0.0)),

@@ -304,6 +304,19 @@ class TestInputErrors:
         assert invoke("validate", "--input", str(bad)) == 1
         assert "electrons.count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol_quad, hbar", [("1e300", "1e10"), ("1e-300", "1e-300")])
+    def test_quadrature_tolerance_outside_float_range(self, tol_quad, hbar, monkeypatch,
+                                                       capsys):
+        # each flag is valid, the product overflows or underflows: bad input, no state drawn
+        def drawn(*args, **kwargs):
+            raise AssertionError("a state was drawn")
+        monkeypatch.setattr(cli, "random_line_state", drawn)
+        assert invoke("heisenberg", "--input", MOLECULE,
+                      "--tol-quad", tol_quad, "--hbar", hbar) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("molrest: error: --tol-quad")
+        assert err.count("\n") == 1
+
     def test_frame_without_trajectory(self):
         assert invoke("frame", "--input", MOLECULE) == 1
 
