@@ -32,7 +32,6 @@ __all__ = [
     "build_inertia",
     "inertia_at",
     "pd_bound",
-    "cross_sum",
     "mode_sum",
     "relative_angmom",
     "deformation_angmom",

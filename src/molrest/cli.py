@@ -58,7 +58,8 @@ from .quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
-from .quantum.grids import MIN_DIRS, MIN_LINE_POINTS, MIN_SHELLS
+from .quantum.grids import (MAX_DIRS, MAX_LINE_POINTS, MAX_SHELLS, MIN_DIRS, MIN_LINE_POINTS,
+                            MIN_SHELLS)
 
 __all__ = ["RunConfig", "Table", "parse_args", "run", "main"]
 
@@ -66,7 +67,7 @@ COMMANDS = ("validate", "modes", "frame", "decompose", "heisenberg", "commutator
 
 # residual ceilings for the commutator table; the canonical line check
 # runs the 2nd-order stencil so its measured convergence order is
-# meaningful, the orientation checks run the 4th-order default
+# meaningful, the orientation checks their fixed 4th-order one
 LINE_CANONICAL_TOL = 1e-6
 CHART_TOL = 1e-5
 BODY_TOL = 1e-5
@@ -105,10 +106,13 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
-        for name, least in (("grid_line", MIN_LINE_POINTS), ("grid_theta", MIN_SHELLS),
-                            ("grid_dirs", MIN_DIRS)):
+        for name, least, most in (("grid_line", MIN_LINE_POINTS, MAX_LINE_POINTS),
+                                  ("grid_theta", MIN_SHELLS, MAX_SHELLS),
+                                  ("grid_dirs", MIN_DIRS, MAX_DIRS)):
             if getattr(self, name) < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
+            if getattr(self, name) > most:
+                raise ValueError(f"--{name.replace('_', '-')} must be at most {most}")
         if self.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {self.seed}")
 
@@ -141,11 +145,11 @@ def parse_args(argv=None):
     parser.add_argument("--tol-quad", type=float,
                         help="uncertainty-product quadrature allowance (times hbar)")
     parser.add_argument("--grid-line", type=int,
-                        help=f"line grid points (min {MIN_LINE_POINTS})")
+                        help=f"line grid points ({MIN_LINE_POINTS} to {MAX_LINE_POINTS})")
     parser.add_argument("--grid-theta", type=int,
-                        help=f"rotation-angle shells (min {MIN_SHELLS})")
+                        help=f"rotation-angle shells ({MIN_SHELLS} to {MAX_SHELLS})")
     parser.add_argument("--grid-dirs", type=int,
-                        help=f"direction nodes per shell (min {MIN_DIRS})")
+                        help=f"direction nodes per shell ({MIN_DIRS} to {MAX_DIRS})")
     parser.add_argument("--hbar", type=float, help="override the molecule's hbar")
     parser.add_argument("--seed", type=int, help="seed for randomized state families")
     return RunConfig(**vars(parser.parse_args(argv)))

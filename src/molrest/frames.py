@@ -488,8 +488,9 @@ def load_trajectory(mol, path):
     )
 
 
-def write_trajectory(mol, path, configs, comment="frame"):
-    """Write configurations in the format read by load_trajectory.
+def write_trajectory(mol, path, configs):
+    """Write configurations in the format read by load_trajectory, with
+    comment lines ``frame <i>``.
 
     ``configs`` is a Configuration (one frame or a stack) or a sequence
     of single-frame ones.
@@ -504,7 +505,7 @@ def write_trajectory(mol, path, configs, comment="frame"):
     electrons = electrons.reshape((len(nuclei),) + electrons.shape[-2:])
     with open(path, "w", encoding="utf-8") as fh:
         for idx, (nuc, elec) in enumerate(zip(nuclei, electrons)):
-            fh.write(f"{n_total}\n{comment} {idx}\n")
+            fh.write(f"{n_total}\nframe {idx}\n")
             for mu, row in enumerate(nuc):
                 fh.write(f"X{mu} " + " ".join(repr(float(v)) for v in row) + "\n")
             for row in elec:

@@ -9,14 +9,12 @@ from .operators import (
     body_commutator_residuals,
     chart_commutator_residuals,
     commutator_residuals,
-    frame_fields,
     line_commutator_residual,
     momentum_op,
     position_op,
 )
 from .states import (
     gaussian_line_state,
-    geodesic_distance,
     oscillator_state,
     random_line_state,
     random_so3_state,
@@ -34,9 +32,7 @@ __all__ = [
     "chart_commutator_residuals",
     "commutator_residuals",
     "dispersion",
-    "frame_fields",
     "gaussian_line_state",
-    "geodesic_distance",
     "heisenberg_suite",
     "line_commutator_residual",
     "momentum_op",

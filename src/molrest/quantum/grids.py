@@ -21,13 +21,19 @@ import numpy as np
 from ..errors import GridError
 from ..lie_so3 import component_length
 
-__all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "LineGrid", "So3Grid",
-           "GridWavefunction", "wrap_to_ball", "check_hbar"]
+__all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "MAX_LINE_POINTS", "MAX_SHELLS",
+           "MAX_DIRS", "LineGrid", "So3Grid", "GridWavefunction", "wrap_to_ball", "check_hbar"]
 
-# smallest grids ``make`` builds: line points, angle shells, directions per shell
+# smallest and largest grids ``make`` builds: line points, angle shells,
+# directions per shell.  The largest are 4x the reference grids (a
+# 262144-point line, a 128 x 2048 ball); a commutators or heisenberg run
+# at all three ceilings peaks near 1 GB.
 MIN_LINE_POINTS = 64
 MIN_SHELLS = 16
 MIN_DIRS = 32
+MAX_LINE_POINTS = 1 << 20
+MAX_SHELLS = 256
+MAX_DIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,8 @@ class LineGrid:
     def make(cls, x_min=-10.0, x_max=10.0, n=2048):
         if n < MIN_LINE_POINTS:
             raise GridError(f"line grid needs at least {MIN_LINE_POINTS} points, got {n}")
+        if n > MAX_LINE_POINTS:
+            raise GridError(f"line grid takes at most {MAX_LINE_POINTS} points, got {n}")
         if not x_max > x_min:
             raise GridError("empty line grid extent")
         points = np.linspace(x_min, x_max, n)
@@ -104,6 +112,9 @@ class So3Grid:
             raise GridError(f"need at least {MIN_SHELLS} rotation-angle shells, got {n_theta}")
         if n_dirs < MIN_DIRS:
             raise GridError(f"need at least {MIN_DIRS} direction nodes, got {n_dirs}")
+        if n_theta > MAX_SHELLS or n_dirs > MAX_DIRS:
+            raise GridError(f"the ball takes at most {MAX_SHELLS} rotation-angle shells and "
+                            f"{MAX_DIRS} direction nodes, got {n_theta} x {n_dirs}")
         h = np.pi / n_theta
         thetas = (np.arange(n_theta) + 0.5) * h
         # Haar radial density (1 - cos)/(4 pi^2 t^2) times shell area
@@ -142,16 +153,11 @@ class So3Grid:
     def size(self):
         return self.nodes.shape[0]
 
-    def interior(self, boundary_layers):
-        """Nodes more than ``boundary_layers`` shell spacings inside the seam at pi."""
-        if boundary_layers <= 0:
-            return np.ones(self.size, dtype=bool)
-        return component_length(self.nodes) < np.pi - boundary_layers * self.radial_step
-
     @cached_property
-    def boundary_mask(self):
-        """The outermost two rotation-angle shells (computed once per grid)."""
-        return ~self.interior(2)
+    def seam_mask(self):
+        """The two outermost rotation-angle shells, next to the chart seam at pi:
+        ``boundary_mass`` weighs them and the commutator checks leave them out."""
+        return component_length(self.nodes) >= np.pi - 2 * self.radial_step
 
 
 @dataclass(frozen=True)
@@ -197,8 +203,8 @@ class GridWavefunction:
         return cls(grid=grid, amplitudes=raw.amplitudes / scale, profile=scaled)
 
     def boundary_mass(self):
-        """Probability carried by the outermost two rotation-angle shells."""
+        """Probability carried by the grid's seam shells (0 on a line grid)."""
         if isinstance(self.grid, LineGrid):
             return 0.0
-        mask = self.grid.boundary_mask
+        mask = self.grid.seam_mask
         return float(np.sum(self.grid.haar_weights[mask] * np.abs(self.amplitudes[mask]) ** 2))

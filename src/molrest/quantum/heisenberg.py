@@ -19,17 +19,17 @@ observables per kind:
 operator runs once per state: the line branch applies momentum_op and
 position_op per state, and the rotational branch makes one call of
 ``angmom_op``, whose single stencil sweep yields all three chart
-components (12 profile evaluations per state at order 4).  The suite
-checks each state's normalization once, not once per dispersion as a
-direct ``dispersion`` call does.
+components (12 profile evaluations per state).  The suite checks each
+state's normalization once, not once per dispersion as a direct
+``dispersion`` call does.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
 meaningful for states concentrated away from the chart seam: when the
 boundary mass of a state reaches 1e-8 its records' satisfied field is
-None (indeterminate) rather than a verdict.
-Angular-momentum dispersions use the Haar-symmetrized derivative so the
-operator is hermitian under the weighted quadrature.
+None (indeterminate) rather than a verdict; ``angmom_op`` itself has no
+seam gate.  Its chart components are Haar-symmetrized, so the operator
+is hermitian under the weighted quadrature.
 """
 
 import math
@@ -42,10 +42,9 @@ from .operators import BOUNDARY_MASS_TOL, angmom_op, momentum_op, position_op
 
 __all__ = ["dispersion", "heisenberg_suite"]
 
-# every dispersion differentiates with the 4th-order stencil, and the
-# orientation derivatives step 5e-3 along each chart direction
+# line dispersions differentiate with the 4th-order stencil; ``angmom_op``
+# fixes its own
 STENCIL_ORDER = 4
-ORIENTATION_STEP = 5e-3
 
 
 def dispersion(psi, a_psi):
@@ -185,8 +184,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None):
         per_state = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
-            l_psi = angmom_op(s, hbar=hbar, step=ORIENTATION_STEP, order=STENCIL_ORDER,
-                              symmetric=True, enforce_boundary=False)
+            l_psi = angmom_op(s, hbar=hbar)
             _check_normalized(s)
             d_l = [_spread(s, a) for a in l_psi]
             d_w = [_spread(s, position_op(s, component=k)) for k in range(3)]

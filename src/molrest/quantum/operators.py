@@ -8,23 +8,26 @@ ball through the antipode.  The chart derivative D_j = -i hbar d/dw^j
 realizes n_(j)(w) . L; body components follow from the dual frame
 (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
-Every orientation derivative comes from one stencil sweep,
-``_chart_sweep``: it gates the state's seam mass, then evaluates the
-profile once per stencil offset along each w^j (4 calls per direction
-at order 4, 12 per state).  From those values it forms D_j psi and, for
-the commutator checks, D_j(w^k psi) (w^k psi at a stencil point is the
-wrapped coordinate times the profile there).
+Every orientation derivative comes from one 4th-order stencil sweep,
+``_chart_sweep``, which evaluates the profile once per stencil offset
+along each w^j (4 calls per direction, 12 per state).  From those values
+it forms D_j psi and, for the commutator checks, D_j(w^k psi) (w^k psi at
+a stencil point is the wrapped coordinate times the profile there).
+Each job has one fixed policy:
 
-- ``angmom_op`` returns the three chart components D_j psi from one
-  sweep; the rotational dispersions (``heisenberg.heisenberg_suite``)
-  call it once per state.
-- ``commutator_residuals`` forms the chart residual field
-  [D_j, w^k] psi + i hbar delta_jk psi from one sweep and reads the body
-  and angular-velocity residuals off it through m and I0^-1 m, which
-  commute with w^k.  Each check reports the worst interior node relative
-  to hbar * max|psi| and excludes a configurable number of boundary
-  shells (the chart seam is where the finite-difference wrap stops being
-  exact for the coordinate functions themselves).
+- ``angmom_op`` (the rotational dispersions of
+  ``heisenberg.heisenberg_suite``, once per state) returns the three
+  Haar-symmetrized chart components at step ORIENTATION_STEP, with no
+  seam gate: the suite marks a state with seam mass indeterminate.
+- ``commutator_residuals`` raises BoundaryMassError on seam mass, then
+  sweeps at step min(shell spacing, 0.02) and forms the chart residual
+  field [D_j, w^k] psi + i hbar delta_jk psi.  It reads the body and
+  angular-velocity residuals off it through m and I0^-1 m, which commute
+  with w^k.  Each check reports the worst node off the grid's two seam
+  shells (``So3Grid.seam_mask``, where the finite-difference wrap stops
+  being exact for the coordinate functions themselves) relative to
+  hbar * max|psi|.  The chart, body and angular-velocity entry points
+  read its three tables.
 
 Every operator and check raises GridError for an hbar that is not
 positive and finite (``grids.check_hbar``) before it differentiates.
@@ -41,7 +44,6 @@ __all__ = [
     "position_op",
     "momentum_op",
     "angmom_op",
-    "frame_fields",
     "line_commutator_residual",
     "commutator_residuals",
     "chart_commutator_residuals",
@@ -54,6 +56,9 @@ BOUNDARY_MASS_TOL = 1e-8
 # nodes left out at each end of a line grid by line_commutator_residual
 LINE_BOUNDARY_NODES = 8
 
+# chart step of angmom_op, the operator of the rotational dispersions
+ORIENTATION_STEP = 5e-3
+
 # central first-derivative stencils: offsets, integer numerators, denominator
 _STENCILS = {
     2: ((-1, 1), (-1, 1), 2),
@@ -62,13 +67,14 @@ _STENCILS = {
 
 
 def _coordinate(grid, component):
+    whole = isinstance(component, (int, np.integer)) and not isinstance(component, bool)
     if isinstance(grid, LineGrid):
-        if component not in (0, None):
+        if not (component is None or whole and component == 0):
             raise GridError("line grids have a single coordinate (component 0)")
         return grid.points
-    if component is None or not 0 <= int(component) <= 2:
+    if not (whole and 0 <= component <= 2):
         raise GridError("orientation coordinate component must be 0, 1, or 2")
-    return grid.nodes[:, int(component)]
+    return grid.nodes[:, component]
 
 
 def position_op(psi, component=0):
@@ -115,71 +121,50 @@ def momentum_op(psi, hbar=1.0, order=4):
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
-def _orientation_setup(psi, step, order, enforce_boundary):
-    """Check an So3Grid state for chart derivatives and return the stencil step."""
-    mass = psi.boundary_mass()
-    if enforce_boundary and mass >= BOUNDARY_MASS_TOL:
-        raise BoundaryMassError(
-            f"orientation state carries boundary mass {mass:.3e} >= {BOUNDARY_MASS_TOL:g}; "
-            "chart derivatives are unreliable near the seam"
-        )
+def _chart_sweep(psi, step, coordinates):
+    """One 4th-order stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k].
+
+    step None is the commutator step.  coordinates=False gives None for
+    d(w^k psi): only the commutator checks need it, and it is most of the
+    sweep's memory.
+    """
     if not isinstance(psi.grid, So3Grid):
         raise GridError("chart derivatives need an So3Grid state")
     if psi.profile is None:
         raise GridError("state lacks a generating profile for off-node evaluation")
-    if order not in _STENCILS:
-        raise GridError(f"unsupported stencil order {order}")
     if step is None:
         # stay below the shell spacing but cap so 4th-order truncation of
         # sigma >= 0.1 states lands under the commutator tolerances
         step = min(psi.grid.radial_step, 0.02)
-    return step
-
-
-def _stencil(psi, direction, step, order):
-    """Yield (weight, wrapped points, profile there) per stencil offset along w^j."""
-    offsets, nums, den = _STENCILS[order]
-    unit = np.zeros(3)
-    unit[int(direction)] = 1.0
+    offsets, nums, den = _STENCILS[4]
     nodes = psi.grid.nodes
-    for off, num in zip(offsets, nums):
-        pts = wrap_to_ball(nodes + (off * step) * unit)
-        yield num / den, pts, np.asarray(psi.profile(pts), dtype=complex)
-
-
-def _chart_sweep(psi, step, order, enforce_boundary, coordinates=True):
-    """One stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k].
-
-    The operators pass coordinates=False and get None for d(w^k psi):
-    only the commutator checks need it, and it is most of the sweep's
-    memory.
-    """
-    step = _orientation_setup(psi, step, order, enforce_boundary)
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
     d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
-    for j in range(3):
-        for cf, pts, vals in _stencil(psi, j, step, order):
-            d_psi[j] += cf * vals
+    for j, unit in enumerate(np.eye(3)):
+        for off, num in zip(offsets, nums):
+            pts = wrap_to_ball(nodes + (off * step) * unit)
+            vals = np.asarray(psi.profile(pts), dtype=complex)
+            d_psi[j] += num / den * vals
             if coordinates:
-                d_xpsi[j] += cf * (pts.T * vals)
+                d_xpsi[j] += num / den * (pts.T * vals)
     d_psi /= step
     if coordinates:
         d_xpsi /= step
     return d_psi, d_xpsi
 
 
-def angmom_op(psi, hbar=1.0, step=None, order=4, symmetric=False, enforce_boundary=True):
-    """The chart components (n_(j)(w) . L) psi = -i hbar d(psi)/dw^j on an So3Grid.
+def angmom_op(psi, hbar=1.0):
+    """The Haar-symmetrized chart components of L on an So3Grid, j = 0, 1, 2.
 
-    Returns three states, j = 0, 1, 2, from one stencil sweep.
-    symmetric=True adds the Haar drift -i hbar/2 (d_j ln rho) psi, which
-    makes each component hermitian under the weighted quadrature; the
-    drift cancels in commutators with coordinate functions.
+    (n_(j)(w) . L) psi = -i hbar (d/dw^j + (1/2) d_j ln rho) psi, from one
+    sweep at ORIENTATION_STEP.  The Haar drift (1/2) d_j ln rho makes each
+    component hermitian under the weighted quadrature and cancels in
+    commutators with coordinate functions.  No seam gate: the dispersion
+    suite marks a state with seam mass indeterminate instead.
     """
     check_hbar(hbar)
-    d_psi, _ = _chart_sweep(psi, step, order, enforce_boundary, coordinates=False)
-    if symmetric:
-        d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
+    d_psi, _ = _chart_sweep(psi, ORIENTATION_STEP, False)
+    d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
     return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None)
                  for a in -1j * hbar * d_psi)
 
@@ -190,13 +175,6 @@ def _relative(residual, psi, mask, hbar):
         raise GridError("the boundary exclusion leaves no node to check")
     scale = hbar * float(np.abs(psi.amplitudes).max())
     return np.abs(residual).max(axis=-1, where=mask, initial=0.0) / scale
-
-
-def _chart_residual(psi, hbar, step, order, enforce_boundary):
-    """[n_(j).L, w^k] psi + i hbar delta_jk psi, index [j, k] (3, 3, K), from one sweep."""
-    d_psi, d_xpsi = _chart_sweep(psi, step, order, enforce_boundary)
-    comm = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
-    return comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
 
 
 def line_commutator_residual(psi, hbar=1.0, order=2):
@@ -215,18 +193,17 @@ def line_commutator_residual(psi, hbar=1.0, order=2):
     return float(_relative(residual, psi, mask, hbar))
 
 
-def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=2,
-                         enforce_boundary=True):
+def commutator_residuals(psi, i0, hbar=1.0):
     """Chart, body and angular-velocity commutator residuals, three (3, 3) matrices.
 
     chart[j, k]:  [n_(j).L, w^k] psi + i hbar delta_jk psi;
     body[k, j]:   [L_k, w^j] psi + i hbar m[j, k] psi, the chart field read through m;
     angvel[k, j]: [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi, I0^-1 times
                   the body field (rigid-rotor angular velocity Omega = I0^-1 L).
-    Entries are worst interior-node residuals relative to hbar * max|psi|,
-    excluding boundary_layers outer shells; 0 exposes the seam error of the
-    coordinate function (the wrapped coordinate jumps by 2 pi even when the
-    state is smooth).
+    Entries are worst residuals off the grid's seam shells relative to
+    hbar * max|psi|: on the seam the wrapped coordinate jumps by 2 pi even
+    when the state is smooth.  A state whose seam mass reaches
+    BOUNDARY_MASS_TOL raises BoundaryMassError.
     """
     check_hbar(hbar)
     i0 = np.asarray(i0, dtype=float)
@@ -237,35 +214,36 @@ def commutator_residuals(psi, i0, hbar=1.0, step=None, order=4, boundary_layers=
     eigs = np.linalg.eigvalsh(i0)
     if eigs.min() <= 0.0 or not np.all(np.isfinite(eigs)):
         raise SingularInertiaError(f"equilibrium inertia not positive definite: spectrum {eigs}")
+    mass = psi.boundary_mass()
+    if mass >= BOUNDARY_MASS_TOL:
+        raise BoundaryMassError(
+            f"orientation state carries boundary mass {mass:.3e} >= {BOUNDARY_MASS_TOL:g}; "
+            "chart derivatives are unreliable near the seam"
+        )
 
-    chart = _chart_residual(psi, hbar, step, order, enforce_boundary)
+    d_psi, d_xpsi = _chart_sweep(psi, None, True)
+    chart = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
+    chart += 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
     _, m = frame_fields(psi.grid.nodes)
     m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
     body = 0.0  # index [k, j]: sum_i m[:, i, k] chart[i, j], summed i = 0, 1, 2
     for i in range(3):
         body = body + m_t[i] * chart[i, None]
     angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)  # index [k, j]
-    mask = psi.grid.interior(boundary_layers)
+    mask = ~psi.grid.seam_mask
     return tuple(_relative(r, psi, mask, hbar) for r in (chart, body, angvel))
 
 
-def chart_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                               enforce_boundary=True):
+def chart_commutator_residuals(psi, hbar=1.0):
     """The chart matrix of ``commutator_residuals``, entry (j, k)."""
-    check_hbar(hbar)
-    residual = _chart_residual(psi, hbar, step, order, enforce_boundary)
-    return _relative(residual, psi, psi.grid.interior(boundary_layers), hbar)
+    return commutator_residuals(psi, np.eye(3), hbar)[0]
 
 
-def body_commutator_residuals(psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                              enforce_boundary=True):
+def body_commutator_residuals(psi, hbar=1.0):
     """The body matrix of ``commutator_residuals``, entry (k, j)."""
-    return commutator_residuals(psi, np.eye(3), hbar, step, order, boundary_layers,
-                                enforce_boundary)[1]
+    return commutator_residuals(psi, np.eye(3), hbar)[1]
 
 
-def angvel_commutator_check(i0, psi, hbar=1.0, step=None, order=4, boundary_layers=2,
-                            enforce_boundary=True):
+def angvel_commutator_check(i0, psi, hbar=1.0):
     """Max of ``commutator_residuals``' angular-velocity matrix; i0 = 1 gives the body check."""
-    return float(commutator_residuals(psi, i0, hbar, step, order, boundary_layers,
-                                      enforce_boundary)[2].max())
+    return float(commutator_residuals(psi, i0, hbar)[2].max())

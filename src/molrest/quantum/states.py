@@ -24,7 +24,6 @@ __all__ = [
     "so3_gaussian_state",
     "random_line_state",
     "random_so3_state",
-    "geodesic_distance",
 ]
 
 # widest gaussian of random_so3_state

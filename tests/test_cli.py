@@ -75,6 +75,9 @@ class TestConfigValidation:
         ("grid_line", 63),
         ("grid_theta", 15),
         ("grid_dirs", 31),
+        ("grid_line", 2**20 + 1),
+        ("grid_theta", 257),
+        ("grid_dirs", 4097),
         ("format", "xml"),
         ("command", "explode"),
         ("hbar", -1.0),
@@ -100,6 +103,23 @@ class TestConfigValidation:
         assert invoke("validate", "--input", MOLECULE, flag, value, "--output", str(out)) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("commutators", "--grid-line", "10000000000000"),
+        ("heisenberg", "--grid-theta", "100000000", "--grid-dirs", "100000000"),
+    ], ids=["commutators-line", "heisenberg-ball"])
+    def test_oversized_grid_exits_one_naming_the_flag(self, args, monkeypatch, capsys):
+        # rejected before the molecule is loaded or a grid allocated
+        def no_load(config):
+            raise AssertionError("an oversized grid reached the command")
+
+        monkeypatch.setattr(cli, "_load", no_load)
+        assert invoke(args[0], "--input", MOLECULE, *args[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("molrest: error: --grid-")
+        assert "must be at most" in lines[0]
 
 
 class TestExitZero:

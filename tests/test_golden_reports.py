@@ -22,11 +22,18 @@ that preceded the single stencil sweep):
     molrest heisenberg --input tests/data/water.json --seed 3 --format csv
     molrest commutators --input tests/data/water.json --format json
 
+Two more pin the quantum reports at hbar != 1, so that an operator that
+loses its hbar factor cannot pass; they were generated by the
+implementation whose orientation operators still took stencil options:
+
+    molrest commutators --input tests/data/water.json --hbar 0.37 --format json
+    molrest heisenberg --input tests/data/water.json --seed 3 --hbar 0.37 --format json
+
 Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
 a scale built from lab-frame positions and now divides by the
 translation-free scale of the Eckart solve; it is only required to stay
-below the Eckart tolerance.  The three quantum reports are also pinned
+below the Eckart tolerance.  The five quantum reports are also pinned
 byte for byte.
 """
 
@@ -107,22 +114,19 @@ def test_quantum_json_matches_reference(tmp_path, command, args, reference):
     _compare_json(_run(tmp_path, command, "json", args), reference)
 
 
-def test_heisenberg_json_is_byte_identical_to_reference(tmp_path):
-    _run(tmp_path, "heisenberg", "json", [*MOLECULE, "--seed", "3"])
-    reference = (DATA / "water_heisenberg_report.json").read_bytes()
-    assert (tmp_path / "heisenberg.json").read_bytes() == reference
-
-
-def test_commutators_json_is_byte_identical_to_reference(tmp_path):
-    _run(tmp_path, "commutators", "json", MOLECULE)
-    reference = (DATA / "water_commutators_report.json").read_bytes()
-    assert (tmp_path / "commutators.json").read_bytes() == reference
-
-
-def test_heisenberg_csv_is_byte_identical_to_reference(tmp_path):
-    _run(tmp_path, "heisenberg", "csv", [*MOLECULE, "--seed", "3"])
-    reference = (DATA / "water_heisenberg_report.csv").read_bytes()
-    assert (tmp_path / "heisenberg.csv").read_bytes() == reference
+@pytest.mark.parametrize("command, fmt, args, reference", [
+    ("heisenberg", "json", [*MOLECULE, "--seed", "3"], "water_heisenberg_report.json"),
+    ("heisenberg", "csv", [*MOLECULE, "--seed", "3"], "water_heisenberg_report.csv"),
+    ("commutators", "json", MOLECULE, "water_commutators_report.json"),
+    ("heisenberg", "json", [*MOLECULE, "--seed", "3", "--hbar", "0.37"],
+     "water_heisenberg_report_hbar037.json"),
+    ("commutators", "json", [*MOLECULE, "--hbar", "0.37"], "water_commutators_report_hbar037.json"),
+], ids=["heisenberg-json", "heisenberg-csv", "commutators-json", "heisenberg-json-hbar0.37",
+        "commutators-json-hbar0.37"])
+def test_quantum_report_is_byte_identical_to_reference(tmp_path, command, fmt, args, reference):
+    _run(tmp_path, command, fmt, args)
+    reference = (DATA / reference).read_bytes()
+    assert (tmp_path / f"{command}.{fmt}").read_bytes() == reference
 
 
 def test_decompose_csv_matches_reference(tmp_path):

@@ -14,6 +14,7 @@ from molrest.quantum import (
     so3_gaussian_state,
     wrap_to_ball,
 )
+from molrest.quantum.grids import MAX_DIRS, MAX_LINE_POINTS, MAX_SHELLS
 
 
 class TestLineGrid:
@@ -38,6 +39,12 @@ class TestLineGrid:
         with pytest.raises(GridError):
             LineGrid.make(2.0, 2.0, 128)
 
+    def test_ceiling_enforced(self):
+        assert LineGrid.make(-1.0, 1.0, 262144).size == 262144  # the reference line
+        assert LineGrid.make(-1.0, 1.0, MAX_LINE_POINTS).size == MAX_LINE_POINTS
+        with pytest.raises(GridError, match="at most"):
+            LineGrid.make(-1.0, 1.0, MAX_LINE_POINTS + 1)
+
 
 class TestSo3Grid:
     def test_haar_weights_sum_to_one(self):
@@ -60,6 +67,13 @@ class TestSo3Grid:
         with pytest.raises(GridError):
             So3Grid.make(64, 31)
 
+    def test_ceilings_enforced(self):
+        assert So3Grid.make(128, 2048).size == 128 * 2048  # the reference ball
+        with pytest.raises(GridError, match="at most"):
+            So3Grid.make(MAX_SHELLS + 1, 32)
+        with pytest.raises(GridError, match="at most"):
+            So3Grid.make(16, MAX_DIRS + 1)
+
     def test_direction_set_antipodal(self):
         # parity integrals cancel exactly only if -node is also a node
         g = So3Grid.make(16, 32)
@@ -75,13 +89,14 @@ class TestSo3Grid:
         assert abs(np.sum(g.haar_weights * tr)) <= 1e-12
         assert abs(np.sum(g.haar_weights * tr**2) - 1.0) <= 1e-12
 
-    def test_boundary_mask_covers_two_shells(self):
+    def test_seam_mask_covers_two_shells(self):
         g = So3Grid.make(24, 32)
         norms = np.linalg.norm(g.nodes, axis=1)
         expected = norms > np.pi - 2.0 * g.radial_step
-        assert np.array_equal(g.boundary_mask, expected)
-        # exactly two shells worth of nodes
-        assert g.boundary_mask.sum() == 2 * (g.size // 24)
+        assert np.array_equal(g.seam_mask, expected)
+        # exactly two shells worth of nodes, computed once
+        assert g.seam_mask.sum() == 2 * (g.size // 24)
+        assert g.seam_mask is g.seam_mask
 
     def test_grid_built_without_make_keeps_its_boundary(self):
         g = So3Grid.make(24, 48)

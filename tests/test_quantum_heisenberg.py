@@ -368,7 +368,7 @@ class TestRecordsAgainstPairLoop:
         assert states[0].boundary_mass() < BOUNDARY_MASS_TOL <= states[1].boundary_mass()
         expected = []
         for idx, s in enumerate(states, start=1):
-            l_psi = angmom_op(s, step=5e-3, order=4, symmetric=True, enforce_boundary=False)
+            l_psi = angmom_op(s)
             expected += reference_rows([f"n_({j}).L[{idx}]" for j in (1, 2, 3)],
                                        [dispersion(s, a) for a in l_psi],
                                        [f"omega^{k}[{idx}]" for k in (1, 2, 3)],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from molrest.errors import BoundaryMassError, GridError, SingularInertiaError
-from molrest.lie_so3 import SERIES_SWITCH, killing_frame
+from molrest.lie_so3 import SERIES_SWITCH, frame_fields, killing_frame, log_density_gradient
 from molrest.quantum import (
     GridWavefunction,
     LineGrid,
@@ -20,7 +20,6 @@ from molrest.quantum import (
     body_commutator_residuals,
     chart_commutator_residuals,
     commutator_residuals,
-    frame_fields,
     gaussian_line_state,
     heisenberg_suite,
     line_commutator_residual,
@@ -29,6 +28,7 @@ from molrest.quantum import (
     position_op,
     so3_gaussian_state,
 )
+from molrest.quantum.operators import ORIENTATION_STEP, _chart_sweep
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,14 @@ def ball():
 def interior(ball):
     return so3_gaussian_state(ball, center=(0.1, -0.1, 0.05), sigma=0.45,
                               wave=(0.8, -1.2, 0.4))
+
+
+def chart_residual_field(psi, hbar):
+    """[n_(j).L, w^k] psi + i hbar delta_jk psi at every node, index [j, k], from the
+    commutator checks' sweep (step min(shell spacing, 0.02)) without their seam gate."""
+    d_psi, d_xpsi = _chart_sweep(psi, None, True)
+    comm = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
+    return comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
 
 
 def body_components(m, chart):
@@ -72,12 +80,20 @@ class TestPositionOp:
         for k in range(3):
             assert abs(expectation(psi, position_op(psi, component=k))) <= 1e-14
 
-    def test_component_validation(self, line, ball):
-        psi = gaussian_line_state(line)
-        with pytest.raises(GridError):
-            position_op(psi, component=2)
-        with pytest.raises(GridError):
-            position_op(so3_gaussian_state(ball, sigma=0.3), component=5)
+    @pytest.mark.parametrize("component", [2.9, -0.5, True, 3])
+    def test_component_validation(self, line, ball, component):
+        # a whole number in range, never truncated: 2.9 is not omega^3 nor -0.5 omega^1
+        for psi in (gaussian_line_state(line), so3_gaussian_state(ball, sigma=0.3)):
+            with pytest.raises(GridError, match="component"):
+                position_op(psi, component=component)
+
+    def test_integer_components_accepted(self, line, ball):
+        psi = so3_gaussian_state(ball, sigma=0.3)
+        assert np.array_equal(position_op(psi, component=np.int64(2)).amplitudes,
+                              ball.nodes[:, 2] * psi.amplitudes)
+        flat = gaussian_line_state(line)
+        assert np.array_equal(position_op(flat, component=None).amplitudes,
+                              position_op(flat).amplitudes)
 
 
 class TestMomentumOp:
@@ -179,12 +195,11 @@ class TestAngmomOp:
         with pytest.raises(GridError):
             chart_commutator_residuals(psi)
 
-    def test_boundary_gate(self, ball):
+    def test_no_seam_gate(self, ball):
+        # the dispersion suite marks such a state indeterminate instead
         seam = so3_gaussian_state(ball, center=(0.0, 0.0, 2.8), sigma=0.3)
-        with pytest.raises(BoundaryMassError):
-            angmom_op(seam)
-        # explicit override skips the gate
-        angmom_op(seam, enforce_boundary=False)
+        assert seam.boundary_mass() >= 1e-8
+        assert all(np.isfinite(l_psi.amplitudes).all() for l_psi in angmom_op(seam))
 
     def test_parity_zero_mean(self, ball):
         psi = so3_gaussian_state(ball, sigma=0.4)
@@ -197,14 +212,16 @@ class TestAngmomOp:
         psi = so3_gaussian_state(ball, sigma=0.45, wave=a)
         norms = np.linalg.norm(ball.nodes, axis=1)
         core = norms < 1.5
+        drift = 0.5 * log_density_gradient(ball.nodes)
         for j, l_psi in enumerate(angmom_op(psi)):
             dpsi = l_psi.amplitudes
-            # envelope contributes the radial derivative; compare against
-            # the analytic derivative of the full profile instead
+            # envelope contributes the radial derivative and the Haar
+            # symmetrization its drift; compare against the analytic
+            # derivative of the full profile plus the drift instead
             d = norms
             env_term = -d / (2 * 0.45**2)
             exact = -1j * (env_term * (ball.nodes[:, j] / np.where(d > 0, d, 1.0))
-                           + 1j * a[j]) * psi.amplitudes
+                           + 1j * a[j] + drift[:, j]) * psi.amplitudes
             err = np.abs(dpsi - exact)[core].max() / np.abs(psi.amplitudes).max()
             assert err <= 1e-6
 
@@ -222,11 +239,12 @@ class TestAngmomOp:
         p1 = so3_gaussian_state(ball, center=(0.1, 0.0, -0.1), sigma=0.35, wave=(0.5, -0.3, 0.2))
         p2 = so3_gaussian_state(ball, center=(-0.05, 0.15, 0.0), sigma=0.3, wave=(-0.4, 0.6, 0.1))
         w = ball.haar_weights
-        plain_1, plain_2 = angmom_op(p1), angmom_op(p2)
-        sym_1, sym_2 = angmom_op(p1, symmetric=True), angmom_op(p2, symmetric=True)
+        # the plain chart derivative -i d/dw^j at the same step, without the Haar drift
+        plain_1, plain_2 = (-1j * _chart_sweep(p, ORIENTATION_STEP, False)[0] for p in (p1, p2))
+        sym_1, sym_2 = angmom_op(p1), angmom_op(p2)
         for j in range(3):
-            plain_a1 = plain_1[j].amplitudes
-            plain_a2 = plain_2[j].amplitudes
+            plain_a1 = plain_1[j]
+            plain_a2 = plain_2[j]
             sym_a1 = sym_1[j].amplitudes
             sym_a2 = sym_2[j].amplitudes
             plain = abs(np.sum(w * np.conj(p2.amplitudes) * plain_a1)
@@ -253,9 +271,10 @@ class TestChartCommutators:
 
     def test_seam_error_without_exclusion(self, ball):
         # the coordinate function jumps by 2 pi across the seam even for
-        # a smooth state; dropping the exclusion layers must expose it
+        # a smooth state; the chart residual over every node, seam shells
+        # included, must expose it
         seam = so3_gaussian_state(ball, center=(0.0, 0.0, 2.8), sigma=0.3)
-        res = chart_commutator_residuals(seam, boundary_layers=0, enforce_boundary=False)
+        res = np.abs(chart_residual_field(seam, 1.0)).max(axis=-1) / np.abs(seam.amplitudes).max()
         assert res.max() > 1e-2
 
     def test_gate_respected(self, ball):
@@ -278,7 +297,7 @@ class TestBodyCommutators:
 class TestContractionIdentity:
     """The body and angular-velocity tables read off the chart residual
     field equal the commutators formed from body components
-    L_k = sum_j m[j, k] D_j of the public chart operator."""
+    L_k = sum_j m[j, k] D_j of the plain chart derivative at the same step."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -293,7 +312,7 @@ class TestContractionIdentity:
         i0_inv = np.linalg.inv(i0)
 
         def body_op(state):
-            chart = [a.amplitudes for a in angmom_op(state, hbar=hbar, enforce_boundary=False)]
+            chart = -1j * hbar * _chart_sweep(state, None, False)[0]
             return body_components(m, chart)
 
         l_psi = body_op(psi)
@@ -308,7 +327,7 @@ class TestContractionIdentity:
         # [Omega^j, w^k] psi + i hbar (I0^-1 m^(k))^j psi at [k, j], Omega = I0^-1 L
         angvel = (np.einsum("jl,lkn->kjn", i0_inv, comm)
                   + 1j * hbar * np.einsum("jl,nkl->kjn", i0_inv, m) * psi.amplitudes)
-        interior = psi.grid.interior(2)
+        interior = ~psi.grid.seam_mask
         scale = hbar * np.abs(psi.amplitudes).max()
         for field, got in ((body, body_commutator_residuals(psi, hbar=hbar)),
                            (angvel, commutator_residuals(psi, i0, hbar=hbar)[2])):
@@ -321,20 +340,36 @@ class TestContractionIdentity:
 
 
 class TestEmptyInterior:
-    """Excluding every shell leaves no node to check: an error, not a residual of 0."""
+    """Seam shells over every node leave no node to check: an error, not a residual of 0."""
+
+    @staticmethod
+    def hand_built(off_seam_shells):
+        """The 16 x 32 ball with a shell spacing that puts all but ``off_seam_shells``
+        shells in its seam mask, and Haar weight only off the seam, so that
+        the state passes the seam-mass gate."""
+        g = So3Grid.make(16, 32)
+        edge = np.pi * off_seam_shells / 16  # the seam starts here: pi - 2 radial_step
+        weights = np.where(np.linalg.norm(g.nodes, axis=1) > edge, 0.0, g.haar_weights)
+        grid = So3Grid(nodes=g.nodes, haar_weights=weights, radial_step=0.5 * (np.pi - edge),
+                       n_theta=16, n_dirs=g.n_dirs)
+        psi = so3_gaussian_state(g, sigma=0.3)
+        return GridWavefunction(grid=grid, amplitudes=psi.amplitudes, profile=psi.profile)
 
     @pytest.mark.parametrize("call", [
-        lambda psi, layers: commutator_residuals(psi, np.eye(3), boundary_layers=layers),
-        lambda psi, layers: chart_commutator_residuals(psi, boundary_layers=layers),
-        lambda psi, layers: body_commutator_residuals(psi, boundary_layers=layers),
-        lambda psi, layers: angvel_commutator_check(np.eye(3), psi, boundary_layers=layers),
+        lambda psi: commutator_residuals(psi, np.eye(3)),
+        chart_commutator_residuals,
+        body_commutator_residuals,
+        lambda psi: angvel_commutator_check(np.eye(3), psi),
     ], ids=["commutator_residuals", "chart_commutator_residuals", "body_commutator_residuals",
             "angvel_commutator_check"])
     def test_all_shells_excluded(self, call):
-        psi = so3_gaussian_state(So3Grid.make(16, 32), sigma=0.3)
-        assert np.all(np.asarray(call(psi, 15)) > 0.0)  # the innermost shell is still checked
+        innermost = self.hand_built(1)
+        assert np.count_nonzero(~innermost.grid.seam_mask) == innermost.grid.n_dirs
+        assert np.all(np.asarray(call(innermost)) > 0.0)  # the innermost shell is still checked
+        nothing = self.hand_built(0)
+        assert nothing.grid.seam_mask.all() and nothing.boundary_mass() == 0.0
         with pytest.raises(GridError, match="leaves no node"):
-            call(psi, 16)
+            call(nothing)
 
 
 class TestAngvelCommutator:
@@ -373,22 +408,21 @@ def counting(psi):
 
 
 class TestStencilSweep:
-    @pytest.mark.parametrize("order, calls", [(4, 12), (2, 6)])
     @pytest.mark.parametrize("check", ["chart", "body", "angvel", "residuals", "angmom_op"])
-    def test_profile_evaluations_per_check(self, interior, check, order, calls):
+    def test_profile_evaluations_per_check(self, interior, check):
         # one sweep: each stencil offset along each direction is evaluated once
         psi, seen = counting(interior)
         if check == "chart":
-            chart_commutator_residuals(psi, order=order)
+            chart_commutator_residuals(psi)
         elif check == "body":
-            body_commutator_residuals(psi, order=order)
+            body_commutator_residuals(psi)
         elif check == "angvel":
-            angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi, order=order)
+            angvel_commutator_check(np.diag([1.0, 2.0, 3.0]), psi)
         elif check == "residuals":
-            assert len(commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]), order=order)) == 3
+            assert len(commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]))) == 3
         else:
-            assert len(angmom_op(psi, order=order)) == 3
-        assert len(seen) == calls
+            assert len(angmom_op(psi)) == 3
+        assert len(seen) == 12
         assert all(shape == interior.grid.nodes.shape for shape in seen)
 
     def test_profile_evaluations_per_rotational_state(self, interior):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from molrest.errors import GridError
-from molrest.lie_so3 import exp_map, log_map
+from molrest.lie_so3 import exp_map, geodesic_distance, log_map
 from molrest.quantum import (
     LineGrid,
     So3Grid,
     gaussian_line_state,
-    geodesic_distance,
     oscillator_state,
     random_line_state,
     random_so3_state,
