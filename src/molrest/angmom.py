@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EckartViolationError, SingularInertiaError
-from .lie_so3 import cross_sum, first_failure
+from .errors import EckartViolationError
+from .lie_so3 import cross_sum
 from .modes import verify_eckart
 from .molecule import equilibrium_inertia
 
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-# Largest condition number of I(Q) that is still inverted.
+# Largest condition number of I(Q) that ``extract_internal`` still inverts.
 MAX_INERTIA_COND = 1e12
 
 
@@ -75,33 +75,19 @@ def build_inertia(mol, basis, symmetry_tol=1e-10):
     return InertiaModel(i0=equilibrium_inertia(mol), i_alpha=i_alpha)
 
 
-def inertia_at(model, q, checked=False):
+def inertia_at(model, q):
     """Instantaneous inertia I0 + sum_alpha Q^alpha I_alpha.
 
     ``q`` is (K,) for one frame or (T, K) for a stack, giving (3, 3) or
-    (T, 3, 3).  With ``checked=True`` the spectrum is checked: a tensor
-    that is not positive-definite, or whose largest eigenvalue exceeds
-    ``MAX_INERTIA_COND`` times its smallest, raises
-    ``SingularInertiaError`` naming the first such frame instead of
-    being silently passed along.
+    (T, 3, 3).  The spectrum is not checked here: ``extract_internal``,
+    the one caller that inverts I(Q), gates it against
+    ``MAX_INERTIA_COND``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     k = model.i_alpha.shape[0]
     if q.shape[-1] != k:
         raise ValueError(f"expected {k} mode amplitudes, got shape {q.shape}")
-    inertia = model.i0 + np.einsum("...a,akl->...kl", q, model.i_alpha)
-    if checked:
-        evals = np.linalg.eigvalsh(inertia)
-        smallest, largest = evals[..., 0], evals[..., -1]
-        lost = ~(smallest > 0.0) | (largest > MAX_INERTIA_COND * smallest)
-        if lost.any():
-            i, (low, high, q_i) = first_failure(lost, smallest, largest, q)
-            raise SingularInertiaError(
-                f"instantaneous inertia is singular at frame {i} (eigenvalues "
-                f"{low:.3e} .. {high:.3e}: not positive-definite "
-                f"or cond > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
-            )
-    return inertia
+    return model.i0 + np.einsum("...a,akl->...kl", q, model.i_alpha)
 
 
 def pd_bound(model):

@@ -407,7 +407,7 @@ def _cmd_decompose(config, mol, rng):
         raise SchemaError("the decompose command needs --trajectory")
     basis = build_modes(mol, rng=rng)
     model = build_inertia(mol, basis)
-    state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path), model=model)
+    state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path))
     rotational, deformation, electronic = decompose_angmom(model, basis, state)
     total = rotational + deformation + electronic
     direct = state.angular_momentum

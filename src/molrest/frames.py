@@ -5,7 +5,7 @@ frame (body axes from the Eckart conditions) -> internal observables
 (mode amplitudes/momenta, electron coordinates, angular velocity), and
 back.  The forward and backward maps are exact inverses up to round-off
 because the Eckart conditions remove precisely the rotational component
-of the mass-weighted displacement.
+of the mass-weighted displacement.  Each stage takes only its data.
 
 Every stage works on a whole trajectory at once: particle blocks are
 (T, N, 3) stacks, rotations (T, 3, 3), per-frame scalars (T,).  A single
@@ -16,12 +16,13 @@ a trajectory gives the same numbers as its frames one at a time.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .angmom import build_inertia, deformation_angmom, inertia_at, mode_sum, relative_angmom
-from .errors import EckartSolveError, SchemaError
+from .angmom import (MAX_INERTIA_COND, build_inertia, deformation_angmom, inertia_at, mode_sum,
+                     relative_angmom)
+from .errors import EckartSolveError, SchemaError, SingularInertiaError
 from .lie_so3 import (component_length, cross, cross_sum, first_failure, quaternion_form,
                       quaternion_to_matrix, quaternion_to_vector, relative)
 
@@ -66,7 +67,10 @@ class Configuration:
     def __post_init__(self):
         arrays = {}
         for name in BLOCKS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name))
+            if np.iscomplexobj(arr):  # a float cast would keep only the real part
+                raise ValueError(f"{name} has complex entries")
+            arr = arr.astype(float, copy=False)
             if arr.ndim not in (2, 3) or arr.shape[-1] != 3:
                 raise ValueError(f"{name} must have shape (*, 3) or (T, *, 3), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -268,8 +272,7 @@ def a_matrix(mol):
     )
 
 
-def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=None,
-                     model=None):
+def extract_internal(mol, basis, frame, rest):
     """Extract internal observables from a rest-frame configuration.
 
     Mode amplitudes pair displacements with the dual directions, mode
@@ -277,20 +280,32 @@ def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=No
     observables are unmixed with the inverse A-matrix; the angular
     velocity inverts the three-term split of the rest-frame angular
     momentum (rigid + mode-coupling + electronic) using the
-    instantaneous inertia tensor.  ``model`` is the basis's
-    ``InertiaModel``; it is built here when not given.
+    instantaneous inertia tensor of ``build_inertia(mol, basis)``.  The
+    center-of-mass pair of the returned state is zero, as it is for a
+    rest configuration.
 
     Raises ``SingularInertiaError``, naming the first such frame, when
-    the instantaneous inertia is not positive-definite or too
-    ill-conditioned to invert trustworthily (``inertia_at(checked=True)``).
+    the instantaneous inertia is not finite, not positive-definite, or
+    has a condition number above ``MAX_INERTIA_COND``.
     """
     _check_config(mol, rest)
-    if model is None:
-        model = build_inertia(mol, basis)
     sqrt_m = np.sqrt(mol.masses)
     amp = np.einsum("m,mak,...mk->...a", sqrt_m, basis.x_dual,
                     rest.nuclei_positions - mol.positions)
     mom = np.einsum("m,mak,...mk->...a", 1.0 / sqrt_m, basis.x, rest.nuclei_momenta)
+
+    inertia = inertia_at(build_inertia(mol, basis), amp)
+    finite = np.isfinite(inertia).all(axis=(-2, -1))
+    evals = np.full(inertia.shape[:-1], np.nan)
+    evals[finite] = np.linalg.eigvalsh(inertia[finite])
+    lost = ~(evals[..., 0] > 0.0) | (evals[..., -1] / MAX_INERTIA_COND > evals[..., 0])
+    if lost.any():
+        i, (ev, q_i) = first_failure(lost, evals, amp)
+        raise SingularInertiaError(
+            f"instantaneous inertia is singular at frame {i} (eigenvalues "
+            f"{ev[0]:.3e} .. {ev[-1]:.3e}: not positive-definite "
+            f"or cond > {MAX_INERTIA_COND:.0e}) for Q = {q_i}"
+        )
 
     mix = a_matrix(mol)
     q = mix.a_inv @ rest.electron_positions
@@ -298,14 +313,12 @@ def extract_internal(mol, basis, frame, rest, com_position=None, com_momentum=No
 
     total_l = relative_angmom(rest)
     internal_l = total_l - deformation_angmom(basis, amp, mom) - cross_sum(q, p)
-
-    inertia = inertia_at(model, amp, checked=True)
     omega = np.linalg.solve(inertia, internal_l[..., None])[..., 0]
 
     zeros = np.zeros(total_l.shape)
     return InternalState(
-        com_position=zeros if com_position is None else np.asarray(com_position, float),
-        com_momentum=zeros if com_momentum is None else np.asarray(com_momentum, float),
+        com_position=zeros,
+        com_momentum=zeros,
         Q=amp,
         P=mom,
         q=q,
@@ -350,17 +363,16 @@ def reconstruct(mol, basis, state):
     )
 
 
-def analyze(mol, basis, cfg, model=None):
+def analyze(mol, basis, cfg):
     """Full pipeline: split the COM, orient, extract internal observables.
 
-    ``cfg`` is one frame or a (T, N, 3) stack; ``model`` is passed on to
-    ``extract_internal``.
+    ``cfg`` is one frame or a (T, N, 3) stack; the returned state carries
+    the center-of-mass pair that ``com_split`` took off.
     """
     com, mom, rel = com_split(mol, cfg)
     frame = solve_eckart(mol, rel.nuclei_positions)
-    rest = to_rest(frame, rel)
-    return extract_internal(mol, basis, frame, rest,
-                            com_position=com, com_momentum=mom, model=model)
+    state = extract_internal(mol, basis, frame, to_rest(frame, rel))
+    return replace(state, com_position=com, com_momentum=mom)
 
 
 # --- trajectory I/O --------------------------------------------------------
@@ -465,8 +477,9 @@ def load_trajectory(mol, path):
     malformed content.
     """
     with open(path, encoding="utf-8") as fh:
-        # "e\0" and "e\0X" would read as "e"; "\x01" is no whitespace and no digit
-        lines = fh.read().replace("\0", "\x01").splitlines()
+        # "e\0" and "e\0X" would read as "e"; "\x01" is no whitespace and no digit.  A
+        # line ends at "\n" (text mode reads "\r\n" and "\r" as it), never at "\x0c" etc.
+        lines = fh.read().replace("\0", "\x01").split("\n")
 
     n_nuclei = mol.n_nuclei
     n_total = n_nuclei + mol.electron_count

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from molrest.angmom import (
+    MAX_INERTIA_COND,
     build_inertia,
     decompose_angmom,
     inertia_at,
+    mode_sum,
     pd_bound,
     relative_angmom,
 )
 from molrest.errors import EckartViolationError, SingularInertiaError
-from molrest.frames import Configuration, analyze, com_split, reconstruct, to_rest
+from molrest.frames import (Configuration, analyze, com_split, extract_internal, reconstruct,
+                            solve_eckart, to_rest)
 from molrest.modes import ModeBasis, build_modes, verify_eckart
 
 
@@ -84,8 +87,9 @@ def test_inertia_positive_definite_inside_bound(penta):
     for _ in range(50):
         q = rng.normal(size=basis.n_modes)
         q *= 0.99 * radius / np.linalg.norm(q)
-        evals = np.linalg.eigvalsh(inertia_at(model, q, checked=True))
+        evals = np.linalg.eigvalsh(inertia_at(model, q))
         assert evals[0] > 0
+        assert evals[-1] / MAX_INERTIA_COND <= evals[0]  # extract_internal inverts it
 
 
 def test_inertia_checked_mode_reports_loss(water):
@@ -98,8 +102,13 @@ def test_inertia_checked_mode_reports_loss(water):
     while np.linalg.eigvalsh(inertia_at(model, t * q))[0] > 0:
         t *= 2.0
         assert t < 1e8
-    with pytest.raises(SingularInertiaError):
-        inertia_at(model, t * q, checked=True)
+    # the rest configuration whose mode amplitudes are t q
+    pos = water.positions + mode_sum(t * q, basis.x) / np.sqrt(water.masses)[:, None]
+    rest = Configuration(pos, np.zeros_like(pos), np.zeros((water.electron_count, 3)),
+                         np.zeros((water.electron_count, 3)))
+    frame = solve_eckart(water, water.positions)
+    with pytest.raises(SingularInertiaError, match="frame 0"):
+        extract_internal(water, basis, frame, rest)
 
 
 def test_relative_angmom_basics():

@@ -70,7 +70,7 @@ def test_stack_matches_single_frames(fixture, request):
     stack = Configuration.stack(frames)
     assert stack.electron_positions.shape == (len(frames), mol.electron_count, 3)
 
-    batched = analyze(mol, basis, stack, model=model)
+    batched = analyze(mol, basis, stack)
     theta = np.linalg.norm(batched.frame.orientation, axis=-1)
     assert np.sum(np.abs(theta - np.pi) <= 1e-6) >= 4  # the seam is exercised
     parts = decompose_angmom(model, basis, batched)

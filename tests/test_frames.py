@@ -3,6 +3,7 @@ import pytest
 
 from molrest.errors import SchemaError, SingularInertiaError
 from molrest.frames import (
+    BLOCKS,
     Configuration,
     a_matrix,
     analyze,
@@ -474,3 +475,71 @@ def test_trajectory_nul_label_is_no_electron(tmp_path, penta, label):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(SchemaError, match=r"^line 30: expected electron row"):
         load_trajectory(penta, path)
+
+
+# Every line break of str.splitlines other than "\n" and "\r".  None of them
+# ends a line of the trajectory format, and inside a particle row numpy
+# reads each as whitespace, as str.split does.
+FORMAT_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _break_id(ch):
+    return f"U+{ord(ch):04X}"
+
+
+@pytest.mark.parametrize("ch", FORMAT_BREAKS, ids=_break_id)
+def test_trajectory_format_breaks_split_no_line(tmp_path, penta, ch):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "traj.xyz"
+    write_trajectory(penta, path, [random_config(penta, rng) for _ in range(3)])
+    clean = load_trajectory(penta, path)
+    rows = path.read_text().split("\n")
+    # frame f starts at row 11 f; its particle j is row 11 f + 2 + j, line 11 f + 3 + j
+
+    def load(rows):
+        path.write_text("\n".join(rows))
+        return load_trajectory(penta, path)
+
+    def same(cfg):
+        return all(np.array_equal(getattr(cfg, name), getattr(clean, name)) for name in BLOCKS)
+
+    commented = list(rows)
+    commented[12] = f"frame 1{ch}note"
+    assert same(load(commented))
+
+    spaced = list(rows)
+    species, rest = spaced[15].split(" ", 1)
+    spaced[15] = species + ch + rest  # frame 1, nucleus j=2
+    assert same(load(spaced))
+
+    commented[26] = commented[26] + " 1.0"  # frame 2, nucleus j=2
+    with pytest.raises(SchemaError, match=r"^line 27: expected 'species"):
+        load(commented)
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+@pytest.mark.filterwarnings("error")
+def test_configuration_rejects_complex_blocks(name):
+    blocks = {b: np.zeros((2, 3)) for b in BLOCKS}
+    blocks[name] = blocks[name] + 1e-3j
+    with pytest.raises(ValueError, match=f"^{name} has complex entries"):
+        Configuration(**blocks)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inertia_gate_holds_at_extreme_amplitudes(water):
+    # At x1e300 the spectrum is finite but MAX_INERTIA_COND times its
+    # smallest eigenvalue is not; at x1.7e308 the amplitudes, and I(Q), are
+    # not finite, which eigvalsh cannot take.
+    basis = build_modes(water, rng=18)
+
+    def rest(scale):
+        pos = scale * water.positions
+        return Configuration(pos, np.zeros_like(pos), np.zeros((2, 3)), np.zeros((2, 3)))
+
+    frame = solve_eckart(water, water.positions)
+    assert np.all(np.isfinite(extract_internal(water, basis, frame, rest(1e300)).Q))
+    stack = Configuration.stack([rest(1.0), rest(1.7e308)])
+    frames = solve_eckart(water, np.stack([water.positions] * 2))
+    with pytest.raises(SingularInertiaError, match="frame 1"):
+        extract_internal(water, basis, frames, stack)

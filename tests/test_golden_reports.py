@@ -35,6 +35,15 @@ a scale built from lab-frame positions and now divides by the
 translation-free scale of the Eckart solve; it is only required to stay
 below the Eckart tolerance.  The five quantum reports are also pinned
 byte for byte.
+
+Two more pin the trajectory reports byte for byte in the formats the
+tolerant references above do not cover; they were generated by the
+implementation whose ``analyze`` still took an inertia model:
+
+    molrest frame --input tests/data/water.json \
+        --trajectory tests/data/water_traj.xyz --format csv
+    molrest decompose --input tests/data/water.json \
+        --trajectory tests/data/water_traj.xyz --format json
 """
 
 import csv
@@ -121,9 +130,11 @@ def test_quantum_json_matches_reference(tmp_path, command, args, reference):
     ("heisenberg", "json", [*MOLECULE, "--seed", "3", "--hbar", "0.37"],
      "water_heisenberg_report_hbar037.json"),
     ("commutators", "json", [*MOLECULE, "--hbar", "0.37"], "water_commutators_report_hbar037.json"),
+    ("frame", "csv", ARGS, "water_frame_report.csv"),
+    ("decompose", "json", ARGS, "water_decompose_report.json"),
 ], ids=["heisenberg-json", "heisenberg-csv", "commutators-json", "heisenberg-json-hbar0.37",
-        "commutators-json-hbar0.37"])
-def test_quantum_report_is_byte_identical_to_reference(tmp_path, command, fmt, args, reference):
+        "commutators-json-hbar0.37", "frame-csv", "decompose-json"])
+def test_report_is_byte_identical_to_reference(tmp_path, command, fmt, args, reference):
     _run(tmp_path, command, fmt, args)
     reference = (DATA / reference).read_bytes()
     assert (tmp_path / f"{command}.{fmt}").read_bytes() == reference
