@@ -18,7 +18,7 @@ from .errors import (
     SingularInertiaError,
 )
 from .lie_so3 import KillingFrame, exp_map, killing_frame, log_map
-from .molecule import MassSummary, Molecule, load_molecule, prepare_equilibrium
+from .molecule import Molecule, load_molecule, prepare_equilibrium
 from .modes import EckartResiduals, ModeBasis, build_modes, external_subspace, verify_eckart
 from .frames import (
     AMatrix,
@@ -55,7 +55,6 @@ __all__ = [
     "exp_map",
     "killing_frame",
     "log_map",
-    "MassSummary",
     "Molecule",
     "load_molecule",
     "prepare_equilibrium",

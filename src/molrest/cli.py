@@ -149,7 +149,8 @@ def parse_args(argv=None):
     parser.add_argument("--grid-theta", type=int,
                         help=f"rotation-angle shells ({MIN_SHELLS} to {MAX_SHELLS})")
     parser.add_argument("--grid-dirs", type=int,
-                        help=f"direction nodes per shell ({MIN_DIRS} to {MAX_DIRS})")
+                        help=f"direction nodes per shell requested ({MIN_DIRS} to {MAX_DIRS}); "
+                             "the grid rounds up to a Gauss-Legendre x even-azimuth product")
     parser.add_argument("--hbar", type=float, help="override the molecule's hbar")
     parser.add_argument("--seed", type=int, help="seed for randomized state families")
     return RunConfig(**vars(parser.parse_args(argv)))

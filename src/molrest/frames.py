@@ -179,7 +179,7 @@ def com_split(mol, cfg):
     mass fraction so a uniform boost leaves the relative data unchanged.
     """
     _check_config(mol, cfg)
-    total = mol.mass_summary().total_mass
+    total = mol.total_mass
     com = (mol.masses @ cfg.nuclei_positions
            + mol.electron_mass * cfg.electron_positions.sum(axis=-2)) / total
     mom = cfg.nuclei_momenta.sum(axis=-2) + cfg.electron_momenta.sum(axis=-2)
@@ -263,8 +263,7 @@ def a_matrix(mol):
     if n == 0:
         empty = np.zeros((0, 0))
         return AMatrix(a=empty, a_inv=empty)
-    summary = mol.mass_summary()
-    s = np.sqrt(summary.nuclear_mass / summary.total_mass)
+    s = np.sqrt(mol.nuclear_mass / mol.total_mass)
     ones = np.ones((n, n))
     return AMatrix(
         a=np.eye(n) + (s - 1.0) / n * ones,
@@ -337,15 +336,13 @@ def reconstruct(mol, basis, state):
     light-particle back-reaction shifts), rotated out of the body frame,
     and the center-of-mass pair is added back.
     """
-    summary = mol.mass_summary()
-    nuclear_mass = summary.nuclear_mass
     sqrt_m = np.sqrt(mol.masses)[:, None]
     mix = a_matrix(mol)
 
     r_el = mix.a @ state.q
     p_el = mix.a @ state.p
-    shift_q = r_el.sum(axis=-2, keepdims=True) * (mol.electron_mass / nuclear_mass)
-    shift_p = p_el.sum(axis=-2, keepdims=True) / nuclear_mass
+    shift_q = r_el.sum(axis=-2, keepdims=True) * (mol.electron_mass / mol.nuclear_mass)
+    shift_p = p_el.sum(axis=-2, keepdims=True) / mol.nuclear_mass
 
     rest_pos = mol.positions + mode_sum(state.Q, basis.x) / sqrt_m - shift_q
     rest_mom = (cross(state.angular_velocity[..., None, :], mol.masses[:, None] * mol.positions)
@@ -357,9 +354,9 @@ def reconstruct(mol, basis, state):
     mom = state.com_momentum[..., None, :]
     return Configuration(
         nuclei_positions=rest_pos @ r_t + com,
-        nuclei_momenta=rest_mom @ r_t + (mol.masses / summary.total_mass)[:, None] * mom,
+        nuclei_momenta=rest_mom @ r_t + (mol.masses / mol.total_mass)[:, None] * mom,
         electron_positions=r_el @ r_t + com,
-        electron_momenta=p_el @ r_t + (mol.electron_mass / summary.total_mass) * mom,
+        electron_momenta=p_el @ r_t + (mol.electron_mass / mol.total_mass) * mom,
     )
 
 
@@ -387,11 +384,14 @@ def _frame_starts(lines, n_total):
     starts = []
     i = 0
     while i < len(lines):
-        if not lines[i].strip():
+        text = lines[i].strip()
+        if not text:
             i += 1
             continue
         try:
-            count = int(lines[i].strip())
+            if not text.isascii() or "_" in text:  # the rows' grammar, which int alone exceeds
+                raise ValueError(text)
+            count = int(text)
         except ValueError:
             return starts, SchemaError(f"line {i + 1}: expected a particle count")
         if count != n_total:

@@ -18,7 +18,6 @@ from .lie_so3 import component_length, cross
 
 __all__ = [
     "MAX_ELECTRONS",
-    "MassSummary",
     "Molecule",
     "load_molecule",
     "prepare_equilibrium",
@@ -35,14 +34,6 @@ _COLLINEAR_RTOL = 1e-10
 # the input alone sets.  128 caps them at 147456 rows, a 39 MB JSON
 # report (water at the default grids: 3.3 s and 86 MB peak on a 2-CPU VM).
 MAX_ELECTRONS = 128
-
-
-@dataclass(frozen=True)
-class MassSummary:
-    """Nuclear mass M and total mass M + n m of the system."""
-
-    nuclear_mass: float
-    total_mass: float
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,8 @@ class Molecule:
             raise ValueError("masses must be finite and positive")
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")
-        if not isinstance(self.electron_count, (int, np.integer)) or self.electron_count < 0:
+        count = self.electron_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError("electron_count must be a non-negative integer")
         if not (np.isfinite(self.electron_mass) and self.electron_mass > 0.0):
             raise ValueError("electron_mass must be positive")
@@ -94,7 +86,7 @@ class Molecule:
         positions.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "electron_count", int(self.electron_count))
+        object.__setattr__(self, "electron_count", int(count))
         n3 = 3 * masses.size
         if self.mode_seed is not None:
             seed = np.asarray(self.mode_seed, dtype=float)
@@ -111,12 +103,15 @@ class Molecule:
     def n_nuclei(self):
         return self.masses.size
 
-    def mass_summary(self):
-        nuclear = float(self.masses.sum())
-        return MassSummary(
-            nuclear_mass=nuclear,
-            total_mass=nuclear + self.electron_count * self.electron_mass,
-        )
+    @property
+    def nuclear_mass(self):
+        """Nuclear mass M, the sum of the nuclear masses."""
+        return float(self.masses.sum())
+
+    @property
+    def total_mass(self):
+        """Total mass M + n m of nuclei and electrons."""
+        return self.nuclear_mass + self.electron_count * self.electron_mass
 
 
 def fix_column_signs(q):
@@ -297,6 +292,8 @@ def load_molecule(path):
     seed = None
     if "modes" in raw:
         vectors = raw["modes"]
+        if len(nuclei) < 3:
+            raise SchemaError("modes: internal modes need at least 3 nuclei")
         if not isinstance(vectors, list) or len(vectors) != n3 - 6:
             raise SchemaError(f"modes: expected {n3 - 6} vectors of length {n3}")
         seed = np.stack(

@@ -16,10 +16,10 @@ observables per kind:
                bound hbar/2 at every orientation.
 
 ``dispersion`` takes the state and the already-applied A psi, so each
-operator runs once per state: the line branch applies momentum_op and
-position_op per state, and the rotational branch makes one call of
-``angmom_op``, whose single stencil sweep yields all three chart
-components (12 profile evaluations per state).  The suite checks each
+operator runs once per state: the line branch applies momentum_op (at
+its default 4th order) and position_op per state, and the rotational
+branch makes one call of ``angmom_op``, whose single stencil sweep
+yields all three chart components (12 profile evaluations per state).  The suite checks each
 state's normalization once, not once per dispersion as a direct
 ``dispersion`` call does.
 
@@ -41,10 +41,6 @@ from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
 from .operators import BOUNDARY_MASS_TOL, angmom_op, momentum_op, position_op
 
 __all__ = ["dispersion", "heisenberg_suite"]
-
-# line dispersions differentiate with the 4th-order stencil; ``angmom_op``
-# fixes its own
-STENCIL_ORDER = 4
 
 
 def dispersion(psi, a_psi):
@@ -117,7 +113,7 @@ def _line_dispersions(psi_set, kind, hbar):
     def pair(s):
         if not isinstance(s, GridWavefunction) or not isinstance(s.grid, LineGrid):
             raise GridError(f"{kind} checks need LineGrid states")
-        p_psi = momentum_op(s, hbar=hbar, order=STENCIL_ORDER)
+        p_psi = momentum_op(s, hbar=hbar)
         _check_normalized(s)
         return _spread(s, p_psi), _spread(s, position_op(s))
 

@@ -1,7 +1,8 @@
 """Grid realizations of position, momentum, and angular-momentum operators.
 
 Line momentum is -i hbar times a central finite difference on the node
-amplitudes (states must decay at the grid ends).  Orientation-space
+amplitudes (states must decay at the grid ends): 4th order for the
+dispersions, 2nd for ``line_commutator_residual``.  Orientation-space
 operators differentiate the state's generating profile along chart
 directions, wrapping stencil points that poke outside the axis-angle
 ball through the antipode.  The chart derivative D_j = -i hbar d/dw^j
@@ -9,11 +10,11 @@ realizes n_(j)(w) . L; body components follow from the dual frame
 (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
 Every orientation derivative comes from one 4th-order stencil sweep,
-``_chart_sweep``, which evaluates the profile once per stencil offset
-along each w^j (4 calls per direction, 12 per state).  From those values
-it forms D_j psi and, for the commutator checks, D_j(w^k psi) (w^k psi at
-a stencil point is the wrapped coordinate times the profile there).
-Each job has one fixed policy:
+``_chart_sweep``, at the step its caller passes.  It evaluates the
+profile once per stencil offset along each w^j (4 calls per direction,
+12 per state) and forms D_j psi and, for the commutator checks,
+D_j(w^k psi) (w^k psi at a stencil point is the wrapped coordinate
+times the profile there).  Each job has one fixed policy:
 
 - ``angmom_op`` (the rotational dispersions of
   ``heisenberg.heisenberg_suite``, once per state) returns the three
@@ -69,7 +70,7 @@ _STENCILS = {
 def _coordinate(grid, component):
     whole = isinstance(component, (int, np.integer)) and not isinstance(component, bool)
     if isinstance(grid, LineGrid):
-        if not (component is None or whole and component == 0):
+        if not (whole and component == 0):
             raise GridError("line grids have a single coordinate (component 0)")
         return grid.points
     if not (whole and 0 <= component <= 2):
@@ -103,9 +104,12 @@ def _line_derivative(amplitudes, step, order):
 def momentum_op(psi, hbar=1.0, order=4):
     """-i hbar d/dx by central differences on a LineGrid.
 
-    The stencil assumes the state vanishes beyond the grid; amplitudes
-    at the two outermost nodes on each end must be below 1e-8 of the
-    peak or the zero padding would corrupt the derivative.
+    Each order serves one job: 4, the default, the line dispersions of
+    ``heisenberg.heisenberg_suite``; 2 ``line_commutator_residual``,
+    whose convergence order is measured.  The stencil assumes the state
+    vanishes beyond the grid; amplitudes at the two outermost nodes on
+    each end must be below 1e-8 of the peak or the zero padding would
+    corrupt the derivative.
     """
     check_hbar(hbar)
     if not isinstance(psi.grid, LineGrid):
@@ -121,21 +125,21 @@ def momentum_op(psi, hbar=1.0, order=4):
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
-def _chart_sweep(psi, step, coordinates):
-    """One 4th-order stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k].
-
-    step None is the commutator step.  coordinates=False gives None for
-    d(w^k psi): only the commutator checks need it, and it is most of the
-    sweep's memory.
-    """
+def _check_chart_state(psi):
+    """Raise GridError unless psi is an So3Grid state with a generating profile."""
     if not isinstance(psi.grid, So3Grid):
         raise GridError("chart derivatives need an So3Grid state")
     if psi.profile is None:
         raise GridError("state lacks a generating profile for off-node evaluation")
-    if step is None:
-        # stay below the shell spacing but cap so 4th-order truncation of
-        # sigma >= 0.1 states lands under the commutator tolerances
-        step = min(psi.grid.radial_step, 0.02)
+
+
+def _chart_sweep(psi, step, coordinates):
+    """One 4th-order stencil sweep: d(psi)/dw^j (3, K) and d(w^k psi)/dw^j (3, 3, K), index [j, k].
+
+    psi has passed ``_check_chart_state``; step is the chart step, chosen
+    by the caller.  coordinates=False gives None for d(w^k psi): only the
+    commutator checks need it, and it is most of the sweep's memory.
+    """
     offsets, nums, den = _STENCILS[4]
     nodes = psi.grid.nodes
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
@@ -163,6 +167,7 @@ def angmom_op(psi, hbar=1.0):
     suite marks a state with seam mass indeterminate instead.
     """
     check_hbar(hbar)
+    _check_chart_state(psi)
     d_psi, _ = _chart_sweep(psi, ORIENTATION_STEP, False)
     d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
     return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None)
@@ -221,7 +226,10 @@ def commutator_residuals(psi, i0, hbar=1.0):
             "chart derivatives are unreliable near the seam"
         )
 
-    d_psi, d_xpsi = _chart_sweep(psi, None, True)
+    _check_chart_state(psi)
+    # stay below the shell spacing but cap so 4th-order truncation of
+    # sigma >= 0.1 states lands under the commutator tolerances
+    d_psi, d_xpsi = _chart_sweep(psi, min(psi.grid.radial_step, 0.02), True)
     chart = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
     chart += 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
     _, m = frame_fields(psi.grid.nodes)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,13 +168,13 @@ def test_a_matrix_inverse_identity(penta):
     mix = a_matrix(penta)
     n = penta.electron_count
     assert np.max(np.abs(mix.a @ mix.a_inv - np.eye(n))) <= 1e-14
-    s = np.sqrt(penta.mass_summary().nuclear_mass / penta.mass_summary().total_mass)
+    s = np.sqrt(penta.nuclear_mass / penta.total_mass)
     assert np.allclose(mix.a.sum(axis=0), s, atol=1e-14)
 
 
 def test_a_matrix_light_electron_limit(water):
     mix = a_matrix(water)
-    m_ratio = water.electron_count * water.electron_mass / water.mass_summary().nuclear_mass
+    m_ratio = water.electron_count * water.electron_mass / water.nuclear_mass
     assert np.max(np.abs(mix.a - np.eye(water.electron_count))) <= m_ratio
 
 
@@ -318,8 +320,6 @@ def test_extract_rejects_indefinite_well_conditioned_inertia():
     # For tests/data/water.json at Q = -e_alpha the inertia tensor has one
     # negative eigenvalue but a modest condition number, so a
     # condition-number gate alone lets it by.
-    from pathlib import Path
-
     from molrest.angmom import build_inertia, inertia_at
     from molrest.molecule import load_molecule, prepare_equilibrium
 
@@ -391,6 +391,21 @@ def test_trajectory_errors(tmp_path, penta):
     path.write_text("9\ncomment\n" + "\n".join(short) + "\n")
     with pytest.raises(SchemaError, match="7 fields"):
         load_trajectory(penta, path)
+
+
+@pytest.mark.parametrize("count, accepted", [("0_5", False), ("\u0665", False),
+                                              ("\uff15", False), ("+5", True), (" 5\t", True)],
+                         ids=["underscore", "arabic-indic", "fullwidth", "plus", "padded"])
+def test_trajectory_count_line_follows_the_row_grammar(tmp_path, water_raw, count, accepted):
+    # ASCII digits, no "_": what numpy reads in a row, where Python's int reads more
+    rows = (Path(__file__).parent / "data" / "water_traj.xyz").read_text().split("\n")
+    path = tmp_path / "traj.xyz"
+    path.write_text("\n".join([count] + rows[1:]), encoding="utf-8")
+    if accepted:
+        assert load_trajectory(water_raw, path).nuclei_positions.shape[1:] == (3, 3)
+    else:
+        with pytest.raises(SchemaError, match=r"^line 1: expected a particle count$"):
+            load_trajectory(water_raw, path)
 
 
 def test_trajectory_errors_name_the_first_bad_line(tmp_path, penta):

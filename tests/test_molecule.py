@@ -14,9 +14,8 @@ from molrest.molecule import (
 
 
 def test_mass_summary(water_raw):
-    s = water_raw.mass_summary()
-    assert np.isclose(s.nuclear_mass, 15.999 + 2 * 1.008)
-    assert np.isclose(s.total_mass, s.nuclear_mass + 2 * 5.5e-4)
+    assert np.isclose(water_raw.nuclear_mass, 15.999 + 2 * 1.008)
+    assert np.isclose(water_raw.total_mass, water_raw.nuclear_mass + 2 * 5.5e-4)
 
 
 def test_constructor_validation():
@@ -33,6 +32,13 @@ def test_constructor_validation():
         Molecule(**good, hbar=-1.0)
     with pytest.raises(ValueError):
         Molecule(masses=np.ones(3), positions=np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_constructor_rejects_bool_electron_count(flag):
+    # load_molecule rejects a JSON true already; True is no count of one electron
+    with pytest.raises(ValueError, match="electron_count must be a non-negative integer"):
+        Molecule(masses=np.ones(3), positions=np.eye(3), electron_count=flag)
 
 
 def test_prepare_centers_and_diagonalizes(water_raw):
@@ -206,6 +212,15 @@ def test_load_molecule_schema_errors_name_the_field(tmp_path, mutate, fragment):
     parts = (fragment,) if isinstance(fragment, str) else fragment
     for part in parts:
         assert part in str(err.value)
+
+
+@pytest.mark.parametrize("n_nuclei, modes", [(2, []), (1, [[0.0, 0.0, 1.0]])])
+def test_load_molecule_modes_need_three_nuclei(tmp_path, n_nuclei, modes):
+    payload = valid_payload()
+    payload["nuclei"] = payload["nuclei"][:n_nuclei]
+    payload["modes"] = modes
+    with pytest.raises(SchemaError, match="^modes: internal modes need at least 3 nuclei$"):
+        load_molecule(write_json(tmp_path, payload))
 
 
 def test_load_molecule_rejects_invalid_json(tmp_path):

@@ -47,10 +47,15 @@ def interior(ball):
                               wave=(0.8, -1.2, 0.4))
 
 
+def commutator_step(psi):
+    """The chart step of the commutator checks, min(shell spacing, 0.02)."""
+    return min(psi.grid.radial_step, 0.02)
+
+
 def chart_residual_field(psi, hbar):
     """[n_(j).L, w^k] psi + i hbar delta_jk psi at every node, index [j, k], from the
-    commutator checks' sweep (step min(shell spacing, 0.02)) without their seam gate."""
-    d_psi, d_xpsi = _chart_sweep(psi, None, True)
+    commutator checks' sweep without their seam gate."""
+    d_psi, d_xpsi = _chart_sweep(psi, commutator_step(psi), True)
     comm = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
     return comm + 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
 
@@ -80,7 +85,7 @@ class TestPositionOp:
         for k in range(3):
             assert abs(expectation(psi, position_op(psi, component=k))) <= 1e-14
 
-    @pytest.mark.parametrize("component", [2.9, -0.5, True, 3])
+    @pytest.mark.parametrize("component", [2.9, -0.5, True, 3, None])
     def test_component_validation(self, line, ball, component):
         # a whole number in range, never truncated: 2.9 is not omega^3 nor -0.5 omega^1
         for psi in (gaussian_line_state(line), so3_gaussian_state(ball, sigma=0.3)):
@@ -92,8 +97,8 @@ class TestPositionOp:
         assert np.array_equal(position_op(psi, component=np.int64(2)).amplitudes,
                               ball.nodes[:, 2] * psi.amplitudes)
         flat = gaussian_line_state(line)
-        assert np.array_equal(position_op(flat, component=None).amplitudes,
-                              position_op(flat).amplitudes)
+        assert np.array_equal(position_op(flat, component=np.int64(0)).amplitudes,
+                              line.points * flat.amplitudes)
 
 
 class TestMomentumOp:
@@ -188,7 +193,7 @@ class TestAngmomOp:
             angmom_op(bare)
 
     def test_needs_so3_grid(self, line):
-        # rejected before the default step reads the ball's shell spacing
+        # rejected before the commutator step reads the ball's shell spacing
         psi = gaussian_line_state(line)
         with pytest.raises(GridError):
             angmom_op(psi)
@@ -312,7 +317,7 @@ class TestContractionIdentity:
         i0_inv = np.linalg.inv(i0)
 
         def body_op(state):
-            chart = -1j * hbar * _chart_sweep(state, None, False)[0]
+            chart = -1j * hbar * _chart_sweep(state, commutator_step(state), False)[0]
             return body_components(m, chart)
 
         l_psi = body_op(psi)
