@@ -35,12 +35,10 @@ import numpy as np
 from .angmom import build_inertia, decompose_angmom
 from .errors import (
     BoundaryMassError,
-    CollinearGeometryError,
     EckartSolveError,
     EckartViolationError,
     GridError,
     OutputError,
-    SchemaError,
     SingularInertiaError,
 )
 from .frames import BLOCKS, analyze, load_trajectory, reconstruct
@@ -115,6 +113,8 @@ class RunConfig:
                 raise ValueError(f"--{name.replace('_', '-')} must be at most {most}")
         if self.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {self.seed}")
+        if self.command in ("frame", "decompose") and not self.trajectory_path:
+            raise ValueError(f"the {self.command} command needs --trajectory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,8 +367,6 @@ def _roundtrip_error(cfg, rebuilt):
 
 
 def _cmd_frame(config, mol, rng):
-    if not config.trajectory_path:
-        raise SchemaError("the frame command needs --trajectory")
     basis = build_modes(mol, rng=rng)
     traj = load_trajectory(mol, config.trajectory_path)
     state = analyze(mol, basis, traj)
@@ -404,8 +402,6 @@ def _cmd_frame(config, mol, rng):
 
 
 def _cmd_decompose(config, mol, rng):
-    if not config.trajectory_path:
-        raise SchemaError("the decompose command needs --trajectory")
     basis = build_modes(mol, rng=rng)
     model = build_inertia(mol, basis)
     state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path))
@@ -500,8 +496,7 @@ _DISPATCH = {
     "commutators": _cmd_commutators,
 }
 
-_INPUT_ERRORS = (SchemaError, CollinearGeometryError, FileNotFoundError,
-                 IsADirectoryError, PermissionError, ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 _CHECK_ERRORS = (EckartSolveError, EckartViolationError, SingularInertiaError,
                  BoundaryMassError, GridError)
 

@@ -19,7 +19,7 @@ class EckartViolationError(ValueError):
     Carries the measured residual in ``residual``.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
 

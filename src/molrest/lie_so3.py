@@ -155,12 +155,12 @@ def _where(bad):
     return "" if bad.ndim == 0 else f" (index {first_failure(bad)[0]})"
 
 
-def _check_rotation(r, atol=1e-8):
+def _check_rotation(r):
     r = np.asarray(r, dtype=float)
     if r.ndim < 2 or r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must have shape (..., 3, 3), got {r.shape}")
     gram = np.swapaxes(r, -1, -2) @ r
-    skewed = ~np.isclose(gram, np.eye(3), rtol=0.0, atol=atol).all(axis=(-2, -1))
+    skewed = ~np.isclose(gram, np.eye(3), rtol=0.0, atol=1e-8).all(axis=(-2, -1))
     if skewed.any():
         raise ValueError("matrix is not orthogonal" + _where(skewed))
     improper = np.linalg.det(r) < 0.0

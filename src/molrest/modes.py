@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CollinearGeometryError
 from .lie_so3 import component_length, cross, cross_sum, relative
-from .molecule import equilibrium_inertia, fix_column_signs
+from .molecule import _COLLINEAR_RTOL, equilibrium_inertia, fix_column_signs
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
 
@@ -75,7 +75,7 @@ def external_subspace(mol):
     if not mol.prepared:
         raise ValueError("a prepared molecule is required (run prepare_equilibrium)")
     moments = np.diag(equilibrium_inertia(mol))
-    if np.min(moments) <= 1e-10 * max(np.max(moments), 1e-300):
+    if relative(np.min(moments), np.max(moments)) <= _COLLINEAR_RTOL:
         raise CollinearGeometryError("rotational directions degenerate: collinear geometry")
     sqrt_m = np.sqrt(mol.masses)[:, None]
     cols = np.zeros((3 * mol.n_nuclei, 6))
@@ -125,7 +125,7 @@ def build_modes(mol, rng=None):
             candidate = gen.normal(size=internal.shape)
         turn, r = np.linalg.qr(internal.T @ candidate)
         diag = np.abs(np.diag(r))
-        if diag.min() <= 1e-10 * max(diag.max(), 1e-300):
+        if relative(diag.min(), diag.max()) <= 1e-10:
             raise ValueError("candidate directions are rank-deficient after projection")
 
     cols = fix_column_signs(internal @ turn)

@@ -9,6 +9,7 @@ tensors are meaningful.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,10 +79,11 @@ class Molecule:
         count = self.electron_count
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError("electron_count must be a non-negative integer")
-        if not (np.isfinite(self.electron_mass) and self.electron_mass > 0.0):
-            raise ValueError("electron_mass must be positive")
-        if not (np.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError("hbar must be positive")
+        for name in ("electron_mass", "hbar"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (np.isfinite(value) and value > 0.0)):
+                raise ValueError(f"{name} must be positive")
         masses.setflags(write=False)
         positions.setflags(write=False)
         object.__setattr__(self, "masses", masses)
@@ -306,16 +308,13 @@ def load_molecule(path):
             raise SchemaError(f"hessian: expected a flat row-major array of {n3 * n3} numbers")
         hessian = _parse_vector(flat, n3 * n3, "hessian").reshape(n3, n3)
 
-    try:
-        return Molecule(
-            masses=np.array(masses),
-            positions=np.stack(positions),
-            electron_count=count,
-            electron_mass=emass,
-            hbar=hbar,
-            name=name,
-            mode_seed=seed,
-            hessian=hessian,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return Molecule(
+        masses=np.array(masses),
+        positions=np.stack(positions),
+        electron_count=count,
+        electron_mass=emass,
+        hbar=hbar,
+        name=name,
+        mode_seed=seed,
+        hessian=hessian,
+    )

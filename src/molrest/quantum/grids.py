@@ -45,7 +45,7 @@ class LineGrid:
     weights: np.ndarray
 
     @classmethod
-    def make(cls, x_min=-10.0, x_max=10.0, n=2048):
+    def make(cls, x_min, x_max, n):
         if n < MIN_LINE_POINTS:
             raise GridError(f"line grid needs at least {MIN_LINE_POINTS} points, got {n}")
         if n > MAX_LINE_POINTS:
@@ -107,7 +107,7 @@ class So3Grid:
     n_dirs: int
 
     @classmethod
-    def make(cls, n_theta=64, n_dirs=128):
+    def make(cls, n_theta, n_dirs):
         if n_theta < MIN_SHELLS:
             raise GridError(f"need at least {MIN_SHELLS} rotation-angle shells, got {n_theta}")
         if n_dirs < MIN_DIRS:

@@ -78,12 +78,13 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
                          np.array([float(momentum / hbar)]), np.ones(1))
 
 
-def oscillator_state(grid, n=0, mass=1.0, omega=1.0, hbar=1.0):
-    """n-th harmonic oscillator eigenstate at the grid's resolution."""
+def oscillator_state(grid, n, hbar=1.0):
+    """n-th eigenstate of the unit-mass, unit-frequency oscillator, normalized on
+    the grid: H_n(xi) exp(-xi^2/2) with xi = x / sqrt(hbar)."""
     if n < 0:
         raise ValueError("quantum number must be nonnegative")
     check_hbar(hbar)
-    alpha = np.sqrt(mass * omega / hbar)
+    alpha = np.sqrt(1.0 / hbar)
     coeff = np.zeros(n + 1)
     coeff[n] = 1.0
 

@@ -5,9 +5,13 @@ from hypothesis import settings
 from molrest.molecule import Molecule, prepare_equilibrium
 
 # Property tests draw the same examples on every run and keep no example
-# database, so a tier-1 result depends on the code alone.
+# database, so a tier-1 result depends on the code alone.  The scheduled
+# CI job passes --hypothesis-profile molrest-random, which draws fresh
+# examples on each run and overrides the load below.
 settings.register_profile("molrest", derandomize=True, deadline=None, database=None,
                           max_examples=100)
+settings.register_profile("molrest-random", derandomize=False, deadline=None, database=None,
+                          max_examples=1000)
 settings.load_profile("molrest")
 
 

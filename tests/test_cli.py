@@ -81,6 +81,7 @@ class TestConfigValidation:
         ("format", "xml"),
         ("command", "explode"),
         ("hbar", -1.0),
+        ("command", "frame"),  # without a trajectory
     ])
     def test_invalid_fields_rejected(self, field, value):
         cfg = RunConfig(command="validate", input_path="m.json")
@@ -337,8 +338,29 @@ class TestInputErrors:
         assert err.startswith("molrest: error: --tol-quad")
         assert err.count("\n") == 1
 
-    def test_frame_without_trajectory(self):
-        assert invoke("frame", "--input", MOLECULE) == 1
+    @pytest.mark.parametrize("command", ["frame", "decompose"])
+    def test_missing_trajectory_named_before_loading(self, command, monkeypatch, capsys):
+        def no_load(config):
+            raise AssertionError("a trajectory command without --trajectory read its input")
+
+        monkeypatch.setattr(cli, "_load", no_load)
+        assert invoke(command, "--input", MOLECULE) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"molrest: error: the {command} command needs --trajectory\n"
+
+    @pytest.mark.parametrize("name", ["not a directory", "too long"])
+    @pytest.mark.parametrize("flag", ["--input", "--trajectory"])
+    def test_unopenable_input_is_one_error_line(self, flag, name, tmp_path, capsys):
+        # ENOTDIR and ENAMETOOLONG: every OSError on reading is bad input, not a traceback
+        path = f"{MOLECULE}/x" if name == "not a directory" else str(tmp_path / ("x" * 5000))
+        paths = {"--input": MOLECULE, "--trajectory": TRAJECTORY, flag: path}
+        assert invoke("frame", "--input", paths["--input"],
+                      "--trajectory", paths["--trajectory"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("molrest: error:")
 
     def test_missing_trajectory_file(self):
         assert invoke("decompose", "--input", MOLECULE,

@@ -41,6 +41,14 @@ def test_constructor_rejects_bool_electron_count(flag):
         Molecule(masses=np.ones(3), positions=np.eye(3), electron_count=flag)
 
 
+@pytest.mark.parametrize("value", [True, "1.0"])
+@pytest.mark.parametrize("field", ["electron_mass", "hbar"])
+def test_constructor_rejects_non_real_mass_and_hbar(field, value):
+    # True would read as 1.0 in total_mass; a string would reach np.isfinite
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        Molecule(masses=np.ones(3), positions=np.eye(3), electron_count=1, **{field: value})
+
+
 def test_prepare_centers_and_diagonalizes(water_raw):
     mol = prepare_equilibrium(water_raw)
     assert mol.prepared
