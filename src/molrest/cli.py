@@ -40,6 +40,7 @@ from .errors import (
     GridError,
     OutputError,
     SingularInertiaError,
+    positive_finite,
 )
 from .frames import BLOCKS, analyze, load_trajectory, reconstruct
 from .lie_so3 import component_length, relative
@@ -102,7 +103,7 @@ class RunConfig:
             raise ValueError(f"--format must be json or csv, got {self.format!r}")
         for name in ("tol_eckart", "tol_quad", "hbar"):
             value = getattr(self, name)
-            if value is not None and not (value > 0.0 and math.isfinite(value)):
+            if value is not None and not positive_finite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
         for name, least, most in (("grid_line", MIN_LINE_POINTS, MAX_LINE_POINTS),
                                   ("grid_theta", MIN_SHELLS, MAX_SHELLS),
@@ -432,7 +433,7 @@ def _cmd_decompose(config, mol, rng):
 def _cmd_heisenberg(config, mol, rng):
     hbar = mol.hbar
     tol = config.tol_quad * hbar
-    if not (tol > 0.0 and math.isfinite(tol)):
+    if not positive_finite(tol):
         raise ValueError(f"--tol-quad times hbar must be positive and finite, got {tol!r}")
     line = LineGrid.make(-LINE_EXTENT, LINE_EXTENT, config.grid_line)
     ball = So3Grid.make(config.grid_theta, config.grid_dirs)

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-scalar rule their raisers share."""
+
+import math
+import numbers
+
+
+def positive_finite(value):
+    """True for a real number, not a bool, that is positive and finite as a float."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and 0.0 < float(value) < math.inf)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 class SchemaError(ValueError):

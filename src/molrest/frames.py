@@ -210,7 +210,7 @@ def solve_eckart(mol, positions):
     eigenvalue is (nearly) repeated, its gap below 1e-9 of the top
     eigenvalue, and the orientation is arbitrary within the degenerate
     subspace.  Raises ``EckartSolveError`` naming the first frame whose
-    residual exceeds 1e-8 of its scale.
+    scale overflows or whose residual exceeds 1e-8 of its scale.
     """
     if not mol.prepared:
         raise ValueError("solve_eckart requires a prepared molecule")
@@ -227,14 +227,16 @@ def solve_eckart(mol, positions):
     rotation = quaternion_to_matrix(quaternion)
 
     body = positions @ rotation
-    frame = EckartFrame(
-        rotation=rotation,
-        orientation=quaternion_to_vector(quaternion),
-        residual=component_length(cross_sum(mol.masses[:, None] * mol.positions, body))[()],
-        scale=np.sum(mol.masses * component_length(mol.positions) * component_length(positions),
-                     axis=-1)[()],
-        degenerate=(gap < 1e-9)[()],
-    )
+    with np.errstate(over="ignore"):  # a scale past the float range fails below
+        residual = component_length(cross_sum(mol.masses[:, None] * mol.positions, body))[()]
+        scale = np.sum(mol.masses * component_length(mol.positions) * component_length(positions),
+                       axis=-1)[()]
+    overflow = ~np.isfinite(scale)
+    if overflow.any():
+        raise EckartSolveError(f"orientation solve failed at frame {first_failure(overflow)[0]}: "
+                               "its scale sum M |R0| |R'| overflowed")
+    frame = EckartFrame(rotation=rotation, orientation=quaternion_to_vector(quaternion),
+                        residual=residual, scale=scale, degenerate=(gap < 1e-9)[()])
     rel = frame.relative_residual
     failed = ~(rel <= 1e-8)  # a residual that is not finite fails too
     if failed.any():

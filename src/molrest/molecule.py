@@ -9,12 +9,11 @@ tensors are meaningful.
 """
 
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CollinearGeometryError, SchemaError
+from .errors import CollinearGeometryError, SchemaError, positive_finite
 from .lie_so3 import component_length, cross
 
 __all__ = [
@@ -80,9 +79,7 @@ class Molecule:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError("electron_count must be a non-negative integer")
         for name in ("electron_mass", "hbar"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (np.isfinite(value) and value > 0.0)):
+            if not positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be positive")
         masses.setflags(write=False)
         positions.setflags(write=False)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import GridError
+from ..errors import GridError, positive_finite
 from ..lie_so3 import component_length
 
 __all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "MAX_LINE_POINTS", "MAX_SHELLS",
@@ -70,7 +70,7 @@ def check_hbar(hbar):
     a negative hbar flips the sign of every residual and bound, and 0 or
     a non-finite one makes them nan.
     """
-    if not hbar > 0.0 or not math.isfinite(hbar):
+    if not positive_finite(hbar):
         raise GridError(f"hbar must be positive and finite, got {hbar!r}")
 
 

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from ..errors import GridError
+from ..errors import GridError, positive_finite
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
 from .operators import BOUNDARY_MASS_TOL, angmom_op, momentum_op, position_op
 
@@ -163,7 +163,7 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None):
     check_hbar(hbar)
     if tolerance is None:
         tolerance = 1e-6 * hbar
-    if not tolerance > 0.0 or not math.isfinite(tolerance):
+    if not positive_finite(tolerance):
         raise GridError(f"tolerance must be positive and finite, got {tolerance!r}")
     half = 0.5 * hbar
 

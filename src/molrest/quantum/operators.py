@@ -1,20 +1,19 @@
 """Grid realizations of position, momentum, and angular-momentum operators.
 
-Line momentum is -i hbar times a central finite difference on the node
-amplitudes (states must decay at the grid ends): 4th order for the
-dispersions, 2nd for ``line_commutator_residual``.  Orientation-space
-operators differentiate the state's generating profile along chart
-directions, wrapping stencil points that poke outside the axis-angle
-ball through the antipode.  The chart derivative D_j = -i hbar d/dw^j
-realizes n_(j)(w) . L; body components follow from the dual frame
-(``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
+Line momentum is -i hbar times a central difference at step h on node
+amplitudes that decay at the grid ends: (psi[i+1] - psi[i-1]) / 2h for
+``line_commutator_residual``, (psi[i-2] - 8 psi[i-1] + 8 psi[i+1] -
+psi[i+2]) / 12h for the dispersions.  Orientation-space operators
+differentiate the state's generating profile along chart directions,
+wrapping stencil points outside the axis-angle ball through the
+antipode.  D_j = -i hbar d/dw^j realizes n_(j)(w) . L; body components
+follow from the dual frame (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
-Every orientation derivative comes from one 4th-order stencil sweep,
-``_chart_sweep``, at the step its caller passes.  It evaluates the
-profile once per stencil offset along each w^j (4 calls per direction,
-12 per state) and forms D_j psi and, for the commutator checks,
-D_j(w^k psi) (w^k psi at a stencil point is the wrapped coordinate
-times the profile there).  Each job has one fixed policy:
+Every orientation derivative comes from one sweep, ``_chart_sweep``, at
+the step h its caller passes: d f/dw^j = (f(w - 2h e_j) - 8 f(w - h e_j)
++ 8 f(w + h e_j) - f(w + 2h e_j)) / 12h, 12 profile calls per state.  It
+forms D_j psi and, for the commutator checks, D_j(w^k psi) (at a stencil
+point, the wrapped coordinate times the profile).  Each job has one policy:
 
 - ``angmom_op`` (the rotational dispersions of
   ``heisenberg.heisenberg_suite``, once per state) returns the three
@@ -60,11 +59,8 @@ LINE_BOUNDARY_NODES = 8
 # chart step of angmom_op, the operator of the rotational dispersions
 ORIENTATION_STEP = 5e-3
 
-# central first-derivative stencils: offsets, integer numerators, denominator
-_STENCILS = {
-    2: ((-1, 1), (-1, 1), 2),
-    4: ((-2, -1, 1, 2), (1, -8, 8, -1), 12),
-}
+# the 4th-order central first-derivative stencil: (offset, weight) pairs
+_CHART_STENCIL = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
 
 
 def _coordinate(grid, component):
@@ -84,23 +80,6 @@ def position_op(psi, component=0):
     return GridWavefunction(grid=psi.grid, amplitudes=coord * psi.amplitudes, profile=None)
 
 
-def _line_derivative(amplitudes, step, order):
-    if order not in _STENCILS:
-        raise GridError(f"unsupported stencil order {order}")
-    offsets, nums, den = _STENCILS[order]
-    pad = np.pad(amplitudes, (2, 2))
-    total = None
-    for off, num in zip(offsets, nums):
-        term = pad[2 + off:pad.size - 2 + off]
-        term = term if abs(num) == 1 else abs(num) * term
-        if total is None:  # the sum starts from its first term, as a fresh array
-            total = term.copy() if num > 0 else -term
-        else:
-            (np.add if num > 0 else np.subtract)(total, term, out=total)
-    total /= den * step
-    return total
-
-
 def momentum_op(psi, hbar=1.0, order=4):
     """-i hbar d/dx by central differences on a LineGrid.
 
@@ -114,6 +93,8 @@ def momentum_op(psi, hbar=1.0, order=4):
     check_hbar(hbar)
     if not isinstance(psi.grid, LineGrid):
         raise GridError("momentum_op needs a LineGrid state")
+    if order not in (2, 4):
+        raise GridError(f"unsupported stencil order {order}")
     amp = psi.amplitudes
     peak = float(np.abs(amp).max())
     edge = float(max(np.abs(amp[:2]).max(), np.abs(amp[-2:]).max()))
@@ -121,7 +102,14 @@ def momentum_op(psi, hbar=1.0, order=4):
         raise BoundaryMassError(
             f"insufficient decay at grid ends: edge/peak = {edge / peak if peak else np.inf:.3e}"
         )
-    deriv = _line_derivative(amp, psi.grid.step, order)
+    pad = np.pad(amp, (2, 2))
+    if order == 2:
+        deriv = (pad[3:-1] - pad[1:-3]) / (2 * psi.grid.step)
+    else:
+        deriv = pad[:-4] - 8 * pad[1:-3]
+        deriv += 8 * pad[3:-1]
+        deriv -= pad[4:]
+        deriv /= 12 * psi.grid.step
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 
@@ -140,17 +128,16 @@ def _chart_sweep(psi, step, coordinates):
     by the caller.  coordinates=False gives None for d(w^k psi): only the
     commutator checks need it, and it is most of the sweep's memory.
     """
-    offsets, nums, den = _STENCILS[4]
     nodes = psi.grid.nodes
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
     d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
     for j, unit in enumerate(np.eye(3)):
-        for off, num in zip(offsets, nums):
+        for off, weight in _CHART_STENCIL:
             pts = wrap_to_ball(nodes + (off * step) * unit)
             vals = np.asarray(psi.profile(pts), dtype=complex)
-            d_psi[j] += num / den * vals
+            d_psi[j] += weight * vals
             if coordinates:
-                d_xpsi[j] += num / den * (pts.T * vals)
+                d_xpsi[j] += weight * (pts.T * vals)
     d_psi /= step
     if coordinates:
         d_xpsi /= step

@@ -82,6 +82,10 @@ class TestConfigValidation:
         ("command", "explode"),
         ("hbar", -1.0),
         ("command", "frame"),  # without a trajectory
+        # a bool, an int past the float range and a string are no positive float
+        ("hbar", True),
+        pytest.param("tol_eckart", 10**400, id="tol_eckart-10**400"),
+        ("tol_quad", "1e-6"),
     ])
     def test_invalid_fields_rejected(self, field, value):
         cfg = RunConfig(command="validate", input_path="m.json")
@@ -306,6 +310,13 @@ class TestInputErrors:
         assert "nuclei[0].mass" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["Infinity", "1e400"])
+    def test_non_finite_mass_names_field(self, token, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(Path(MOLECULE).read_text().replace('"mass": 15.999', f'"mass": {token}'))
+        assert invoke("validate", "--input", str(bad)) == 1
+        assert capsys.readouterr().err == "molrest: error: nuclei[0].mass: must be finite\n"
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_trajectory_names_line(self, token, tmp_path, capsys):
         lines = Path(TRAJECTORY).read_text().splitlines()
@@ -445,6 +456,18 @@ class TestTrajectoryGrammar:
         err = capsys.readouterr().err
         assert f"molrest: error: line 12: {message}" in err
 
+    def test_count_line_after_good_frames_names_its_line(self, tmp_path, capsys):
+        # frame 0 parses, frame 1's count line (line 8) is wrong
+        lines = Path(TRAJECTORY).read_text().splitlines()
+        lines[7] = "4"
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines) + "\n")
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("molrest: error: line 8: frame holds 4 particles, "
+                                "molecule needs 5\n")
+
     def test_blank_row_inserted_in_a_frame_names_its_line(self, tmp_path, capsys):
         lines = Path(TRAJECTORY).read_text().splitlines()
         bad = tmp_path / "bad.xyz"
@@ -505,6 +528,18 @@ class TestCheckFailures:
         assert err.splitlines()[-1].startswith(
             "molrest: check failed: dispersion out of float range")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["frame", "decompose"])
+    def test_overflowing_eckart_scale_fails_the_frame(self, command, capsys):
+        # water_traj.xyz with every coordinate x1e155: the scale sum M |R0| |R'|
+        # leaves the float range, and residual / scale would read a perfect 0
+        assert invoke(command, "--input", MOLECULE,
+                      "--trajectory", str(DATA / "water_traj_x1e155.xyz")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("molrest: check failed: orientation solve failed at frame 0: "
+                                "its scale sum M |R0| |R'| overflowed\n")
 
 
 class TestDeterminism:

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molrest.errors import SchemaError, SingularInertiaError
+from molrest import frames
+from molrest.errors import EckartSolveError, SchemaError, SingularInertiaError
 from molrest.frames import (
     BLOCKS,
     Configuration,
@@ -148,6 +149,39 @@ def test_solve_eckart_flags_degeneracy(penta):
 def test_solve_eckart_requires_prepared(water_raw):
     with pytest.raises(ValueError):
         solve_eckart(water_raw, water_raw.positions)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (1, 1, 3, 3)])
+def test_solve_eckart_rejects_misshapen_positions(water, shape):
+    with pytest.raises(ValueError, match=r"^positions must have shape \(3, 3\) or \(T, 3, 3\)$"):
+        solve_eckart(water, np.ones(shape))
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_eckart_fails_a_frame_whose_scale_overflows(water):
+    # past 1.3e154 a squared length, and so the scale sum M |R0| |R'|, is
+    # inf, and residual / scale would read a perfect 0
+    stack = np.stack([1e150 * water.positions, 1e155 * water.positions, water.positions])
+    with pytest.raises(EckartSolveError,
+                       match=r"^orientation solve failed at frame 1: .*scale.* overflowed$"):
+        solve_eckart(water, stack)
+    with pytest.raises(EckartSolveError, match="at frame 0: .*overflowed"):
+        solve_eckart(water, 1e155 * water.positions)
+
+
+def test_solve_eckart_names_the_first_frame_off_its_condition(water, monkeypatch):
+    # turning frame 1's optimal rotation by 0.1 rad leaves a residual far above 1e-8 of its scale
+    optimal = frames.quaternion_to_matrix
+
+    def turned(q):
+        r = optimal(q).copy()
+        r[1] = r[1] @ exp_map(np.array([0.0, 0.0, 0.1]))
+        return r
+
+    monkeypatch.setattr(frames, "quaternion_to_matrix", turned)
+    with pytest.raises(EckartSolveError, match=r"^orientation solve failed at frame 1: residual "
+                                               r"\S+ for scale \S+ \(relative \S+ > 1e-8\)$"):
+        solve_eckart(water, np.stack([water.positions] * 3))
 
 
 def test_to_rest_is_frame_transpose(penta):
@@ -538,6 +572,21 @@ def test_configuration_rejects_complex_blocks(name):
     blocks = {b: np.zeros((2, 3)) for b in BLOCKS}
     blocks[name] = blocks[name] + 1e-3j
     with pytest.raises(ValueError, match=f"^{name} has complex entries"):
+        Configuration(**blocks)
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("nuclei_positions", np.zeros((3, 2)), r"nuclei_positions must have shape \(\*, 3\)"),
+    ("electron_momenta", np.zeros((1, 1, 2, 3)), r"electron_momenta must have shape"),
+    ("nuclei_momenta", np.array([[0.0, np.inf, 0.0]] * 2), "nuclei_momenta has non-finite"),
+    ("electron_positions", np.full((2, 3), np.nan), "electron_positions has non-finite"),
+    ("nuclei_momenta", np.zeros((3, 3)), "nuclei position/momentum shapes differ"),
+    ("electron_momenta", np.zeros((1, 3)), "electron position/momentum shapes differ"),
+], ids=["columns", "ndim", "inf", "nan", "nuclei-pair", "electron-pair"])
+def test_configuration_rejects_malformed_blocks(block, value, message):
+    blocks = {b: np.zeros((2, 3)) for b in BLOCKS}
+    blocks[block] = value
+    with pytest.raises(ValueError, match=f"^{message}"):
         Configuration(**blocks)
 
 

@@ -131,6 +131,8 @@ def test_log_map_rejects_non_rotations():
     improper = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         log_map(improper)
+    with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 3, 3\), got \(3, 2\)"):
+        log_map(np.zeros((3, 2)))
 
 
 def test_log_map_rejects_near_orthogonal_stretch():

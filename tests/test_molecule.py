@@ -32,6 +32,10 @@ def test_constructor_validation():
         Molecule(**good, hbar=-1.0)
     with pytest.raises(ValueError):
         Molecule(masses=np.ones(3), positions=np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="^masses must be a non-empty 1-d array$"):
+        Molecule(masses=np.zeros(0), positions=np.zeros((0, 3)))
+    with pytest.raises(ValueError, match=r"^hessian must have shape \(9, 9\)$"):
+        Molecule(**good, hessian=np.eye(6))
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -41,10 +45,11 @@ def test_constructor_rejects_bool_electron_count(flag):
         Molecule(masses=np.ones(3), positions=np.eye(3), electron_count=flag)
 
 
-@pytest.mark.parametrize("value", [True, "1.0"])
+@pytest.mark.parametrize("value", [True, "1.0", pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("field", ["electron_mass", "hbar"])
 def test_constructor_rejects_non_real_mass_and_hbar(field, value):
-    # True would read as 1.0 in total_mass; a string would reach np.isfinite
+    # True would read as 1.0 in total_mass; a string, or an int past the
+    # float range, would reach np.isfinite
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         Molecule(masses=np.ones(3), positions=np.eye(3), electron_count=1, **{field: value})
 
@@ -207,6 +212,7 @@ def test_load_molecule_accepts_the_electron_ceiling(tmp_path):
         (lambda p: p["electrons"].pop("mass"), "mass"),
         (lambda p: p.update(nuclei=[]), "nuclei"),
         (lambda p: p["nuclei"][2].update(mass=-5.0), "nuclei[2].mass"),
+        (lambda p: p["nuclei"][0].update(mass=float("inf")), "nuclei[0].mass: must be finite"),
         (lambda p: p.update(modes=[[0.0] * 9]), "modes"),
         (lambda p: p.update(hessian=[0.0] * 10), "hessian"),
     ],

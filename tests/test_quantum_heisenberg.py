@@ -247,7 +247,7 @@ class TestStreamedLineStates:
         assert released == [True] * 9
 
     def test_empty_generator_rejected(self, line):
-        for kind in ("vibrational", "electronic"):
+        for kind in ("vibrational", "electronic", "rotational"):
             with pytest.raises(GridError, match="empty state set"):
                 heisenberg_suite(iter(()), kind)
 
@@ -264,6 +264,8 @@ class TestStreamedLineStates:
         group = iter([gaussian_line_state(line), wrong, gaussian_line_state(line)])
         with pytest.raises(GridError, match="electronic checks need LineGrid states"):
             heisenberg_suite(iter([group]), "electronic")
+        with pytest.raises(GridError, match="^rotational checks need So3Grid states$"):
+            heisenberg_suite([wrong, gaussian_line_state(line)], "rotational")
 
 
 class TestRotationalSuite:
@@ -402,6 +404,9 @@ class TestArguments:
         (1.0, float("nan")), (1.0, float("inf")), (1.0, 0.0), (1.0, -1e-6),
         (-1.0, 1e-6), (0.0, 1e-6), (float("nan"), 1e-6), (float("inf"), 1e-6),
         (-1.0, None), (float("nan"), None),
+        # a bool, an int past the float range and a string are no positive float
+        (1.0, True), pytest.param(1.0, 10**400, id="1.0-10**400"), (1.0, "1e-6"),
+        (True, 1e-6), pytest.param(10**400, None, id="10**400-None"), ("1", None),
     ])
     def test_hbar_and_tolerance_must_be_positive_and_finite(self, line, hbar, tolerance):
         psi = oscillator_state(line, 0)

@@ -438,7 +438,9 @@ class TestStencilSweep:
         assert [len(seen) for _, seen in counted] == [12, 12]
 
 
-BAD_HBARS = [-1.0, 0.0, float("nan"), float("inf")]
+# a bool, an int past the float range and a string are no positive float either
+BAD_HBARS = [-1.0, 0.0, float("nan"), float("inf"), True, pytest.param(10**400, id="10**400"),
+             "1"]
 
 
 class TestHbarChecked:
