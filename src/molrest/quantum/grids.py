@@ -165,9 +165,11 @@ class GridWavefunction:
     """Complex amplitudes on a grid, optionally backed by a profile.
 
     The profile is the generating callable (vectorized over (..., 3) for
-    orientation grids, over (...,) for line grids) used to evaluate the
-    state at off-node stencil points; operators that only need node
-    values leave it None.
+    orientation grids, over (...,) for line grids) that evaluates the
+    state off the nodes; the chart sweep is its one reader.  The state
+    factories keep it for orientation states only: line states are
+    sampled at their grid's nodes, and every line operator reads node
+    amplitudes only.
     """
 
     grid: object
@@ -189,18 +191,25 @@ class GridWavefunction:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.amplitudes) ** 2)))
 
     @classmethod
-    def from_profile(cls, grid, profile):
-        """Sample, normalize, and keep a consistently scaled profile."""
-        points = grid.points if isinstance(grid, LineGrid) else grid.nodes
-        raw = cls(grid=grid, amplitudes=profile(points))
+    def normalized(cls, grid, amplitudes, profile=None):
+        """The state amplitudes / norm, with its profile (if any) scaled by the
+        same factor; GridError unless the norm is positive."""
+        raw = cls(grid=grid, amplitudes=amplitudes)
         scale = raw.norm()
         if not scale > 0.0:
             raise GridError("profile vanishes on the grid")
 
-        def scaled(points, _profile=profile, _scale=scale):
-            return np.asarray(_profile(points), dtype=complex) / _scale
+        def scaled(points):
+            return np.asarray(profile(points), dtype=complex) / scale
 
-        return cls(grid=grid, amplitudes=raw.amplitudes / scale, profile=scaled)
+        return cls(grid=grid, amplitudes=raw.amplitudes / scale,
+                   profile=None if profile is None else scaled)
+
+    @classmethod
+    def from_profile(cls, grid, profile):
+        """Sample at the nodes, normalize, and keep a consistently scaled profile."""
+        points = grid.points if isinstance(grid, LineGrid) else grid.nodes
+        return cls.normalized(grid, profile(points), profile)
 
     def boundary_mass(self):
         """Probability carried by the grid's seam shells (0 on a line grid)."""

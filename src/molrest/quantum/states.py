@@ -7,14 +7,20 @@ them smooth across the antipodal seam of the axis-angle chart, times an
 optional plane-wave phase exp(i a . omega).  Each gaussian is written
 once per grid kind, as a mixture (``_line_mixture``, ``_so3_mixture``):
 the single-gaussian factories are its one-term case and the random
-factories pass their draws.  All factories normalize on the given grid
-and keep the generating profile so finite-difference operators can
-evaluate the state off the nodes.
+factories pass their draws.  All factories normalize on the given grid.
+Line states are sampled at their grid's nodes, the gaussians' plane
+wave taken from a coarse and a fine table, and carry no profile: every
+line operator reads node amplitudes only.  Orientation states keep the
+generating profile, so the chart sweep can evaluate them off the nodes.
 """
+
+import math
+import numbers
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from ..errors import positive_finite
 from ..lie_so3 import geodesic_distance
 from .grids import GridWavefunction, LineGrid, check_hbar
 
@@ -35,19 +41,45 @@ def _leading(values, ndim):
     return values.reshape(values.shape + (1,) * ndim)
 
 
+def _check_gaussian(sigma, **finite):
+    """Raise ValueError naming the first bad parameter of a gaussian state:
+    sigma positive and finite, every entry of the others finite."""
+    if not positive_finite(sigma):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    for name, value in finite.items():
+        try:
+            ok = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
-    """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2 + i k_i x) over the terms."""
+    """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2) e^{i k_i x} over the terms,
+    at the nodes of the uniform grid.
 
-    def profile(x, c=centers, s=sigmas, k=wavenumbers, a=amps):
-        x = np.asarray(x, dtype=float)
-        c, s, k, a = (_leading(v, x.ndim) for v in (c, s, k, a))
-        z = np.empty(c.shape[:1] + x.shape, dtype=complex)  # the exponent, then its exp
-        np.divide(-((x - c) ** 2), 4.0 * s * s, out=z.real)
-        np.multiply(k, x, out=z.imag)
-        # out of place: an in-place z *= a rounds differently
-        return (a * np.exp(z, out=z)).sum(axis=0)
-
-    return GridWavefunction.from_profile(grid, profile)
+    With b = ceil(sqrt(n)), node I b + J sits at x_{Ib} + (x_J - x_0), to
+    within about 2 ulp of the grid's extent, so its plane wave is
+    a_i e^{i k_i x_{Ib}} from a coarse table times e^{i k_i (x_J - x_0)}
+    from a fine one: about 2 sqrt(n) complex exponentials per term
+    instead of n.
+    """
+    x = grid.points
+    n = x.size
+    b = math.isqrt(n - 1) + 1
+    c, s, k, a = (_leading(v, 1) for v in (centers, sigmas, wavenumbers, amps))
+    envelope = x - c
+    envelope *= envelope
+    envelope /= -4.0 * s * s
+    np.exp(envelope, out=envelope)
+    coarse = a * np.exp(1j * k * x[::b])
+    fine = np.exp(1j * k * (x[:b] - x[0]))
+    wave = (coarse[:, :, None] * fine[:, None, :]).reshape(k.size, -1)[:, :n]
+    # the envelope is real: scale both parts rather than form a complex product
+    wave.real *= envelope
+    wave.imag *= envelope
+    return GridWavefunction.normalized(grid, wave.sum(axis=0))
 
 
 def _so3_mixture(grid, centers, sigmas, waves, amps):
@@ -71,8 +103,7 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
 
     sigma is the position dispersion; momentum is the mean momentum.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_gaussian(sigma, center=center, momentum=momentum)
     check_hbar(hbar)
     return _line_mixture(grid, np.array([float(center)]), np.array([float(sigma)]),
                          np.array([float(momentum / hbar)]), np.ones(1))
@@ -81,18 +112,15 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
 def oscillator_state(grid, n, hbar=1.0):
     """n-th eigenstate of the unit-mass, unit-frequency oscillator, normalized on
     the grid: H_n(xi) exp(-xi^2/2) with xi = x / sqrt(hbar)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"quantum number must be an int, got {n!r}")
     if n < 0:
-        raise ValueError("quantum number must be nonnegative")
+        raise ValueError(f"quantum number must be nonnegative, got {n}")
     check_hbar(hbar)
-    alpha = np.sqrt(1.0 / hbar)
     coeff = np.zeros(n + 1)
     coeff[n] = 1.0
-
-    def profile(x, a=float(alpha), c=coeff):
-        xi = a * np.asarray(x, dtype=float)
-        return hermval(xi, c) * np.exp(-0.5 * xi * xi) + 0.0j
-
-    return GridWavefunction.from_profile(grid, profile)
+    xi = math.sqrt(1.0 / hbar) * grid.points
+    return GridWavefunction.normalized(grid, hermval(xi, coeff) * np.exp(-0.5 * xi * xi) + 0.0j)
 
 
 def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 0.0)):
@@ -103,8 +131,7 @@ def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 
     is smooth only inside the ball and should stay small when boundary
     mass matters.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_gaussian(sigma, center=center, wave=wave)
     return _so3_mixture(grid, np.asarray(center, dtype=float)[None], np.array([float(sigma)]),
                         np.asarray(wave, dtype=float)[None], np.ones(1))
 

@@ -8,26 +8,23 @@ implementation that preceded the batched pipeline:
     molrest decompose --input tests/data/water.json \
         --trajectory tests/data/water_traj.xyz --format csv
 
-The heisenberg JSON report was generated by the implementation that
-preceded the single stencil sweep and the shared chart coefficients:
+The five quantum reports were generated by the implementation that
+samples line states at their grid's nodes, with each gaussian's plane
+wave taken from a coarse and a fine table:
 
     molrest heisenberg --input tests/data/water.json --seed 3 --format json
-
-The heisenberg CSV report was generated by the implementation that built
-one row object per pair, and the commutators JSON report by the one that
-took every orientation length from ``np.linalg.norm`` (its two residuals
-had drifted by up to 1.7e-17, 1.5e-11 relative, from a first generation
-that preceded the single stencil sweep):
-
     molrest heisenberg --input tests/data/water.json --seed 3 --format csv
     molrest commutators --input tests/data/water.json --format json
-
-Two more pin the quantum reports at hbar != 1, so that an operator that
-loses its hbar factor cannot pass; they were generated by the
-implementation whose orientation operators still took stencil options:
-
-    molrest commutators --input tests/data/water.json --hbar 0.37 --format json
     molrest heisenberg --input tests/data/water.json --seed 3 --hbar 0.37 --format json
+    molrest commutators --input tests/data/water.json --hbar 0.37 --format json
+
+Against the generation before, which took one complex exponential per
+line point, they passed the tolerant comparison below; the largest
+changes were 6.3e-16 relative in the heisenberg reports (2.5e-15 at
+hbar = 0.37), and 3.5e-15 absolute (3.7e-15 at hbar = 0.37) in the
+commutators ``line_canonical`` residual, the one number there that
+moved.  The two at hbar != 1 pin the quantum reports so that an
+operator that loses its hbar factor cannot pass.
 
 Non-numeric fields must match exactly and numbers within
 1e-12 max(1, |v|).  ``relative_residual`` is exempt: it used to divide by
