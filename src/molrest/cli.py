@@ -164,7 +164,7 @@ class Table(dict):
     """Named report columns with a leading row axis: entry t of each is row t."""
 
 
-_SLOT = "\x01"  # a leaf's place in a template ("\x00" does not survive np.full)
+_SLOT = "\x01"  # a leaf in a probe row, the row number in a row template (not "\x00": np.full)
 _BLOCK_ROWS = 256  # table rows formatted together and written as one piece
 
 
@@ -214,55 +214,49 @@ def _column_text(block, fmt):
     return [_cell(v, fmt) for v in values]
 
 
-def _blocks(table, fmt):
-    """The table in blocks of ``_BLOCK_ROWS`` rows: (first row, rows, leaves).
-
-    ``leaves`` holds the texts of one leaf position per list, ordered by
-    sorted column name and then row-major within a column, so that
-    ``zip(*leaves)`` gives the block's rows.
-    """
-    columns = [np.asarray(table[name]) for name in sorted(table)]
-    n_rows = len(columns[0])
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        leaves = []
-        for col in columns:
-            text = _column_text(col[lo:lo + _BLOCK_ROWS], fmt)
-            width = math.prod(col.shape[1:])
-            leaves += [text[k::width] for k in range(width)]
-        yield lo, min(_BLOCK_ROWS, n_rows - lo), leaves
-
-
-def _cells(leaves):
-    """A block's leaf texts in the order the text holds them, row by row."""
-    return itertools.chain.from_iterable(zip(*leaves))
-
-
 def _probe(table):
     """One row of the table as nested lists, every leaf a slot."""
     return {name: np.full(np.shape(col)[1:], _SLOT, dtype=object).tolist()
             for name, col in table.items()}
 
 
+def _filled(table, fmt, row, sep):
+    """The table's rows as the template ``row`` lays one out, joined by ``sep``:
+    a piece of text per block of ``_BLOCK_ROWS`` rows, led by ``sep`` after
+    the first.  ``row`` holds a ``%s`` per leaf (columns sorted by name, each
+    row-major), ``%%`` for a ``%`` and ``_SLOT`` for the row number."""
+    columns = [np.asarray(table[name]) for name in sorted(table)]
+    parts = row.split(_SLOT)
+    n_rows = len(columns[0])
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_rows)
+        leaves = []  # the texts of one leaf position per list, a row per entry
+        for col in columns:
+            text = _column_text(col[lo:hi], fmt)
+            width = math.prod(col.shape[1:])
+            leaves += [text[k::width] for k in range(width)]
+        rows = sep.join([str(t).join(parts) for t in range(lo, hi)])
+        yield (sep if lo else "") + rows % tuple(itertools.chain.from_iterable(zip(*leaves)))
+
+
 def _json_pieces(scalars, tables):
     text = json.dumps(scalars, sort_keys=True, indent=2) + "\n"
     for key in sorted(tables):  # the order of their slots in the sorted dump
         head, text = text.split(json.dumps(_SLOT + key), 1)
-        yield head
+        yield head + "[\n"
         row = json.dumps(_probe(tables[key]), sort_keys=True, indent=2).replace("%", "%%")
         row = "    " + row.replace("\n", "\n    ").replace(json.dumps(_SLOT), "%s")
-        sep = "[\n"
-        for _, n, leaves in _blocks(tables[key], "json"):
-            yield sep + ",\n".join([row] * n) % tuple(_cells(leaves))
-            sep = ",\n"
-        yield "\n  ]"
+        yield from _filled(tables[key], "json", row, ",\n")
+        text = "\n  ]" + text
     yield text
 
 
 def _csv_pieces(scalars, tables):
     if "rows" in tables:  # a header of column names, then one line per row
-        yield ",".join(map(_quote, sorted(tables["rows"]))) + "\n"
-        for _, _, leaves in _blocks(tables["rows"], "csv"):
-            yield "\n".join(map(",".join, zip(*leaves))) + "\n"
+        table = tables["rows"]
+        yield ",".join(map(_quote, sorted(table))) + "\n"
+        row = ",".join("%s" for _ in _flatten(_probe(table))) + "\n"
+        yield from _filled(table, "csv", row, "")
         del scalars["rows"]
     lines = []
     for key, value in _flatten(scalars):
@@ -271,24 +265,23 @@ def _csv_pieces(scalars, tables):
             continue
         yield "".join(lines)
         lines = []
-        # a leaf's key is "<key>.<t>.<path>": quoted once per path, the digits of t set in
-        keys = [_quote(f"{key}.{_SLOT}.{path}").partition(_SLOT)
-                for path, _ in _flatten(_probe(tables[key]))]
-        for lo, n, leaves in _blocks(tables[key], "csv"):
-            row_keys = [f"{head}{t}{tail}," for t in range(lo, lo + n) for head, _, tail in keys]
-            yield "\n".join(map(str.__add__, row_keys, _cells(leaves))) + "\n"
+        # a "<key>.<t>.<path>,<leaf>" line per leaf, each key quoted once per table
+        row = "".join(_quote(f"{key}.{_SLOT}.{path}").replace("%", "%%") + ",%s\n"
+                      for path, _ in _flatten(_probe(tables[key])))
+        yield from _filled(tables[key], "csv", row, "")
     yield "".join(lines)
 
 
 def _render(report, fmt):
     """The report as pieces of text, laid out as README "Reports" describes.
 
-    The only code that turns report values into text.  Each Table is cut
-    into blocks of ``_BLOCK_ROWS`` rows; within a block every column is
-    formatted at once by its dtype (``_column_text``), and a template of
-    one probe row places the leaves.  Pieces are made as they are asked
-    for, one per block and one per stretch of scalars, so the whole text
-    is never held at once.
+    The only code that turns report values into text.  Every Table, JSON
+    or CSV, is one row template with a slot per leaf, plus the row number
+    in dotted CSV keys, which ``_filled`` fills a block of ``_BLOCK_ROWS``
+    rows at a time; within a block every column is formatted at once by
+    its dtype (``_column_text``).  Pieces are made as they are asked for,
+    one per block and one per stretch of scalars, so the whole text is
+    never held at once.
     """
     tables = {k: v for k, v in report.items() if isinstance(v, Table)}
     scalars = {**report, **{k: _SLOT + k for k in tables}}

@@ -55,6 +55,15 @@ def _check_gaussian(sigma, **finite):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_width(sigma, reach):
+    """Raise ValueError unless 4 sigma^2 > 0 and d^2 / 4 sigma^2 is finite up to
+    d = ``reach``: else a wide state comes out flat, a narrow one overflows."""
+    scale = 4.0 * float(sigma) * float(sigma)
+    if not (0.0 < scale < math.inf and reach * reach / scale < math.inf):
+        raise ValueError(f"sigma takes d^2 / 4 sigma^2 out of the float range on the grid, "
+                         f"got {sigma!r}")
+
+
 def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
     """Normalized sum of a_i exp(-(x - c_i)^2/4 s_i^2) e^{i k_i x} over the terms,
     at the nodes of the uniform grid.
@@ -105,8 +114,19 @@ def gaussian_line_state(grid, center=0.0, sigma=1.0, momentum=0.0, hbar=1.0):
     """
     _check_gaussian(sigma, center=center, momentum=momentum)
     check_hbar(hbar)
-    return _line_mixture(grid, np.array([float(center)]), np.array([float(sigma)]),
-                         np.array([float(momentum / hbar)]), np.ones(1))
+    reach = max(abs(end - float(center)) for end in grid.points[[0, -1]].tolist())
+    if not reach * reach < math.inf:
+        raise ValueError(f"center takes (x - center)^2 out of the float range on the grid, "
+                         f"got {center!r}")
+    _check_width(sigma, reach)
+    k = float(momentum) / float(hbar)
+    try:  # with center and sigma checked, only the phase k x can leave the float range
+        with np.errstate(over="raise", invalid="raise"):
+            return _line_mixture(grid, np.array([float(center)]), np.array([float(sigma)]),
+                                 np.array([k]), np.ones(1))
+    except FloatingPointError:
+        raise ValueError(f"momentum / hbar takes the phase out of the float range on the grid, "
+                         f"got {momentum!r} / {hbar!r}") from None
 
 
 def oscillator_state(grid, n, hbar=1.0):
@@ -119,8 +139,14 @@ def oscillator_state(grid, n, hbar=1.0):
     check_hbar(hbar)
     coeff = np.zeros(n + 1)
     coeff[n] = 1.0
-    xi = math.sqrt(1.0 / hbar) * grid.points
-    return GridWavefunction.normalized(grid, hermval(xi, coeff) * np.exp(-0.5 * xi * xi) + 0.0j)
+    try:  # H_n overflows where its gaussian underflows, and so can the norm
+        with np.errstate(over="raise", invalid="raise"):
+            xi = math.sqrt(1.0 / hbar) * grid.points
+            return GridWavefunction.normalized(
+                grid, hermval(xi, coeff) * np.exp(-0.5 * xi * xi) + 0.0j)
+    except FloatingPointError:
+        raise ValueError(f"hbar and quantum number take H_n(x / sqrt(hbar)) out of the float "
+                         f"range on the grid, got hbar={hbar!r}, n={n}") from None
 
 
 def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 0.0)):
@@ -132,8 +158,16 @@ def so3_gaussian_state(grid, center=(0.0, 0.0, 0.0), sigma=0.3, wave=(0.0, 0.0, 
     mass matters.
     """
     _check_gaussian(sigma, center=center, wave=wave)
-    return _so3_mixture(grid, np.asarray(center, dtype=float)[None], np.array([float(sigma)]),
-                        np.asarray(wave, dtype=float)[None], np.ones(1))
+    c, w = (np.asarray(v, dtype=float) for v in (center, wave))
+    if not sum(v * v for v in c.tolist()) < math.inf:
+        raise ValueError(f"center takes its rotation angle out of the float range, "
+                         f"got {center!r}")
+    _check_width(sigma, math.pi)  # no rotation is farther than pi from another
+    # |omega| <= pi on the ball (to within rounding), which bounds wave . omega
+    if not math.pi * sum(abs(v) for v in w.tolist()) < math.inf:
+        raise ValueError(f"wave takes wave . omega out of the float range on the ball, "
+                         f"got {wave!r}")
+    return _so3_mixture(grid, c[None], np.array([float(sigma)]), w[None], np.ones(1))
 
 
 def random_line_state(grid, rng, hbar=1.0):

@@ -421,6 +421,12 @@ class TestInputErrors:
         assert main(["frame", "--input", MOLECULE, "--trajectory", TRAJECTORY]) == 1
         assert capsys.readouterr().err == "molrest: error: stdout: no room\n"
 
+    def test_no_stdout_object_names_it(self, monkeypatch, capsys):
+        # sys.stdout is None when Python starts with descriptor 1 closed
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["validate", "--input", MOLECULE]) == 1
+        assert capsys.readouterr().err == "molrest: error: stdout: closed\n"
+
 
 def _replace_field(row, k, value):
     parts = row.split()

@@ -94,6 +94,12 @@ def test_com_split_validates_shapes(penta):
         com_split(penta, cfg)
 
 
+def test_com_split_names_missing_electrons(water):
+    cfg = Configuration(nuclei_positions=np.zeros((3, 3)), nuclei_momenta=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="configuration has 0 electrons, molecule defines 2"):
+        com_split(water, cfg)
+
+
 # --- orientation solve ------------------------------------------------------
 
 

@@ -31,6 +31,14 @@ def test_external_subspace_requires_prepared(water_raw):
         external_subspace(water_raw)
 
 
+def test_external_subspace_rejects_collinear_geometry():
+    # prepare_equilibrium rejects it first, so the molecule is built as prepared
+    rod = Molecule(masses=np.ones(3), prepared=True,
+                   positions=[[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(CollinearGeometryError, match="collinear"):
+        external_subspace(rod)
+
+
 @pytest.mark.parametrize("fixture", ["water", "penta", "square"])
 def test_build_modes_satisfies_sum_rules(fixture, request):
     mol = request.getfixturevalue(fixture)

@@ -121,6 +121,15 @@ class TestDispersion:
         with pytest.raises(GridError):
             dispersion(psi, position_op(psi))
 
+    def test_sign_flipped_weights_are_a_quadrature_failure(self, line):
+        # weights negated left of the origin: a state centred right of it still
+        # normalizes, but its position variance comes out negative
+        weights = np.where(line.points < 0.0, -line.weights, line.weights)
+        flipped = LineGrid(points=line.points, step=line.step, weights=weights)
+        psi = GridWavefunction.normalized(flipped, gaussian_line_state(line, center=1.0).amplitudes)
+        with pytest.raises(GridError, match="quadrature failure"):
+            dispersion(psi, position_op(psi))
+
 
 class TestVibrationalSuite:
     def test_ground_state_saturation_row(self, line):

@@ -311,9 +311,12 @@ class TestHbarChecked:
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestParametersNamed:
-    """A bad parameter is named before any sampling: a NaN no longer ends as a
-    vanishing profile, an infinite width as a flat state, or True as 1."""
+    """A bad parameter is named before any sampling, with no numpy warning: a
+    NaN no longer ends as a vanishing profile, an infinite width as a flat
+    state, or True as 1, and neither does a width, centre, phase or
+    oscillator that leaves the float range on the grid."""
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"sigma": NAN}, "sigma must be positive"),
@@ -324,6 +327,11 @@ class TestParametersNamed:
         ({"center": -INF}, "center must be finite"),
         ({"momentum": NAN}, "momentum must be finite"),
         ({"momentum": INF}, "momentum must be finite"),
+        ({"sigma": 1e300}, "^sigma takes"),
+        ({"sigma": 1e-160}, "^sigma takes"),
+        ({"sigma": 1e-200}, "^sigma takes"),
+        ({"center": 1e200}, "^center takes"),
+        ({"momentum": 1e300, "hbar": 1e-10}, "^momentum / hbar takes"),
     ])
     def test_gaussian_line_state(self, line, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -336,6 +344,11 @@ class TestParametersNamed:
         ({"center": (0.1, NAN, 0.0)}, "center must be finite"),
         ({"wave": (INF, 0.0, 0.0)}, "wave must be finite"),
         ({"wave": (0.0, 0.0, "x")}, "wave must be finite"),
+        ({"sigma": 1e300}, "^sigma takes"),
+        ({"sigma": 1e-160}, "^sigma takes"),
+        ({"sigma": 1e-200}, "^sigma takes"),
+        ({"center": (1e200, 0.0, 0.0)}, "^center takes"),
+        ({"wave": (1e308, 0.0, 0.0)}, "^wave takes"),
     ])
     def test_so3_gaussian_state(self, ball, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -350,6 +363,16 @@ class TestParametersNamed:
     def test_oscillator_state(self, line, n, message):
         with pytest.raises(ValueError, match=message):
             oscillator_state(line, n)
+
+    @pytest.mark.parametrize("n, hbar", [(3, 1e-300), (200, 1.0)])
+    def test_oscillator_beyond_float_range(self, line, n, hbar):
+        with pytest.raises(ValueError, match="^hbar and quantum number take"):
+            oscillator_state(line, n, hbar=hbar)
+
+    def test_phases_at_the_float_range_edge_accepted(self, line, ball):
+        # 1e307 x and 5e307 omega_x stay finite on the grids: no false rejection
+        assert abs(gaussian_line_state(line, momentum=1e307).norm() - 1.0) <= 1e-12
+        assert abs(so3_gaussian_state(ball, wave=(5e307, 0.0, 0.0)).norm() - 1.0) <= 1e-12
 
     def test_numpy_quantum_number_accepted(self, line):
         assert np.array_equal(oscillator_state(line, np.int64(3)).amplitudes,
