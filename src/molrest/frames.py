@@ -382,7 +382,10 @@ def _frame_starts(lines, n_total):
 
     Scanning stops at the first malformed header; the error is returned
     rather than raised so that row errors of earlier frames come first.
+    A frame whose rows would need the empty string after a final newline
+    is truncated: that string is no line of the file.
     """
+    end = len(lines) - (lines[-1] == "")
     starts = []
     i = 0
     while i < len(lines):
@@ -400,7 +403,7 @@ def _frame_starts(lines, n_total):
             return starts, SchemaError(
                 f"line {i + 1}: frame holds {count} particles, molecule needs {n_total}"
             )
-        if i + 2 + count > len(lines):
+        if i + 2 + count > end:
             return starts, SchemaError(f"line {i + 1}: truncated frame")
         starts.append(i)
         i += 2 + count

@@ -286,10 +286,7 @@ def _quaternion_parts(omega):
     omega = np.asarray(omega, dtype=float)
     theta = component_length(omega)
     half = 0.5 * theta
-    small = theta < 1e-12
-    scale = np.empty_like(theta)
-    scale[small] = 0.5
-    scale[~small] = np.sin(half[~small]) / theta[~small]
+    scale = np.divide(np.sin(half), theta, out=np.full_like(theta, 0.5), where=theta >= 1e-12)
     return np.cos(half), omega * scale[..., None]
 
 
@@ -355,5 +352,10 @@ def geodesic_distance(omegas, centers):
     w2, v2 = _quaternion_parts(centers)
     w2 = w2.reshape(w2.shape + (1,) * w1.ndim)
     v2 = v2.reshape(w2.shape + (3,))
-    dot = np.abs(w1 * w2 + _component_dot(v1, v2))
-    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+    dot = np.asarray(w1 * w2)  # 0-d for one omega and one center, so that out= can take it
+    dot += _component_dot(v1, v2)
+    np.abs(dot, out=dot)
+    np.clip(dot, -1.0, 1.0, out=dot)
+    np.arccos(dot, out=dot)
+    dot *= 2.0
+    return dot[()]

@@ -50,6 +50,10 @@ class LineGrid:
             raise GridError(f"line grid needs at least {MIN_LINE_POINTS} points, got {n}")
         if n > MAX_LINE_POINTS:
             raise GridError(f"line grid takes at most {MAX_LINE_POINTS} points, got {n}")
+        if not (math.isfinite(x_min) and math.isfinite(x_max)
+                and math.isfinite(float(x_max) - float(x_min))):
+            raise GridError(f"line grid extent must be finite, "
+                            f"got [{float(x_min)!r}, {float(x_max)!r}]")
         if not x_max > x_min:
             raise GridError("empty line grid extent")
         points = np.linspace(x_min, x_max, n)
@@ -188,7 +192,10 @@ class GridWavefunction:
         return self.grid.weights if isinstance(self.grid, LineGrid) else self.grid.haar_weights
 
     def norm(self):
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.amplitudes) ** 2)))
+        """sqrt(sum w |psi|^2), the terms formed in one temporary array."""
+        terms = np.abs(self.amplitudes)
+        np.square(terms, out=terms)
+        return float(np.sqrt(np.sum(np.multiply(self.weights, terms, out=terms))))
 
     @classmethod
     def normalized(cls, grid, amplitudes, profile=None):

@@ -15,13 +15,18 @@ observables per kind:
                -i hbar delta_jk, so Robertson's inequality gives the
                bound hbar/2 at every orientation.
 
-``dispersion`` takes the state and the already-applied A psi, so each
-operator runs once per state: the line branch applies momentum_op (at
-its default 4th order) and position_op per state, and the rotational
-branch makes one call of ``angmom_op``, whose single stencil sweep
-yields all three chart components (12 profile evaluations per state).  The suite checks each
-state's normalization once, not once per dispersion as a direct
-``dispersion`` call does.
+``dispersion`` takes the state and the already-applied A psi and checks
+the state's normalization; the suite checks each state's normalization
+once.  Its line branch forms neither P psi nor Q psi: one kernel per
+family (``_line_kernel``) measures each state from rho = |psi|^2 and
+D psi, the order-4 central-difference numerator that ``momentum_op``
+divides by 12h (``operators.central_difference``), in buffers it
+allocates once.  The rotational branch makes one call of ``angmom_op``
+per state, whose single stencil sweep yields all three chart components
+(12 profile evaluations per state).  Every variance, ``dispersion``'s
+included, goes through one gate, ``_settle``: a negative <A^2> or a
+variance below -1e-12 is a quadrature failure, then a variance outside
+the float range a range failure.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
@@ -38,7 +43,8 @@ import numpy as np
 
 from ..errors import GridError, positive_finite
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
-from .operators import BOUNDARY_MASS_TOL, angmom_op, momentum_op, position_op
+from .operators import (BOUNDARY_MASS_TOL, angmom_op, central_difference, check_decay,
+                        position_op)
 
 __all__ = ["dispersion", "heisenberg_suite"]
 
@@ -47,10 +53,10 @@ def dispersion(psi, a_psi):
     """sqrt(<A^2> - <A>^2) for a normalized state psi, given a_psi = A psi.
 
     a_psi is a GridWavefunction on psi's grid.  Variances inside
-    [-1e-12, 0) are clamped to zero (quadrature rounding); anything more
-    negative signals a broken quadrature and raises, as does a variance
-    beyond the float range or an <A^2> that underflows it while A psi is
-    nonzero.
+    [-1e-12, 0) are clamped to zero (quadrature rounding); a negative
+    <A^2> or a more negative variance signals a broken quadrature and
+    raises, as does a variance beyond the float range or an <A^2> that
+    underflows it while A psi is nonzero.
     """
     _check_normalized(psi)
     return _spread(psi, a_psi)
@@ -68,19 +74,32 @@ def _spread(psi, a_psi):
     weights = psi.weights
     amps = a_psi.amplitudes
     mean = complex(np.sum(weights * np.conj(psi.amplitudes) * amps))
-    with np.errstate(over="ignore"):  # an overflow raises GridError below
+    with np.errstate(over="ignore"):  # an overflow raises GridError in _settle
         second = float(np.sum(weights * np.abs(amps) ** 2))
+    return _settle(second, mean, lambda: np.any(amps))
+
+
+def _settle(second, mean, nonzero, scale=1.0):
+    """The dispersion sqrt(<A^2> - |<A>|^2), or GridError: the one gate of every variance.
+
+    <A^2> = scale * second and |<A>|^2 = scale * |mean|^2; the variance is
+    scale * (second - |mean|^2), so a common factor of A costs one
+    rounding, not one per term.  A negative <A^2> or a variance below
+    -1e-12 is a quadrature failure; then a variance beyond the float
+    range, or an <A^2> below it while A psi is nonzero, is a range
+    failure.  ``nonzero()`` says whether A psi has a nonzero amplitude;
+    it runs only when <A^2> is below the range.
+    """
     try:  # float ** raises where float * would give inf
-        variance = second - (mean.real**2 + mean.imag**2)
+        variance = scale * (second - (mean.real**2 + mean.imag**2))
     except OverflowError:
         variance = math.inf
-    if not math.isfinite(variance) or (second < np.finfo(float).tiny and np.any(amps)):
+    second *= scale
+    if second < 0.0 or variance < -1e-12:
+        raise GridError(f"quadrature failure: variance {variance:.3e}")
+    if not math.isfinite(variance) or (second < np.finfo(float).tiny and nonzero()):
         raise GridError(f"dispersion out of float range: <A^2> = {second:.3e}")
-    if variance < 0.0:
-        if variance < -1e-12:
-            raise GridError(f"quadrature failure: variance {variance:.3e}")
-        variance = 0.0
-    return math.sqrt(variance)
+    return math.sqrt(max(variance, 0.0))
 
 
 def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary_mass=0.0):
@@ -101,21 +120,71 @@ def _pair_rows(labels_a, deltas_a, labels_b, deltas_b, half, tolerance, boundary
         names="observable_a,observable_b,delta_a,delta_b,product,bound,satisfied,boundary_mass")
 
 
+def _line_kernel(grid, hbar):
+    """The (momentum, position) dispersions of states on one LineGrid, as a function of the state.
+
+    Each state is measured from two arrays, each computed once: rho =
+    |psi|^2 and D psi, 12h times the order-4 central derivative that
+    ``momentum_op`` takes (``central_difference``).  <Q> and <Q^2> are
+    sums of rho against w x and w x^2; with c = hbar / 12h, <P^2> =
+    c^2 sum w |D psi|^2 and <P> = -i c M, M = sum w conj(psi) D psi.  The
+    gates run in ``momentum_op`` and ``dispersion``'s order: edge decay,
+    normalization, then the momentum and the position variance through
+    ``_settle``.  rho, D psi and one work array are allocated here and
+    reused for every state.
+    """
+    n = grid.size
+    w, x = grid.weights, grid.points
+    wx = w * x
+    wx2 = wx * x
+    w_pairs = np.repeat(w, 2)  # w per float of a complex array
+    c = float(hbar) / (12 * float(grid.step))
+    rho = np.empty(n)
+    d = np.empty(n, dtype=complex)
+    work = np.empty(n, dtype=complex)
+    d_floats, work_floats = d.view(float), work.view(float)
+
+    def total(weights, values, out):
+        """sum of weights * values, the products written to out and summed pairwise."""
+        return float(np.multiply(weights, values, out=out).sum())
+
+    def measure(psi):
+        amp = psi.amplitudes
+        np.square(amp.view(float), out=work_floats)
+        np.add(work_floats[0::2], work_floats[1::2], out=rho)
+        check_decay(rho)
+        _check_normalized(psi)
+        central_difference(amp, 4, d, work)
+        d_sq = total(w_pairs, np.square(d_floats, out=work_floats), work_floats)
+        cross = np.multiply(np.conjugate(amp, out=work), d, out=work).view(float)
+        cross *= w_pairs
+        m_re, m_im = float(cross[0::2].sum()), float(cross[1::2].sum())
+        d_p = _settle(d_sq, complex(m_im, -m_re), lambda: np.any(d), c * c)  # -i M, then c
+        q = total(wx, rho, work_floats[:n])
+        d_q = _settle(total(wx2, rho, work_floats[:n]), q, lambda: np.any(x * amp))
+        return d_p, d_q
+
+    return measure
+
+
 def _line_dispersions(psi_set, kind, hbar):
     """Labels and (momentum, position) dispersions of a vibrational or electronic set.
 
     States are taken one at a time and only their two dispersions are
     kept, so a state is released before the next one is asked for.  They
     go through ``map``, which drops each one when its call returns; a
-    for loop's variable would hold it while the next is drawn.
+    for loop's variable would hold it while the next is drawn.  One
+    ``_line_kernel`` measures them all while they share a grid, as a
+    family's states do.
     """
+    cached = [None, None]  # the last state's grid and its kernel
 
     def pair(s):
         if not isinstance(s, GridWavefunction) or not isinstance(s.grid, LineGrid):
             raise GridError(f"{kind} checks need LineGrid states")
-        p_psi = momentum_op(s, hbar=hbar)
-        _check_normalized(s)
-        return _spread(s, p_psi), _spread(s, position_op(s))
+        if s.grid is not cached[0]:
+            cached[:] = s.grid, _line_kernel(s.grid, hbar)
+        return cached[1](s)
 
     def electron(group):
         triple = list(map(pair, group))

@@ -3,7 +3,10 @@
 Line momentum is -i hbar times a central difference at step h on node
 amplitudes that decay at the grid ends: (psi[i+1] - psi[i-1]) / 2h for
 ``line_commutator_residual``, (psi[i-2] - 8 psi[i-1] + 8 psi[i+1] -
-psi[i+2]) / 12h for the dispersions.  Orientation-space operators
+psi[i+2]) / 12h for the dispersions.  ``central_difference`` is the one
+copy of both numerators, with zeros beyond the grid ends, and
+``check_decay`` the one edge-decay gate; ``momentum_op`` and the
+Heisenberg suite's line kernel share them.  Orientation-space operators
 differentiate the state's generating profile along chart directions,
 wrapping stencil points outside the axis-angle ball through the
 antipode.  D_j = -i hbar d/dw^j realizes n_(j)(w) . L; body components
@@ -32,6 +35,8 @@ point, the wrapped coordinate times the profile).  Each job has one policy:
 Every operator and check raises GridError for an hbar that is not
 positive and finite (``grids.check_hbar``) before it differentiates.
 """
+
+import math
 
 import numpy as np
 
@@ -80,15 +85,57 @@ def position_op(psi, component=0):
     return GridWavefunction(grid=psi.grid, amplitudes=coord * psi.amplitudes, profile=None)
 
 
+def check_decay(rho):
+    """Raise BoundaryMassError unless rho = |psi|^2 at the two outermost nodes
+    on each end of a line is below 1e-16 of its peak (|psi| below 1e-8 of
+    its peak), where the stencils' zero padding would corrupt a derivative."""
+    peak = float(rho.max())
+    edge = float(max(rho[:2].max(), rho[-2:].max()))
+    if peak == 0.0 or edge > 1e-16 * peak:
+        raise BoundaryMassError(
+            f"insufficient decay at grid ends: edge/peak = "
+            f"{math.sqrt(edge / peak) if peak else math.inf:.3e}"
+        )
+
+
+def central_difference(amp, order, out, work):
+    """h times the order-2, 12h times the order-4 central first derivative of amp, into out.
+
+    Order 2 is amp[i+1] - amp[i-1]; order 4 is amp[i-2] - 8 amp[i-1] +
+    8 amp[i+1] - amp[i+2], summed left to right.  Nodes beyond the ends
+    count as zero: the two nodes on each end take their sums from a short
+    zero-padded copy, so every node sees the same arithmetic.  out and work
+    are complex arrays of amp's size; amp has at least 5 nodes.
+    """
+
+    def stencil(p, o):  # o[i] from p[i], ..., p[i + 4]
+        if order == 2:
+            np.subtract(p[3:-1], p[1:-3], out=o)
+            return
+        eight = np.multiply(p, 8, out=work[:p.size])
+        np.subtract(p[:-4], eight[1:-3], out=o)
+        o += eight[3:-1]
+        o -= p[4:]
+
+    stencil(amp, out[2:-2])
+    ends = np.zeros(12, dtype=complex)
+    ends[2:6], ends[6:10] = amp[:4], amp[-4:]
+    sums = np.empty(8, dtype=complex)
+    stencil(ends, sums)
+    out[:2], out[-2:] = sums[:2], sums[6:]
+    return out
+
+
 def momentum_op(psi, hbar=1.0, order=4):
     """-i hbar d/dx by central differences on a LineGrid.
 
-    Each order serves one job: 4, the default, the line dispersions of
-    ``heisenberg.heisenberg_suite``; 2 ``line_commutator_residual``,
-    whose convergence order is measured.  The stencil assumes the state
-    vanishes beyond the grid; amplitudes at the two outermost nodes on
-    each end must be below 1e-8 of the peak or the zero padding would
-    corrupt the derivative.
+    Each order serves one job: 4, the default, is the stencil of the line
+    dispersions (``heisenberg.heisenberg_suite`` takes it through
+    ``central_difference`` without forming P psi); 2
+    ``line_commutator_residual``, whose convergence order is measured.
+    The stencil assumes the state vanishes beyond the grid; amplitudes at
+    the two outermost nodes on each end must be below 1e-8 of the peak
+    (``check_decay``) or the zero padding would corrupt the derivative.
     """
     check_hbar(hbar)
     if not isinstance(psi.grid, LineGrid):
@@ -96,20 +143,9 @@ def momentum_op(psi, hbar=1.0, order=4):
     if order not in (2, 4):
         raise GridError(f"unsupported stencil order {order}")
     amp = psi.amplitudes
-    peak = float(np.abs(amp).max())
-    edge = float(max(np.abs(amp[:2]).max(), np.abs(amp[-2:]).max()))
-    if peak == 0.0 or edge > 1e-8 * peak:
-        raise BoundaryMassError(
-            f"insufficient decay at grid ends: edge/peak = {edge / peak if peak else np.inf:.3e}"
-        )
-    pad = np.pad(amp, (2, 2))
-    if order == 2:
-        deriv = (pad[3:-1] - pad[1:-3]) / (2 * psi.grid.step)
-    else:
-        deriv = pad[:-4] - 8 * pad[1:-3]
-        deriv += 8 * pad[3:-1]
-        deriv -= pad[4:]
-        deriv /= 12 * psi.grid.step
+    check_decay(amp.real * amp.real + amp.imag * amp.imag)
+    deriv = central_difference(amp, order, np.empty_like(amp), np.empty_like(amp))
+    deriv /= (2 if order == 2 else 12) * psi.grid.step
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)
 
 

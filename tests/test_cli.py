@@ -427,6 +427,16 @@ class TestInputErrors:
         assert main(["validate", "--input", MOLECULE]) == 1
         assert capsys.readouterr().err == "molrest: error: stdout: closed\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_hbar_past_the_phase_range_is_bad_input(self, capsys):
+        # k x / hbar overflows in the line states' phase: exit 1 naming hbar, no numpy warning
+        assert invoke("heisenberg", "--input", MOLECULE, "--hbar", "1e-308",
+                      "--grid-line", "1024", "--grid-theta", "16", "--grid-dirs", "32") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("molrest: error: hbar takes the phase k x / hbar out of the "
+                                "float range on the grid, got 1e-308\n")
+
 
 def _replace_field(row, k, value):
     parts = row.split()
@@ -473,6 +483,18 @@ class TestTrajectoryGrammar:
         assert captured.out == ""
         assert captured.err == ("molrest: error: line 8: frame holds 4 particles, "
                                 "molecule needs 5\n")
+
+    @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    def test_last_frame_one_row_short_is_truncated(self, ending, tmp_path, capsys):
+        # 13 lines: frame 0 whole, frame 1 (count on line 8) without its last row; the
+        # empty string after a final newline is no line 14 to read that row from
+        lines = Path(TRAJECTORY).read_text().splitlines()[:13]
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines) + ending)
+        assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "molrest: error: line 8: truncated frame\n"
 
     def test_blank_row_inserted_in_a_frame_names_its_line(self, tmp_path, capsys):
         lines = Path(TRAJECTORY).read_text().splitlines()

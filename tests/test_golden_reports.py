@@ -8,22 +8,31 @@ implementation that preceded the batched pipeline:
     molrest decompose --input tests/data/water.json \
         --trajectory tests/data/water_traj.xyz --format csv
 
-The five quantum reports were generated by the implementation that
+The two commutators reports were generated by the implementation that
 samples line states at their grid's nodes, with each gaussian's plane
 wave taken from a coarse and a fine table:
 
-    molrest heisenberg --input tests/data/water.json --seed 3 --format json
-    molrest heisenberg --input tests/data/water.json --seed 3 --format csv
     molrest commutators --input tests/data/water.json --format json
-    molrest heisenberg --input tests/data/water.json --seed 3 --hbar 0.37 --format json
     molrest commutators --input tests/data/water.json --hbar 0.37 --format json
 
 Against the generation before, which took one complex exponential per
 line point, they passed the tolerant comparison below; the largest
-changes were 6.3e-16 relative in the heisenberg reports (2.5e-15 at
-hbar = 0.37), and 3.5e-15 absolute (3.7e-15 at hbar = 0.37) in the
-commutators ``line_canonical`` residual, the one number there that
-moved.  The two at hbar != 1 pin the quantum reports so that an
+change was 3.5e-15 absolute (3.7e-15 at hbar = 0.37) in the
+``line_canonical`` residual, the one number there that moved.  The
+three heisenberg reports were generated by the implementation that
+measures each line state in one kernel, from |psi|^2 and one order-4
+central-difference numerator, without forming P psi or Q psi:
+
+    molrest heisenberg --input tests/data/water.json --seed 3 --format json
+    molrest heisenberg --input tests/data/water.json --seed 3 --format csv
+    molrest heisenberg --input tests/data/water.json --seed 3 --hbar 0.37 --format json
+
+Against the generation before, which applied ``momentum_op`` and
+``position_op`` to each state and took both dispersions through
+``dispersion``'s sums, they passed the tolerant comparison below; only
+the line rows' delta and product fields moved, by at most 8.8e-16
+relative (1.0e-15 at hbar = 0.37), and every label, bound and verdict
+stayed.  The two at hbar != 1 pin the quantum reports so that an
 operator that loses its hbar factor cannot pass.
 
 Non-numeric fields must match exactly and numbers within

@@ -39,6 +39,17 @@ class TestLineGrid:
         with pytest.raises(GridError):
             LineGrid.make(2.0, 2.0, 128)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_min, x_max", [
+        (-np.inf, 0.0),  # an infinite endpoint: numpy warned "invalid value"
+        (-1e308, 1e308),  # finite endpoints, an infinite span: numpy warned "overflow"
+        (np.nan, 1.0),
+        (0.0, np.nan),
+    ])
+    def test_non_finite_extent_named(self, x_min, x_max):
+        with pytest.raises(GridError, match=r"line grid extent must be finite, got \["):
+            LineGrid.make(x_min, x_max, 64)
+
     def test_ceiling_enforced(self):
         assert LineGrid.make(-1.0, 1.0, 262144).size == 262144  # the reference line
         assert LineGrid.make(-1.0, 1.0, MAX_LINE_POINTS).size == MAX_LINE_POINTS

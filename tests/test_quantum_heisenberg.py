@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from molrest.errors import GridError
+from molrest.errors import BoundaryMassError, GridError
 from molrest.quantum import (
     BOUNDARY_MASS_TOL,
     GridWavefunction,
@@ -30,6 +30,7 @@ from molrest.quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
+from molrest.quantum.heisenberg import _line_kernel
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +119,7 @@ class TestDispersion:
         amps = np.zeros(64, dtype=complex)
         amps[0] = amps[1] = 1.0
         psi = GridWavefunction(grid=grid, amplitudes=amps)
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="quadrature failure"):
             dispersion(psi, position_op(psi))
 
     def test_sign_flipped_weights_are_a_quadrature_failure(self, line):
@@ -342,8 +343,46 @@ def assert_rows_are(rows, expected):
             assert rows[name].tolist() == want, name
 
 
+class TestLineKernel:
+    """The suite's one-pass line kernel against ``dispersion`` of the public operators."""
+
+    @pytest.mark.parametrize("n", [64, 1000, 16384])
+    def test_agrees_with_the_operators(self, n):
+        # 18 states per grid, 6 per hbar.  Their phases are drawn at hbar = 1, below every
+        # grid's Nyquist wavenumber; the operators act at each hbar.  (A phase k / hbar past
+        # it makes the momentum variance a small difference of large sums, which both paths
+        # round to about 1e-12.)
+        grid = LineGrid.make(-10.0, 10.0, n)
+        rng = np.random.default_rng(40 + n)
+        for hbar in (1.0, 0.37, 1e-2):
+            kernel = _line_kernel(grid, hbar)
+            for s in [random_line_state(grid, rng) for _ in range(6)]:
+                d_p, d_q = kernel(s)
+                want_p = dispersion(s, momentum_op(s, hbar=hbar))
+                want_q = dispersion(s, position_op(s))
+                assert abs(d_p - want_p) <= 1e-13 * want_p
+                assert abs(d_q - want_q) <= 1e-13 * want_q
+
+    def test_gates_in_the_operators_order(self, line):
+        psi = gaussian_line_state(line)
+        wide = GridWavefunction(grid=line,
+                                amplitudes=2.0 * gaussian_line_state(line, sigma=3.0).amplitudes)
+        kernel = _line_kernel(line, 1.0)
+        with pytest.raises(BoundaryMassError, match="insufficient decay at grid ends"):
+            kernel(wide)  # unnormalized as well: the decay gate comes first
+        with pytest.raises(GridError, match="dispersion needs a normalized state"):
+            kernel(GridWavefunction(grid=line, amplitudes=2.0 * psi.amplitudes))
+        with pytest.raises(GridError, match="dispersion out of float range"):
+            _line_kernel(line, 1e-300)(psi)  # <P^2> underflows while P psi is not zero
+
+
 class TestRecordsAgainstPairLoop:
-    """The column-built records against the per-pair loop they replace."""
+    """The column-built records against the per-pair loop they replace.
+
+    The deltas fed to the loop are the line kernel's own, so the records
+    must match bit for bit; ``TestLineKernel`` ties those deltas to the
+    public operators.
+    """
 
     @pytest.mark.parametrize("hbar, tolerance", [(1.0, None), (2.5, 1e-14)])
     def test_vibrational(self, line, hbar, tolerance):
@@ -351,8 +390,7 @@ class TestRecordsAgainstPairLoop:
         states = [oscillator_state(line, 0)] + [random_line_state(line, rng, hbar=hbar)
                                                 for _ in range(4)]
         tol = 1e-6 * hbar if tolerance is None else tolerance
-        deltas_p = [dispersion(s, momentum_op(s, hbar=hbar, order=4)) for s in states]
-        deltas_q = [dispersion(s, position_op(s)) for s in states]
+        deltas_p, deltas_q = zip(*map(_line_kernel(line, hbar), states))
         expected = reference_rows([f"P_{i}" for i in range(1, 6)], deltas_p,
                                   [f"Q^{i}" for i in range(1, 6)], deltas_q,
                                   0.5 * hbar, tol, 0.0)
@@ -366,11 +404,9 @@ class TestRecordsAgainstPairLoop:
         groups = [[random_line_state(line, rng) for _ in range(3)] for _ in range(2)]
         flat = [s for g in groups for s in g]
         labels = [(f"p_({nu})_{j}", f"q_({nu})^{j}") for nu in (1, 2) for j in (1, 2, 3)]
-        expected = reference_rows([a for a, _ in labels],
-                                  [dispersion(s, momentum_op(s, order=4)) for s in flat],
-                                  [b for _, b in labels],
-                                  [dispersion(s, position_op(s)) for s in flat],
-                                  0.5, 1e-6, 0.0)
+        deltas_p, deltas_q = zip(*map(_line_kernel(line, 1.0), flat))
+        expected = reference_rows([a for a, _ in labels], deltas_p,
+                                  [b for _, b in labels], deltas_q, 0.5, 1e-6, 0.0)
         assert_rows_are(heisenberg_suite(groups, "electronic"), expected)
 
     def test_rotational_with_a_gated_state(self, ball):
