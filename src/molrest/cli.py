@@ -360,20 +360,30 @@ def _roundtrip_error(cfg, rebuilt):
     return worst
 
 
+def _frames_report(command, columns, passed, tolerance):
+    """The report of a trajectory command: its per-frame columns, with the frame
+    index and per-frame verdict, as one table, and its overall verdict."""
+    return {
+        "command": command,
+        "n_frames": len(passed),
+        "frames": Table(columns, index=np.arange(len(passed)), passed=passed),
+        "tolerance": tolerance,
+        "passed": bool(passed.all()),
+    }
+
+
 def _cmd_frame(config, mol, rng):
     basis = build_modes(mol, rng=rng)
     traj = load_trajectory(mol, config.trajectory_path)
     state = analyze(mol, basis, traj)
     frame = state.frame
     rt = _roundtrip_error(traj, reconstruct(mol, basis, state))
-    rel_residual = frame.relative_residual
-    passed = ((rel_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
+    passed = ((frame.relative_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
               & ~frame.degenerate)
-    frames = Table({
-        "index": np.arange(len(rt)),
+    return _frames_report("frame", {
         "orientation": frame.orientation,
         "residual": frame.residual,
-        "relative_residual": rel_residual,
+        "relative_residual": frame.relative_residual,
         "degenerate": frame.degenerate,
         "com_position": state.com_position,
         "com_momentum": state.com_momentum,
@@ -384,15 +394,7 @@ def _cmd_frame(config, mol, rng):
         "angular_velocity": state.angular_velocity,
         "angular_momentum": state.angular_momentum,
         "roundtrip_error": rt,
-        "passed": passed,
-    })
-    return {
-        "command": "frame",
-        "n_frames": len(rt),
-        "frames": frames,
-        "tolerance": {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP},
-        "passed": bool(passed.all()),
-    }
+    }, passed, {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP})
 
 
 def _cmd_decompose(config, mol, rng):
@@ -401,26 +403,15 @@ def _cmd_decompose(config, mol, rng):
     state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path))
     rotational, deformation, electronic = decompose_angmom(model, basis, state)
     total = rotational + deformation + electronic
-    direct = state.angular_momentum
-    residual = np.abs(total - direct).max(axis=-1)
-    passed = residual <= TOL_ROUNDTRIP
-    frames = Table({
-        "index": np.arange(len(residual)),
+    residual = np.abs(total - state.angular_momentum).max(axis=-1)
+    return _frames_report("decompose", {
         "rotational": rotational,
         "deformation": deformation,
         "electronic": electronic,
         "total": total,
-        "rest_angular_momentum": direct,
+        "rest_angular_momentum": state.angular_momentum,
         "residual": residual,
-        "passed": passed,
-    })
-    return {
-        "command": "decompose",
-        "n_frames": len(residual),
-        "frames": frames,
-        "tolerance": TOL_ROUNDTRIP,
-        "passed": bool(passed.all()),
-    }
+    }, residual <= TOL_ROUNDTRIP, TOL_ROUNDTRIP)
 
 
 def _cmd_heisenberg(config, mol, rng):
@@ -499,22 +490,14 @@ def run(config):
     """Execute one command; returns the process exit status."""
     try:
         config.validate()
-    except ValueError as exc:
-        print(f"molrest: error: {exc}", file=sys.stderr)
-        return 1
-    rng = np.random.default_rng(config.seed)
-    try:
         mol = _load(config)
-        report = _DISPATCH[config.command](config, mol, rng)
+        report = _DISPATCH[config.command](config, mol, np.random.default_rng(config.seed))
+        _emit(report, config)
+    # check errors first, since most are ValueErrors; _emit's OutputError is an OSError
     except _CHECK_ERRORS as exc:
         print(f"molrest: check failed: {exc}", file=sys.stderr)
         return 2
     except _INPUT_ERRORS as exc:
-        print(f"molrest: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _emit(report, config)
-    except OutputError as exc:
         print(f"molrest: error: {exc}", file=sys.stderr)
         return 1
     return 0 if report["passed"] else 2

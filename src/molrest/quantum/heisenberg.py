@@ -65,7 +65,7 @@ def dispersion(psi, a_psi):
 def _check_normalized(psi):
     """Raise GridError unless psi's norm is 1 within 1e-8."""
     norm = psi.norm()
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise GridError(f"dispersion needs a normalized state, got norm {norm!r}")
 
 
@@ -249,8 +249,8 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None):
         per_state = []
         for idx, s in enumerate(states):
             tag = f"[{idx + 1}]" if len(states) > 1 else ""
+            _check_normalized(s)  # before angmom_op multiplies by a NaN or inf amplitude
             l_psi = angmom_op(s, hbar=hbar)
-            _check_normalized(s)
             d_l = [_spread(s, a) for a in l_psi]
             d_w = [_spread(s, position_op(s, component=k)) for k in range(3)]
             la = [f"n_({j + 1}).L" + tag for j in range(3)]

@@ -88,10 +88,13 @@ def position_op(psi, component=0):
 def check_decay(rho):
     """Raise BoundaryMassError unless rho = |psi|^2 at the two outermost nodes
     on each end of a line is below 1e-16 of its peak (|psi| below 1e-8 of
-    its peak), where the stencils' zero padding would corrupt a derivative."""
+    its peak), where the stencils' zero padding would corrupt a derivative;
+    GridError first if the peak is not finite (a NaN or inf amplitude)."""
     peak = float(rho.max())
+    if not math.isfinite(peak):
+        raise GridError(f"non-finite amplitudes: peak |psi|^2 = {peak!r}")
     edge = float(max(rho[:2].max(), rho[-2:].max()))
-    if peak == 0.0 or edge > 1e-16 * peak:
+    if peak == 0.0 or not edge <= 1e-16 * peak:
         raise BoundaryMassError(
             f"insufficient decay at grid ends: edge/peak = "
             f"{math.sqrt(edge / peak) if peak else math.inf:.3e}"
@@ -197,11 +200,10 @@ def angmom_op(psi, hbar=1.0):
                  for a in -1j * hbar * d_psi)
 
 
-def _relative(residual, psi, mask, hbar):
-    """Worst interior-node |residual| over the last axis, relative to hbar * max|psi|."""
+def _relative(residual, scale, mask):
+    """Worst interior-node |residual| over the last axis, relative to scale = hbar * max|psi|."""
     if not mask.any():
         raise GridError("the boundary exclusion leaves no node to check")
-    scale = hbar * float(np.abs(psi.amplitudes).max())
     return np.abs(residual).max(axis=-1, where=mask, initial=0.0) / scale
 
 
@@ -212,13 +214,13 @@ def line_commutator_residual(psi, hbar=1.0, order=2):
     each end are excluded where the zero padding truncates the stencil.
     """
     check_hbar(hbar)
-    q_psi = position_op(psi, component=0)
-    pq = momentum_op(q_psi, hbar=hbar, order=order).amplitudes
-    qp = position_op(momentum_op(psi, hbar=hbar, order=order), component=0).amplitudes
+    p_psi = momentum_op(psi, hbar=hbar, order=order)  # gates psi before any product with it
+    pq = momentum_op(position_op(psi, component=0), hbar=hbar, order=order).amplitudes
+    qp = position_op(p_psi, component=0).amplitudes
     residual = pq - qp + 1j * hbar * psi.amplitudes
     mask = np.zeros(psi.grid.size, dtype=bool)
     mask[LINE_BOUNDARY_NODES:-LINE_BOUNDARY_NODES] = True
-    return float(_relative(residual, psi, mask, hbar))
+    return float(_relative(residual, hbar * float(np.abs(psi.amplitudes).max()), mask))
 
 
 def commutator_residuals(psi, i0, hbar=1.0):
@@ -230,8 +232,9 @@ def commutator_residuals(psi, i0, hbar=1.0):
                   the body field (rigid-rotor angular velocity Omega = I0^-1 L).
     Entries are worst residuals off the grid's seam shells relative to
     hbar * max|psi|: on the seam the wrapped coordinate jumps by 2 pi even
-    when the state is smooth.  A state whose seam mass reaches
-    BOUNDARY_MASS_TOL raises BoundaryMassError.
+    when the state is smooth.  A state with a NaN or inf amplitude raises
+    GridError; one whose seam mass reaches BOUNDARY_MASS_TOL raises
+    BoundaryMassError.
     """
     check_hbar(hbar)
     i0 = np.asarray(i0, dtype=float)
@@ -242,6 +245,9 @@ def commutator_residuals(psi, i0, hbar=1.0):
     eigs = np.linalg.eigvalsh(i0)
     if eigs.min() <= 0.0 or not np.all(np.isfinite(eigs)):
         raise SingularInertiaError(f"equilibrium inertia not positive definite: spectrum {eigs}")
+    peak = float(np.abs(psi.amplitudes).max())
+    if not math.isfinite(peak):
+        raise GridError(f"non-finite amplitudes: max |psi| = {peak!r}")
     mass = psi.boundary_mass()
     if mass >= BOUNDARY_MASS_TOL:
         raise BoundaryMassError(
@@ -262,7 +268,7 @@ def commutator_residuals(psi, i0, hbar=1.0):
         body = body + m_t[i] * chart[i, None]
     angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)  # index [k, j]
     mask = ~psi.grid.seam_mask
-    return tuple(_relative(r, psi, mask, hbar) for r in (chart, body, angvel))
+    return tuple(_relative(r, hbar * peak, mask) for r in (chart, body, angvel))
 
 
 def chart_commutator_residuals(psi, hbar=1.0):

@@ -13,6 +13,8 @@ import pytest
 import molrest
 from molrest import cli
 from molrest.cli import RunConfig, main, parse_args
+from molrest.errors import (BoundaryMassError, EckartSolveError, EckartViolationError, GridError,
+                            OutputError, SchemaError, SingularInertiaError)
 from molrest.molecule import MAX_ELECTRONS
 from molrest.quantum import GridWavefunction
 
@@ -568,6 +570,32 @@ class TestCheckFailures:
         assert captured.out == ""
         assert captured.err == ("molrest: check failed: orientation solve failed at frame 0: "
                                 "its scale sum M |R0| |R'| overflowed\n")
+
+
+class TestExitHandler:
+    """The one handler in ``run``: every error a command raises maps to one exit code
+    and one stderr line, the check errors ahead of the ValueErrors they are."""
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (EckartSolveError("boom"), 2, "molrest: check failed: "),
+        (EckartViolationError("boom", residual=1.0), 2, "molrest: check failed: "),
+        (SingularInertiaError("boom"), 2, "molrest: check failed: "),
+        (BoundaryMassError("boom"), 2, "molrest: check failed: "),
+        (GridError("boom"), 2, "molrest: check failed: "),
+        (SchemaError("boom"), 1, "molrest: error: "),
+        (ValueError("boom"), 1, "molrest: error: "),
+        (OSError("boom"), 1, "molrest: error: "),
+        (OutputError("boom"), 1, "molrest: error: "),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_command_error_maps_to_one_line(self, error, code, prefix, monkeypatch, capsys):
+        def failing(config, mol, rng):
+            raise error
+
+        monkeypatch.setitem(cli._DISPATCH, "validate", failing)
+        assert invoke("validate", "--input", MOLECULE) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}boom\n"
 
 
 class TestDeterminism:

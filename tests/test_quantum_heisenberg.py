@@ -504,3 +504,58 @@ class TestNormalizationChecks:
         states = [[psi, bad, psi]] if kind == "electronic" else [psi, bad]
         with pytest.raises(GridError, match="dispersion needs a normalized state"):
             heisenberg_suite(states, kind)
+
+
+class TestGateEdges:
+    """Each gate with one input just inside its threshold and one just outside."""
+
+    @pytest.mark.parametrize("node", [1, -1])
+    def test_edge_decay(self, line, node):
+        # |psi| at an outer node against 1e-8 of the peak (rho against 1e-16)
+        psi = gaussian_line_state(line)
+        peak = np.abs(psi.amplitudes).max()
+        for ratio, passes in ((0.5e-8, True), (2e-8, False)):
+            amps = psi.amplitudes.copy()
+            amps[node] = ratio * peak
+            edged = GridWavefunction(grid=line, amplitudes=amps)
+            if passes:
+                momentum_op(edged)
+            else:
+                with pytest.raises(BoundaryMassError, match="insufficient decay"):
+                    momentum_op(edged)
+
+    def test_normalization(self, line):
+        psi = gaussian_line_state(line)
+        for excess, passes in ((0.5e-8, True), (2e-8, False)):
+            scaled = GridWavefunction(grid=line, amplitudes=(1.0 + excess) * psi.amplitudes)
+            if passes:
+                dispersion(scaled, position_op(scaled))
+            else:
+                with pytest.raises(GridError, match="dispersion needs a normalized state"):
+                    dispersion(scaled, position_op(scaled))
+
+    def test_variance_clamp(self):
+        # the identity operator on a norm^2 = 1 + eps state: variance (1 + eps) - (1 + eps)^2
+        pts = np.linspace(0.0, 63.0, 64)
+        amps = np.zeros(64, dtype=complex)
+        amps[0] = amps[1] = 1.0
+        for eps, passes in ((0.5e-12, True), (2e-12, False)):
+            weights = np.zeros(64)
+            weights[0], weights[1] = 0.5, 0.5 + eps
+            psi = GridWavefunction(grid=LineGrid(points=pts, step=1.0, weights=weights),
+                                   amplitudes=amps)
+            if passes:
+                assert dispersion(psi, psi) == 0.0
+            else:
+                with pytest.raises(GridError, match="quadrature failure: variance -2.000e-12"):
+                    dispersion(psi, psi)
+
+    def test_verdict_tolerance(self):
+        # a gaussian two steps wide on 64 points: the stencil puts its product a
+        # definite gap below hbar/2, read off once and then set against the tolerance
+        psi = gaussian_line_state(LineGrid.make(-10.0, 10.0, 64), sigma=0.5)
+        row = heisenberg_suite([psi], "vibrational", tolerance=1.0)[0]
+        gap = float(row.bound - row.product)
+        assert gap > 1e-4
+        assert heisenberg_suite([psi], "vibrational", tolerance=2.0 * gap)[0].satisfied is True
+        assert heisenberg_suite([psi], "vibrational", tolerance=0.5 * gap)[0].satisfied is False

@@ -20,12 +20,14 @@ from molrest.quantum import (
     body_commutator_residuals,
     chart_commutator_residuals,
     commutator_residuals,
+    dispersion,
     gaussian_line_state,
     heisenberg_suite,
     line_commutator_residual,
     momentum_op,
     oscillator_state,
     position_op,
+    random_line_state,
     so3_gaussian_state,
 )
 from molrest.quantum.operators import ORIENTATION_STEP, _chart_sweep
@@ -475,3 +477,87 @@ class TestHbarChecked:
         with pytest.raises(GridError, match="hbar must be positive and finite"):
             call(psi, hbar)
         assert seen == []  # rejected before the stencil sweep
+
+
+def _with_node(psi, node, value):
+    """psi with amplitude ``node`` replaced by ``value``, profile kept."""
+    amps = psi.amplitudes.copy()
+    amps[node] = value
+    return GridWavefunction(grid=psi.grid, amplitudes=amps, profile=psi.profile)
+
+
+NON_FINITE_NODES = [(500, np.nan), (-1, np.inf)]  # an interior NaN, an inf at an end
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteAmplitudes:
+    """A NaN or inf amplitude is a GridError before any arithmetic warns on it."""
+
+    @pytest.mark.parametrize("node,value", NON_FINITE_NODES, ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        momentum_op,
+        line_commutator_residual,
+        lambda psi: dispersion(psi, psi),
+        lambda psi: heisenberg_suite([psi], "vibrational"),
+        lambda psi: heisenberg_suite([[psi, psi, psi]], "electronic"),
+    ], ids=["momentum_op", "line_commutator_residual", "dispersion", "vibrational",
+            "electronic"])
+    def test_line_state(self, call, node, value):
+        bad = _with_node(gaussian_line_state(LineGrid.make(-10.0, 10.0, 1024)), node, value)
+        with pytest.raises(GridError, match="non-finite|normalized state, got norm (nan|inf)"):
+            call(bad)
+
+    @pytest.mark.parametrize("node,value", NON_FINITE_NODES, ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda psi: commutator_residuals(psi, np.eye(3)),
+        lambda psi: heisenberg_suite([psi], "rotational"),
+    ], ids=["commutator_residuals", "rotational"])
+    def test_orientation_state(self, interior, call, node, value):
+        bad, seen = counting(_with_node(interior, node, value))
+        with pytest.raises(GridError, match="non-finite|normalized state, got norm (nan|inf)"):
+            call(bad)
+        assert seen == []  # rejected before the stencil sweep
+
+    def test_line_gate_names_the_amplitudes(self):
+        bad = _with_node(gaussian_line_state(LineGrid.make(-10.0, 10.0, 1024)), 500, np.nan)
+        with pytest.raises(GridError, match=r"non-finite amplitudes: peak \|psi\|\^2 = nan"):
+            momentum_op(bad)
+
+
+def _padded_momentum(psi, order, hbar):
+    """-i hbar d/dx as written with np.pad before ``central_difference`` replaced it."""
+    pad = np.pad(psi.amplitudes, (2, 2))
+    if order == 2:
+        deriv = (pad[3:-1] - pad[1:-3]) / (2 * psi.grid.step)
+    else:
+        deriv = pad[:-4] - 8 * pad[1:-3]
+        deriv += 8 * pad[3:-1]
+        deriv -= pad[4:]
+        deriv /= 12 * psi.grid.step
+    return -1j * hbar * deriv
+
+
+class TestStencilBits:
+    """``momentum_op`` equals the zero-padded formula bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", [64, 65, 1000, 16384])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_the_padded_formula(self, n, order):
+        grid = LineGrid.make(-10.0, 10.0, n)
+        rng = np.random.default_rng(n)
+        gauss = gaussian_line_state(grid, center=0.3, sigma=0.9, momentum=0.7)
+        # zeros of both signs on the six outermost nodes of each end, laid out so that
+        # both orders put a -0.0 among the three outermost output nodes of each end
+        amps = gauss.amplitudes.copy()
+        amps[:6] = [complex(re, im) for re, im in
+                    ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (0.0, 0.0))]
+        amps[-6:] = amps[5::-1]
+        signed = GridWavefunction(grid=grid, amplitudes=amps)
+        for psi in (gauss, signed, random_line_state(grid, rng)):
+            for hbar in (1.0, 0.37):
+                got = momentum_op(psi, hbar=hbar, order=order).amplitudes
+                want = _padded_momentum(psi, order, hbar)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        out = momentum_op(signed, order=order).amplitudes
+        for end in (out[:3].view(float), out[-3:].view(float)):
+            assert (np.signbit(end) & (end == 0.0)).any()  # a -0.0 reaches each end

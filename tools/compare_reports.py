@@ -3,7 +3,7 @@
 Usage: python tools/compare_reports.py PARENT CHANGE
 
 Runs ``python -m molrest.cli`` against each checkout's ``src/`` on one
-fixed set of 65 invocations and compares stdout, stderr and the exit
+fixed set of 74 invocations and compares stdout, stderr and the exit
 code.  Both sides read the same inputs, built once in a temporary
 directory from PARENT:
 
@@ -12,7 +12,14 @@ directory from PARENT:
   ``traj-water`` (1000 frames each), run as it is;
 - waters derived from ``tests/data``: one without electrons, with its
   trajectory's electron rows dropped; one with masses x1e6 and lengths
-  x1e3, with and without its Hessian; one with masses x1e300.
+  x1e3, with and without its Hessian; one with masses x1e300; and
+  ``water_traj.xyz`` with its last row dropped, so its final frame is one
+  row short.
+
+Besides the reports, the invocations take each route of the CLI's error
+handler: a missing input, ``frame`` without ``--trajectory``, a grid
+flag out of range, an ``--output`` in a missing directory and the short
+final frame.
 
 Each checkout's own path in stderr (a numpy warning names its source
 file) is written as ``src``.  Prints every invocation that differs and a
@@ -83,6 +90,7 @@ def build_inputs(parent, out):
     for name, (m, t) in derived.items():
         (out / f"{name}.json").write_text(json.dumps(m))
         (out / f"{name}.xyz").write_text(t)
+    (out / "short.xyz").write_text("".join(traj.splitlines(keepends=True)[:-1]))
 
 
 def invocations():
@@ -117,6 +125,13 @@ def invocations():
              ["heisenberg", "--input", "water.json", "--tol-quad", "1e-300", "--hbar", "1e-300"],
              ["validate", "--input", "heavy.json"],
              ["frame", "--input", "heavy.json", "--trajectory", "heavy.xyz"]]
+    runs += [["validate", "--input", "missing.json"],
+             ["frame", "--input", "water.json"],
+             ["heisenberg", "--input", "water.json", "--grid-line", "5"],
+             ["validate", "--input", "water.json", "--output", "missing/x.json"],
+             ["frame", "--input", "water.json", "--trajectory", "short.xyz"]]
+    runs += [[command, "--input", "water.json", "--grid-line", n]
+             for command in ("heisenberg", "commutators") for n in ("64", "65")]
     return runs
 
 
