@@ -42,7 +42,8 @@ from .errors import (
     SingularInertiaError,
     positive_finite,
 )
-from .frames import BLOCKS, analyze, load_trajectory, reconstruct
+from .frames import (BLOCKS, Configuration, analyze, frames_per_block, load_trajectory,
+                     reconstruct)
 from .lie_so3 import component_length, relative
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
@@ -360,13 +361,40 @@ def _roundtrip_error(cfg, rebuilt):
     return worst
 
 
-def _frames_report(command, columns, passed, tolerance):
+def _per_frame(mol, basis, traj, measure):
+    """The columns ``measure(block, state)`` returns, one entry per frame of traj.
+
+    ``analyze`` and ``measure`` run on the frame blocks of
+    ``load_trajectory``, so only one block's intermediates are held at
+    once; each block's values go into columns sized for the whole
+    trajectory.  A check error is raised by one ``analyze`` of the whole
+    stack, so it names the same frame, with the same precedence, as if
+    the stack had run in one piece.
+    """
+    n_frames = len(traj.nuclei_positions)
+    size = frames_per_block(mol.n_nuclei + mol.electron_count)
+    columns = {}
+    try:
+        for lo in range(0, n_frames, size):
+            block = Configuration(*(getattr(traj, name)[lo:lo + size] for name in BLOCKS))
+            for key, value in measure(block, analyze(mol, basis, block)).items():
+                if key not in columns:
+                    columns[key] = np.empty((n_frames,) + value.shape[1:], value.dtype)
+                columns[key][lo:lo + size] = value
+    except (EckartSolveError, SingularInertiaError):
+        analyze(mol, basis, traj)
+        raise
+    return columns
+
+
+def _frames_report(command, columns, tolerance):
     """The report of a trajectory command: its per-frame columns, with the frame
-    index and per-frame verdict, as one table, and its overall verdict."""
+    index, as one table, and its overall verdict, that every frame ``passed``."""
+    passed = columns["passed"]
     return {
         "command": command,
         "n_frames": len(passed),
-        "frames": Table(columns, index=np.arange(len(passed)), passed=passed),
+        "frames": Table(columns, index=np.arange(len(passed))),
         "tolerance": tolerance,
         "passed": bool(passed.all()),
     }
@@ -374,44 +402,53 @@ def _frames_report(command, columns, passed, tolerance):
 
 def _cmd_frame(config, mol, rng):
     basis = build_modes(mol, rng=rng)
+
+    def measure(block, state):
+        frame = state.frame
+        rt = _roundtrip_error(block, reconstruct(mol, basis, state))
+        return {
+            "orientation": frame.orientation,
+            "residual": frame.residual,
+            "relative_residual": frame.relative_residual,
+            "degenerate": frame.degenerate,
+            "com_position": state.com_position,
+            "com_momentum": state.com_momentum,
+            "mode_amplitudes": state.Q,
+            "mode_momenta": state.P,
+            "electron_positions": state.q,
+            "electron_momenta": state.p,
+            "angular_velocity": state.angular_velocity,
+            "angular_momentum": state.angular_momentum,
+            "roundtrip_error": rt,
+            "passed": ((frame.relative_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
+                       & ~frame.degenerate),
+        }
+
     traj = load_trajectory(mol, config.trajectory_path)
-    state = analyze(mol, basis, traj)
-    frame = state.frame
-    rt = _roundtrip_error(traj, reconstruct(mol, basis, state))
-    passed = ((frame.relative_residual <= config.tol_eckart) & (rt <= TOL_ROUNDTRIP)
-              & ~frame.degenerate)
-    return _frames_report("frame", {
-        "orientation": frame.orientation,
-        "residual": frame.residual,
-        "relative_residual": frame.relative_residual,
-        "degenerate": frame.degenerate,
-        "com_position": state.com_position,
-        "com_momentum": state.com_momentum,
-        "mode_amplitudes": state.Q,
-        "mode_momenta": state.P,
-        "electron_positions": state.q,
-        "electron_momenta": state.p,
-        "angular_velocity": state.angular_velocity,
-        "angular_momentum": state.angular_momentum,
-        "roundtrip_error": rt,
-    }, passed, {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP})
+    return _frames_report("frame", _per_frame(mol, basis, traj, measure),
+                          {"eckart": config.tol_eckart, "roundtrip": TOL_ROUNDTRIP})
 
 
 def _cmd_decompose(config, mol, rng):
     basis = build_modes(mol, rng=rng)
     model = build_inertia(mol, basis)
-    state = analyze(mol, basis, load_trajectory(mol, config.trajectory_path))
-    rotational, deformation, electronic = decompose_angmom(model, basis, state)
-    total = rotational + deformation + electronic
-    residual = np.abs(total - state.angular_momentum).max(axis=-1)
-    return _frames_report("decompose", {
-        "rotational": rotational,
-        "deformation": deformation,
-        "electronic": electronic,
-        "total": total,
-        "rest_angular_momentum": state.angular_momentum,
-        "residual": residual,
-    }, residual <= TOL_ROUNDTRIP, TOL_ROUNDTRIP)
+
+    def measure(block, state):
+        rotational, deformation, electronic = decompose_angmom(model, basis, state)
+        total = rotational + deformation + electronic
+        residual = np.abs(total - state.angular_momentum).max(axis=-1)
+        return {
+            "rotational": rotational,
+            "deformation": deformation,
+            "electronic": electronic,
+            "total": total,
+            "rest_angular_momentum": state.angular_momentum,
+            "residual": residual,
+            "passed": residual <= TOL_ROUNDTRIP,
+        }
+
+    traj = load_trajectory(mol, config.trajectory_path)
+    return _frames_report("decompose", _per_frame(mol, basis, traj, measure), TOL_ROUNDTRIP)
 
 
 def _cmd_heisenberg(config, mol, rng):

@@ -15,6 +15,7 @@ ellipsis, which sum in the same order for a stack as for one frame, so
 a trajectory gives the same numbers as its frames one at a time.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -45,9 +46,14 @@ __all__ = [
 BLOCKS = ("nuclei_positions", "nuclei_momenta", "electron_positions", "electron_momenta")
 
 # A particle row: ``species x y z px py pz``.  Two characters of the label
-# tell the electron label "e" apart from every other, once ``load_trajectory``
+# tell the electron label "e" apart from every other, once ``_lines``
 # has turned each NUL into ``\x01`` (numpy's ``U2`` drops trailing NULs).
 _ROW_DTYPE = np.dtype([("species", "U2"), ("values", float, 6)])
+
+# A trajectory is read, and the CLI analyzes it, a block of whole frames at a
+# time: as many as fit in this many particle rows (``frames_per_block``).
+BLOCK_ROWS = 8192
+_CHUNK_CHARS = 1 << 16  # text read at once, split into lines
 
 
 @dataclass(frozen=True)
@@ -377,37 +383,67 @@ def analyze(mol, basis, cfg):
 # --- trajectory I/O --------------------------------------------------------
 
 
-def _frame_starts(lines, n_total):
-    """Line index of every frame's count line, and the first header error.
+def frames_per_block(n_total):
+    """Whole frames of n_total particles in one block of ``BLOCK_ROWS`` rows, at least one."""
+    return max(1, BLOCK_ROWS // n_total)
 
-    Scanning stops at the first malformed header; the error is returned
-    rather than raised so that row errors of earlier frames come first.
-    A frame whose rows would need the empty string after a final newline
-    is truncated: that string is no line of the file.
+
+def _lines(fh):
+    r"""The lines of a text file, without their line ends, read a chunk at a time.
+
+    Each NUL is made ``\x01``: "e\0" and "e\0X" would read as "e", and
+    ``\x01`` is no whitespace and no digit.  A line ends at ``\n`` (text
+    mode reads ``\r\n`` and ``\r`` as it), never at ``\x0c`` and the
+    like; the empty string after a final ``\n`` is no line.
     """
-    end = len(lines) - (lines[-1] == "")
-    starts = []
-    i = 0
-    while i < len(lines):
-        text = lines[i].strip()
+    tail = ""
+    while chunk := fh.read(_CHUNK_CHARS):
+        lines = (tail + chunk.replace("\0", "\x01")).split("\n")
+        tail = lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _blocks(lines, n_total):
+    """A trajectory's frames, ``frames_per_block(n_total)`` at a time, in file order.
+
+    Yields ``(rows, first, error)``: the block's particle rows, the line
+    number of each frame's first row, and ``None``.  Scanning stops at
+    the first malformed header, and the last block carries that error
+    rather than raising it, so that row errors of earlier frames come
+    first.  A frame is truncated when the file ends before its last row.
+    """
+    size = frames_per_block(n_total)
+    rows, first, error = [], [], None
+    number = 0  # lines read
+    for line in lines:
+        number += 1
+        text = line.strip()
         if not text:
-            i += 1
             continue
         try:
             if not text.isascii() or "_" in text:  # the rows' grammar, which int alone exceeds
                 raise ValueError(text)
             count = int(text)
         except ValueError:
-            return starts, SchemaError(f"line {i + 1}: expected a particle count")
+            error = SchemaError(f"line {number}: expected a particle count")
+            break
         if count != n_total:
-            return starts, SchemaError(
-                f"line {i + 1}: frame holds {count} particles, molecule needs {n_total}"
-            )
-        if i + 2 + count > end:
-            return starts, SchemaError(f"line {i + 1}: truncated frame")
-        starts.append(i)
-        i += 2 + count
-    return starts, None
+            error = SchemaError(f"line {number}: frame holds {count} particles, "
+                                f"molecule needs {n_total}")
+            break
+        frame = list(itertools.islice(lines, count + 1))  # the comment line, then the rows
+        if len(frame) <= count:
+            error = SchemaError(f"line {number}: truncated frame")
+            break
+        rows += frame[1:]
+        first.append(number + 2)
+        number += count + 1
+        if len(first) == size:
+            yield rows, first, None
+            rows, first = [], []
+    yield rows, first, error
 
 
 def _parse(rows):
@@ -435,19 +471,20 @@ def _well_formed(parsed, n_frames, n_total, n_nuclei):
                 and (electron == (np.arange(n_total) >= n_nuclei)).all())
 
 
-def _row_error(lines, starts, n_total, n_nuclei):
-    """SchemaError for the first malformed row, in file order.
+def _row_error(rows, first, n_total, n_nuclei):
+    """SchemaError for the first malformed row of a block, in file order.
 
-    Rows are judged by the same parse as ``load_trajectory``'s.  Within
-    a frame every row's field count and numbers are checked before any
-    species label.
+    ``rows`` and ``first`` are a block's row texts and the line number of
+    each frame's first row.  Rows are judged by the same parse as
+    ``load_trajectory``'s.  Within a frame every row's field count and
+    numbers are checked before any species label.
     """
-    for start in starts:
-        rows = lines[start + 2:start + 2 + n_total]
-        if _well_formed(_parse(rows), 1, n_total, n_nuclei):
+    for k, start in enumerate(first):
+        frame = rows[k * n_total:(k + 1) * n_total]
+        if _well_formed(_parse(frame), 1, n_total, n_nuclei):
             continue
         species = []
-        for line, row in enumerate(rows, start + 3):
+        for line, row in enumerate(frame, start):
             parsed = _parse([row])
             if parsed is None or len(parsed) != 1:
                 if len(row.split()) != 7:
@@ -460,44 +497,52 @@ def _row_error(lines, starts, n_total, n_nuclei):
         for j, label in enumerate(species):
             if j < n_nuclei and label == "e":
                 return SchemaError(
-                    f"line {start + 3 + j}: electron row among the first {n_nuclei} "
+                    f"line {start + j}: electron row among the first {n_nuclei} "
                     "(nuclei must come first)"
                 )
             if j >= n_nuclei and label != "e":
-                return SchemaError(f"line {start + 3 + j}: expected electron row (species 'e')")
+                return SchemaError(f"line {start + j}: expected electron row (species 'e')")
     raise AssertionError("load_trajectory rejected rows that _row_error accepts")
 
 
 def load_trajectory(mol, path):
-    """Read a whole extended-xyz style trajectory into one stacked Configuration.
+    r"""Read a whole extended-xyz style trajectory into one stacked Configuration.
 
     Each frame is ``count`` / comment / ``count`` particle lines of the
     form ``species x y z px py pz``.  Nuclei come first (any species
     label except ``e``), then the electrons (species ``e``).  The count
-    must equal N + n of the molecule.  Every particle row of the file is
-    read by one ``np.loadtxt`` call, so numbers follow numpy's grammar:
-    ASCII digits, no ``_`` separators; ``nan`` and ``inf`` read but are
-    rejected.  Returns (T, N, 3) blocks, T >= 1.  Raises ``SchemaError``
-    (with the line number of the first problem in the file) on any
-    malformed content.
+    must equal N + n of the molecule.  The file is read a chunk of text
+    at a time and parsed a block of whole frames at a time
+    (``BLOCK_ROWS`` particle rows, at least one frame); each block's rows
+    are read by one ``np.loadtxt`` call, so numbers follow numpy's grammar: ASCII digits, no ``_``
+    separators; ``nan`` and ``inf`` read but are rejected.  A line ends
+    at ``\n``, ``\r\n`` or ``\r``, never at ``\x0c`` and the like.  Returns (T, N, 3) blocks, T >= 1.  Raises
+    ``SchemaError`` (with the line number of the first problem in the
+    file) on any malformed content; reading stops at the block that
+    holds it.
     """
-    with open(path, encoding="utf-8") as fh:
-        # "e\0" and "e\0X" would read as "e"; "\x01" is no whitespace and no digit.  A
-        # line ends at "\n" (text mode reads "\r\n" and "\r" as it), never at "\x0c" etc.
-        lines = fh.read().replace("\0", "\x01").split("\n")
-
     n_nuclei = mol.n_nuclei
     n_total = n_nuclei + mol.electron_count
-    starts, header_error = _frame_starts(lines, n_total)
-    if not starts:
-        raise header_error or SchemaError("trajectory holds no frames")
-    picks = np.asarray(starts)[:, None] + 2 + np.arange(n_total)
-    parsed = _parse(map(lines.__getitem__, picks.ravel().tolist()))
-    if not _well_formed(parsed, len(starts), n_total, n_nuclei):
-        raise _row_error(lines, starts, n_total, n_nuclei)
-    if header_error is not None:
-        raise header_error
-    data = parsed["values"].reshape(len(starts), n_total, 6)
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for rows, first, header_error in _blocks(_lines(fh), n_total):
+                if first:
+                    parsed = _parse(rows)
+                    if not _well_formed(parsed, len(first), n_total, n_nuclei):
+                        raise _row_error(rows, first, n_total, n_nuclei)
+                    values.append(parsed["values"])
+                if header_error is not None:
+                    raise header_error
+        except UnicodeDecodeError:
+            # text mode decodes a chunk at a time and counts bytes from the
+            # chunk's start; the whole file's decode names the byte in the file
+            with open(path, "rb") as raw:
+                raw.read().decode("utf-8")
+            raise
+    if not values:
+        raise SchemaError("trajectory holds no frames")
+    data = np.concatenate(values).reshape(-1, n_total, 6)
     return Configuration(
         nuclei_positions=data[:, :n_nuclei, :3],
         nuclei_momenta=data[:, :n_nuclei, 3:],

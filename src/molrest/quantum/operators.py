@@ -85,13 +85,19 @@ def position_op(psi, component=0):
     return GridWavefunction(grid=psi.grid, amplitudes=coord * psi.amplitudes, profile=None)
 
 
-def check_decay(rho):
+def check_decay(rho, amp):
     """Raise BoundaryMassError unless rho = |psi|^2 at the two outermost nodes
     on each end of a line is below 1e-16 of its peak (|psi| below 1e-8 of
-    its peak), where the stencils' zero padding would corrupt a derivative;
-    GridError first if the peak is not finite (a NaN or inf amplitude)."""
+    its peak), where the stencils' zero padding would corrupt a derivative.
+
+    GridError first if the peak is not finite, naming the cause: a NaN or
+    inf among the amplitudes ``amp``, or finite ones whose |psi|^2 is past
+    the float range (callers form rho with overflow ignored).
+    """
     peak = float(rho.max())
     if not math.isfinite(peak):
+        if np.isfinite(amp).all():
+            raise GridError(f"|psi|^2 past the float range: max |psi| = {np.abs(amp).max():.3e}")
         raise GridError(f"non-finite amplitudes: peak |psi|^2 = {peak!r}")
     edge = float(max(rho[:2].max(), rho[-2:].max()))
     if peak == 0.0 or not edge <= 1e-16 * peak:
@@ -146,7 +152,9 @@ def momentum_op(psi, hbar=1.0, order=4):
     if order not in (2, 4):
         raise GridError(f"unsupported stencil order {order}")
     amp = psi.amplitudes
-    check_decay(amp.real * amp.real + amp.imag * amp.imag)
+    with np.errstate(over="ignore"):  # |psi|^2 past the float range fails check_decay
+        rho = amp.real * amp.real + amp.imag * amp.imag
+    check_decay(rho, amp)
     deriv = central_difference(amp, order, np.empty_like(amp), np.empty_like(amp))
     deriv /= (2 if order == 2 else 12) * psi.grid.step
     return GridWavefunction(grid=psi.grid, amplitudes=-1j * hbar * deriv, profile=None)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import molrest
-from molrest import cli
+from molrest import cli, frames
 from molrest.cli import RunConfig, main, parse_args
 from molrest.errors import (BoundaryMassError, EckartSolveError, EckartViolationError, GridError,
                             OutputError, SchemaError, SingularInertiaError)
@@ -736,6 +736,31 @@ class TestReports:
         assert report["passed"] is True
 
 
+def _singular_water():
+    """The prepared water molecule and nuclear positions, displaced along one mode
+    of the CLI's seed-0 basis, at which the instantaneous inertia turns singular."""
+    from molrest.angmom import build_inertia, inertia_at, mode_sum
+    from molrest.molecule import load_molecule, prepare_equilibrium
+    from molrest.modes import build_modes
+
+    mol = prepare_equilibrium(load_molecule(MOLECULE))
+    basis = build_modes(mol, rng=np.random.default_rng(0))  # the CLI's seed-0 basis
+    model = build_inertia(mol, basis)
+    direction = np.zeros(basis.n_modes)
+    direction[1] = 1.0
+
+    def smallest(t):
+        return np.linalg.eigvalsh(inertia_at(model, t * direction))[0]
+
+    lo, hi = 0.0, 1.0
+    while smallest(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if smallest(mid) > 0.0 else (lo, mid)
+    return mol, mol.positions + mode_sum(lo * direction, basis.x) / np.sqrt(mol.masses)[:, None]
+
+
 def _trajectory_report(tmp_path, trajectory, name="report.json"):
     out = tmp_path / name
     code = invoke("frame", "--input", MOLECULE, "--trajectory", str(trajectory),
@@ -773,28 +798,9 @@ class TestTrajectoryFrames:
         assert checked > 0
 
     def test_singular_inertia_names_frame(self, tmp_path, capsys):
-        from molrest.angmom import build_inertia, inertia_at, mode_sum
         from molrest.frames import Configuration, write_trajectory
-        from molrest.molecule import load_molecule, prepare_equilibrium
-        from molrest.modes import build_modes
 
-        mol = prepare_equilibrium(load_molecule(MOLECULE))
-        basis = build_modes(mol, rng=np.random.default_rng(0))  # the CLI's seed-0 basis
-        model = build_inertia(mol, basis)
-        direction = np.zeros(basis.n_modes)
-        direction[1] = 1.0
-
-        def smallest(t):
-            return np.linalg.eigvalsh(inertia_at(model, t * direction))[0]
-
-        lo, hi = 0.0, 1.0
-        while smallest(hi) > 0.0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if smallest(mid) > 0.0 else (lo, mid)
-        singular = mol.positions + mode_sum(lo * direction, basis.x) / np.sqrt(mol.masses)[:, None]
-
+        mol, singular = _singular_water()
         rng = np.random.default_rng(1)
         frames = []
         for index in range(5):
@@ -810,3 +816,62 @@ class TestTrajectoryFrames:
                           "--output", str(out)) == 2
             assert "frame 3" in capsys.readouterr().err
             assert not out.exists()
+
+
+def _frame_lines(path, index=0):
+    """The 7 lines (count, comment, 5 rows) of one frame of a water trajectory."""
+    return Path(path).read_text().split("\n")[7 * index:7 * index + 7]
+
+
+class TestBlocks:
+    """``frame`` and ``decompose`` analyze a block of frames at a time: the report
+    bytes do not depend on the block, and a failing frame is named by its place in
+    the whole file, with the precedence of one whole-stack ``analyze``."""
+
+    @pytest.mark.parametrize("size", [5, 7, 10, 1])  # rows: 1, 1, 2 and 1 frames
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["frame", "decompose"])
+    def test_report_bytes(self, tmp_path, monkeypatch, capsys, command, fmt, size):
+        path = tmp_path / "traj.xyz"
+        path.write_text(Path(TRAJECTORY).read_text() * 4)  # 12 frames
+        args = (command, "--input", MOLECULE, "--trajectory", str(path), "--format", fmt)
+        assert invoke(*args) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+        calls = []
+        analyze = cli.analyze
+        monkeypatch.setattr(cli, "analyze", lambda *a: calls.append(a) or analyze(*a))
+        assert invoke(*args) == 0
+        assert capsys.readouterr().out == whole
+        assert len(calls) == -(-12 // max(1, size // 5))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["frame", "decompose"])
+    @pytest.mark.parametrize("singular_at, eckart_at, message", [
+        (None, 2, "orientation solve failed at frame 2: its scale sum M |R0| |R'| overflowed"),
+        (1, 2, "orientation solve failed at frame 2: its scale sum M |R0| |R'| overflowed"),
+        (4, None, "instantaneous inertia is singular at frame 4"),
+    ], ids=["eckart", "eckart-after-singular", "singular"])
+    def test_check_error_names_the_frame(self, tmp_path, monkeypatch, capsys, command,
+                                         singular_at, eckart_at, message):
+        from molrest.frames import Configuration, write_trajectory
+
+        mol, singular = _singular_water()
+        single = tmp_path / "singular.xyz"
+        write_trajectory(mol, single, [Configuration(singular, np.zeros((3, 3)),
+                                                     np.zeros((2, 3)), np.zeros((2, 3)))])
+        chosen = [_frame_lines(TRAJECTORY, f % 3) for f in range(6)]
+        if eckart_at is not None:  # every coordinate x1e155
+            chosen[eckart_at] = _frame_lines(DATA / "water_traj_x1e155.xyz")
+        if singular_at is not None:
+            chosen[singular_at] = _frame_lines(single)
+        path = tmp_path / "traj.xyz"
+        path.write_text("\n".join(line for frame in chosen for line in frame) + "\n")
+        args = (command, "--input", MOLECULE, "--trajectory", str(path))
+        assert invoke(*args) == 2
+        whole = capsys.readouterr()
+        assert whole.out == ""
+        assert whole.err.startswith(f"molrest: check failed: {message}")
+        monkeypatch.setattr(frames, "BLOCK_ROWS", 5)  # one frame per block
+        assert invoke(*args) == 2
+        assert capsys.readouterr() == whole

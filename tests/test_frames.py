@@ -572,6 +572,133 @@ def test_trajectory_format_breaks_split_no_line(tmp_path, penta, ch):
         load(commented)
 
 
+# --- trajectories read a block of frames at a time -----------------------------
+
+WATER_TRAJ = (Path(__file__).parent / "data" / "water_traj.xyz").read_text()
+WATER_ROWS = 5  # particle rows per frame of water_traj.xyz: 3 nuclei, 2 electrons
+# block sizes in rows: one frame, two frames, two frames and a part, less than a frame
+BLOCK_SIZES = [WATER_ROWS, 2 * WATER_ROWS, 3 * WATER_ROWS - 1, 1]
+
+
+def _arrays(cfg):
+    return [getattr(cfg, name) for name in BLOCKS]
+
+
+def _counting_parse(monkeypatch):
+    """Patch ``frames._parse`` to record the rows of every call."""
+    calls = []
+    parse = frames._parse
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return parse(rows)
+
+    monkeypatch.setattr(frames, "_parse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("text", [
+    WATER_TRAJ * 7,
+    WATER_TRAJ * 6,  # ends at the end of a block of two or three frames
+    (WATER_TRAJ * 7)[:-1],  # no newline after the last row
+    (WATER_TRAJ + "\n") * 7 + "\n \n",  # blank lines between frames and at the end
+], ids=["repeated", "block-end", "no-final-newline", "blank-lines"])
+def test_blocks_match_one_block(tmp_path, monkeypatch, water, text, size):
+    path = tmp_path / "traj.xyz"
+    path.write_text(text)
+    whole = load_trajectory(water, path)
+    assert whole.nuclei_positions.shape == (text.count("frame"), 3, 3)
+    monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+    calls = _counting_parse(monkeypatch)
+    blocked = load_trajectory(water, path)
+    per_block = max(1, size // WATER_ROWS)
+    assert [len(rows) for rows in calls] == [
+        WATER_ROWS * min(per_block, len(whole.nuclei_positions) - lo)
+        for lo in range(0, len(whole.nuclei_positions), per_block)]
+    for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
+def _water_lines(repeats):
+    return (WATER_TRAJ * repeats).split("\n")
+
+
+def _load_lines(path, mol, lines):
+    path.write_text("\n".join(lines))
+    return load_trajectory(mol, path)
+
+
+@pytest.mark.parametrize("size", [frames.BLOCK_ROWS] + BLOCK_SIZES)
+@pytest.mark.parametrize("edits, message", [
+    # 0-based lines: frame f's count line is 7 f, its particle j line 7 f + 2 + j
+    ({46: "e 0 0 0 0 0 0"}, r"^line 47: electron row among the first 3"),  # frame 6
+    ({46: "e 0 0 0 0 0 0", 48: "e 0 0 0 0 0"}, r"^line 49: expected 'species"),
+    ({18: "X 0 0 0 0 nan 0", 42: "6"}, r"^line 19: non-finite coordinate"),  # frame 2
+    ({42: "6", 46: "X 0 0 0 0 0"}, r"^line 43: frame holds 6 particles"),  # frame 6
+    ({40: "X 0 0 0 0 0 0", 42: "x"}, r"^line 41: expected electron row"),  # frame 5, then 6
+    ({35: "zz", 37: "X 0 0"}, r"^line 36: expected a particle count"),  # frame 5
+], ids=["label", "fields-first", "row-before-header", "header", "row-in-frame-before-header",
+        "count"])
+def test_blocks_name_the_first_problem(tmp_path, monkeypatch, water, size, edits, message):
+    lines = _water_lines(3)  # 9 frames, 63 lines
+    for i, text in edits.items():
+        lines[i] = text
+    monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+    with pytest.raises(SchemaError, match=message):
+        _load_lines(tmp_path / "traj.xyz", water, lines)
+
+
+def test_early_error_parses_one_block(tmp_path, monkeypatch, water):
+    # line 3 is the first frame's first row; of a 200-frame file in blocks of
+    # 10 frames, only the first block's rows are ever parsed
+    lines = _water_lines(67)[:1400]
+    lines[2] = "e" + lines[2][2:]
+    monkeypatch.setattr(frames, "BLOCK_ROWS", 10 * WATER_ROWS)
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(SchemaError, match=r"^line 3: electron row among the first 3"):
+        _load_lines(tmp_path / "traj.xyz", water, lines)
+    first_frame = lines[2:7]
+    assert len(calls[0]) == 10 * WATER_ROWS
+    assert all(rows == first_frame or rows[0] in first_frame and len(rows) == 1
+               for rows in calls[1:])
+
+
+@pytest.mark.parametrize("where", [50, 20000, 60000])
+def test_undecodable_byte_named_in_the_file(tmp_path, monkeypatch, water, where):
+    # the file is decoded a chunk at a time; the error counts bytes from its start
+    data = bytearray((WATER_TRAJ * 200).encode())
+    data[where] = 0xFF
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as expected:
+        bytes(data).decode("utf-8")
+    assert f"position {where}:" in str(expected.value)
+    monkeypatch.setattr(frames, "BLOCK_ROWS", 10 * WATER_ROWS)
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_trajectory(water, path)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("size", [frames.BLOCK_ROWS, WATER_ROWS, 2 * WATER_ROWS])
+@pytest.mark.parametrize("frames_before", [1, 2, 3])
+@pytest.mark.parametrize("newline", [True, False], ids=["newline", "no-newline"])
+def test_truncated_final_frame(tmp_path, monkeypatch, water, size, frames_before, newline):
+    # a final frame one row short: its count line is named, whether or not the
+    # file ends in a newline and wherever the frame falls among the blocks
+    lines = _water_lines(2)[:7 * (frames_before + 1) - 1]
+    path = tmp_path / "traj.xyz"
+    monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+    path.write_text("\n".join(lines) + ("\n" if newline else ""))
+    with pytest.raises(SchemaError, match=rf"^line {7 * frames_before + 1}: truncated frame$"):
+        load_trajectory(water, path)
+    complete = lines[:7 * frames_before]
+    path.write_text("\n".join(complete) + ("\n" if newline else ""))
+    assert load_trajectory(water, path).nuclei_positions.shape == (frames_before, 3, 3)
+
+
 @pytest.mark.parametrize("name", BLOCKS)
 @pytest.mark.filterwarnings("error")
 def test_configuration_rejects_complex_blocks(name):

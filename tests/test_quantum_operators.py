@@ -524,6 +524,41 @@ class TestNonFiniteAmplitudes:
             momentum_op(bad)
 
 
+def _scaled(factor):
+    grid = LineGrid.make(-10.0, 10.0, 1024)
+    return GridWavefunction(grid=grid, amplitudes=factor * gaussian_line_state(grid).amplitudes)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingAmplitudes:
+    """Finite amplitudes whose |psi|^2 leaves the float range are a GridError that
+    says so, not a numpy overflow warning or a report of non-finite amplitudes."""
+
+    @pytest.mark.parametrize("call", [
+        momentum_op,
+        line_commutator_residual,
+        lambda psi: heisenberg_suite([psi], "vibrational"),
+        lambda psi: heisenberg_suite([[psi, psi, psi]], "electronic"),
+    ], ids=["momentum_op", "line_commutator_residual", "vibrational", "electronic"])
+    def test_squared_amplitudes_overflow(self, call):
+        psi = _scaled(1e160)
+        assert np.isfinite(psi.amplitudes).all()
+        with pytest.raises(GridError, match=r"^\|psi\|\^2 past the float range: "
+                                            r"max \|psi\| = 6\.316e\+159$"):
+            call(psi)
+
+    @pytest.mark.parametrize("call, factor", [
+        (lambda psi: dispersion(psi, psi), 1.5e154),
+        (lambda psi: dispersion(psi, psi), 1e160),
+        (lambda psi: heisenberg_suite([psi], "vibrational"), 1.5e154),
+    ], ids=["dispersion", "dispersion-1e160", "vibrational"])
+    def test_norm_overflows(self, call, factor):
+        # at 1.5e154 |psi|^2 is finite at every node but its weighted sum is not;
+        # dispersion checks the norm first, so it says the same at 1e160
+        with pytest.raises(GridError, match="normalized state, got norm inf"):
+            call(_scaled(factor))
+
+
 def _padded_momentum(psi, order, hbar):
     """-i hbar d/dx as written with np.pad before ``central_difference`` replaced it."""
     pad = np.pad(psi.amplitudes, (2, 2))

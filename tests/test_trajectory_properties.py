@@ -10,13 +10,15 @@ line of the first bad row; any other exception fails the test.
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from molrest import frames
 from molrest.errors import SchemaError
-from molrest.frames import load_trajectory
+from molrest.frames import BLOCKS, load_trajectory
 from molrest.molecule import load_molecule, prepare_equilibrium
 
 DATA = Path(__file__).parent / "data"
@@ -121,3 +123,21 @@ def test_corrupted_row_is_read_or_named(tmp_path_factory, lines):
         np.concatenate([cfg.electron_positions, cfg.electron_momenta], axis=-1),
     ], axis=1)
     assert np.array_equal(got, expected)
+
+
+def outcome(path):
+    """The loaded arrays' bytes, or the SchemaError text."""
+    try:
+        cfg = load_trajectory(MOL, path)
+    except SchemaError as exc:
+        return str(exc)
+    return [getattr(cfg, name).tobytes() for name in BLOCKS]
+
+
+@given(corrupted())
+def test_one_frame_per_block_reads_the_same(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.xyz"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    whole = outcome(path)
+    with mock.patch.object(frames, "BLOCK_ROWS", N_TOTAL):
+        assert outcome(path) == whole
