@@ -16,6 +16,7 @@ a trajectory gives the same numbers as its frames one at a time.
 """
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,7 @@ _ROW_DTYPE = np.dtype([("species", "U2"), ("values", float, 6)])
 # time: as many as fit in this many particle rows (``frames_per_block``).
 BLOCK_ROWS = 8192
 _CHUNK_CHARS = 1 << 16  # text read at once, split into lines
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, read by surrogateescape
 
 
 @dataclass(frozen=True)
@@ -183,19 +185,23 @@ def com_split(mol, cfg):
     configuration satisfies sum(M R' ) + m sum(r') = 0 and
     sum(P') + sum(p') = 0, and momenta are reduced by each particle's
     mass fraction so a uniform boost leaves the relative data unchanged.
+    Raises ``EckartSolveError`` naming the first frame with relative data not finite.
     """
     _check_config(mol, cfg)
     total = mol.total_mass
-    com = (mol.masses @ cfg.nuclei_positions
-           + mol.electron_mass * cfg.electron_positions.sum(axis=-2)) / total
-    mom = cfg.nuclei_momenta.sum(axis=-2) + cfg.electron_momenta.sum(axis=-2)
-    rel = Configuration(
-        nuclei_positions=cfg.nuclei_positions - com[..., None, :],
-        nuclei_momenta=cfg.nuclei_momenta - (mol.masses / total)[:, None] * mom[..., None, :],
-        electron_positions=cfg.electron_positions - com[..., None, :],
-        electron_momenta=cfg.electron_momenta - (mol.electron_mass / total) * mom[..., None, :],
-    )
-    return com, mom, rel
+    with np.errstate(over="ignore", invalid="ignore"):  # data past the float range fail below
+        com = (mol.masses @ cfg.nuclei_positions
+               + mol.electron_mass * cfg.electron_positions.sum(axis=-2)) / total
+        mom = cfg.nuclei_momenta.sum(axis=-2) + cfg.electron_momenta.sum(axis=-2)
+        rel = (cfg.nuclei_positions - com[..., None, :],
+               cfg.nuclei_momenta - (mol.masses / total)[:, None] * mom[..., None, :],
+               cfg.electron_positions - com[..., None, :],
+               cfg.electron_momenta - (mol.electron_mass / total) * mom[..., None, :])
+    lost = ~np.all([np.isfinite(block).all(axis=(-2, -1)) for block in rel], axis=0)
+    if lost.any():
+        raise EckartSolveError(f"center-of-mass split failed at frame {first_failure(lost)[0]}: "
+                               "its center of mass, momentum or relative data are not finite")
+    return com, mom, Configuration(*rel)
 
 
 def solve_eckart(mol, positions):
@@ -394,13 +400,19 @@ def _lines(fh):
     Each NUL is made ``\x01``: "e\0" and "e\0X" would read as "e", and
     ``\x01`` is no whitespace and no digit.  A line ends at ``\n`` (text
     mode reads ``\r\n`` and ``\r`` as it), never at ``\x0c`` and the
-    like; the empty string after a final ``\n`` is no line.
+    like; the empty string after a final ``\n`` is no line.  ``fh`` reads
+    a byte that is not UTF-8 as a lone surrogate (``surrogateescape``):
+    the lines before it are yielded, then ``SchemaError`` names its line.
     """
-    tail = ""
+    tail, number = "", 0  # lines yielded
     while chunk := fh.read(_CHUNK_CHARS):
-        lines = (tail + chunk.replace("\0", "\x01")).split("\n")
+        bad = None if chunk.isascii() else _UNDECODED.search(chunk)  # isascii is O(1)
+        lines = (tail + chunk[:bad and bad.start()].replace("\0", "\x01")).split("\n")
         tail = lines.pop()
+        number += len(lines)
         yield from lines
+        if bad:
+            raise SchemaError(f"line {number + 1}: not UTF-8 text (byte 0x{ord(bad[0]) & 0xFF:x})")
     if tail:
         yield tail
 
@@ -408,42 +420,42 @@ def _lines(fh):
 def _blocks(lines, n_total):
     """A trajectory's frames, ``frames_per_block(n_total)`` at a time, in file order.
 
-    Yields ``(rows, first, error)``: the block's particle rows, the line
-    number of each frame's first row, and ``None``.  Scanning stops at
-    the first malformed header, and the last block carries that error
-    rather than raising it, so that row errors of earlier frames come
-    first.  A frame is truncated when the file ends before its last row.
+    Yields ``(rows, first)``: the block's particle rows and the line
+    number of each frame's first row.  The first scan error (a malformed
+    count line, a frame cut short by the end of the file, a byte that
+    ``_lines`` rejects) is raised once the whole frames before it are
+    yielded, so that their row errors come first.
     """
     size = frames_per_block(n_total)
-    rows, first, error = [], [], None
+    rows, first = [], []
     number = 0  # lines read
-    for line in lines:
-        number += 1
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            if not text.isascii() or "_" in text:  # the rows' grammar, which int alone exceeds
-                raise ValueError(text)
+    try:
+        for line in lines:
+            number += 1
+            text = line.strip()
+            if not text:
+                continue
+            if not (text.isascii() and text[text[0] in "+-":].isdigit()):  # [+-]?[0-9]+
+                raise SchemaError(f"line {number}: expected a particle count")
             count = int(text)
-        except ValueError:
-            error = SchemaError(f"line {number}: expected a particle count")
-            break
-        if count != n_total:
-            error = SchemaError(f"line {number}: frame holds {count} particles, "
-                                f"molecule needs {n_total}")
-            break
-        frame = list(itertools.islice(lines, count + 1))  # the comment line, then the rows
-        if len(frame) <= count:
-            error = SchemaError(f"line {number}: truncated frame")
-            break
-        rows += frame[1:]
-        first.append(number + 2)
-        number += count + 1
-        if len(first) == size:
-            yield rows, first, None
-            rows, first = [], []
-    yield rows, first, error
+            if count != n_total:
+                raise SchemaError(f"line {number}: frame holds {count} particles, "
+                                  f"molecule needs {n_total}")
+            frame = list(itertools.islice(lines, count + 1))  # the comment line, then the rows
+            if len(frame) <= count:
+                raise SchemaError(f"line {number}: truncated frame")
+            rows += frame[1:]
+            first.append(number + 2)
+            number += count + 1
+            if len(first) == size:
+                yield rows, first
+                rows, first = [], []
+    except SchemaError:
+        if first:
+            yield rows, first
+        raise
+    if first:
+        yield rows, first
 
 
 def _parse(rows):
@@ -488,18 +500,15 @@ def _row_error(rows, first, n_total, n_nuclei):
             parsed = _parse([row])
             if parsed is None or len(parsed) != 1:
                 if len(row.split()) != 7:
-                    return SchemaError(
-                        f"line {line}: expected 'species x y z px py pz' (7 fields)")
+                    return SchemaError(f"line {line}: expected 'species x y z px py pz' (7 fields)")
                 return SchemaError(f"line {line}: non-numeric coordinate")
             if not np.isfinite(parsed["values"]).all():
                 return SchemaError(f"line {line}: non-finite coordinate")
             species.append(parsed["species"][0])
         for j, label in enumerate(species):
             if j < n_nuclei and label == "e":
-                return SchemaError(
-                    f"line {start + j}: electron row among the first {n_nuclei} "
-                    "(nuclei must come first)"
-                )
+                return SchemaError(f"line {start + j}: electron row among the first {n_nuclei} "
+                                   "(nuclei must come first)")
             if j >= n_nuclei and label != "e":
                 return SchemaError(f"line {start + j}: expected electron row (species 'e')")
     raise AssertionError("load_trajectory rejected rows that _row_error accepts")
@@ -511,35 +520,26 @@ def load_trajectory(mol, path):
     Each frame is ``count`` / comment / ``count`` particle lines of the
     form ``species x y z px py pz``.  Nuclei come first (any species
     label except ``e``), then the electrons (species ``e``).  The count
-    must equal N + n of the molecule.  The file is read a chunk of text
-    at a time and parsed a block of whole frames at a time
-    (``BLOCK_ROWS`` particle rows, at least one frame); each block's rows
-    are read by one ``np.loadtxt`` call, so numbers follow numpy's grammar: ASCII digits, no ``_``
-    separators; ``nan`` and ``inf`` read but are rejected.  A line ends
-    at ``\n``, ``\r\n`` or ``\r``, never at ``\x0c`` and the like.  Returns (T, N, 3) blocks, T >= 1.  Raises
-    ``SchemaError`` (with the line number of the first problem in the
-    file) on any malformed content; reading stops at the block that
-    holds it.
+    must equal N + n of the molecule.  The UTF-8 file is opened once,
+    read a chunk at a time and parsed a block of whole frames at a time
+    (``BLOCK_ROWS`` particle rows, at least one frame) by one
+    ``np.loadtxt`` call, so numbers follow numpy's grammar: ASCII digits,
+    no ``_`` separators; ``nan`` and ``inf`` read but are rejected.  A
+    line ends at ``\n``, ``\r\n`` or ``\r``, never at ``\x0c`` and the
+    like.  Returns (T, N, 3) blocks, T >= 1.  Raises ``SchemaError``
+    naming the line of the first problem, a byte that is not UTF-8 among
+    them: frames in file order, and in a frame its count line, end or
+    bad byte before its rows.  Reading stops at the problem's block.
     """
     n_nuclei = mol.n_nuclei
     n_total = n_nuclei + mol.electron_count
     values = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for rows, first, header_error in _blocks(_lines(fh), n_total):
-                if first:
-                    parsed = _parse(rows)
-                    if not _well_formed(parsed, len(first), n_total, n_nuclei):
-                        raise _row_error(rows, first, n_total, n_nuclei)
-                    values.append(parsed["values"])
-                if header_error is not None:
-                    raise header_error
-        except UnicodeDecodeError:
-            # text mode decodes a chunk at a time and counts bytes from the
-            # chunk's start; the whole file's decode names the byte in the file
-            with open(path, "rb") as raw:
-                raw.read().decode("utf-8")
-            raise
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for rows, first in _blocks(_lines(fh), n_total):
+            parsed = _parse(rows)
+            if not _well_formed(parsed, len(first), n_total, n_nuclei):
+                raise _row_error(rows, first, n_total, n_nuclei)
+            values.append(parsed["values"])
     if not values:
         raise SchemaError("trajectory holds no frames")
     data = np.concatenate(values).reshape(-1, n_total, 6)

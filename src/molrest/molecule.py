@@ -253,7 +253,8 @@ def load_molecule(path):
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # nested deeper than the stack
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:  # nested deeper than the stack
             raise SchemaError(f"invalid JSON: {exc}") from exc
 
     _require_keys(

@@ -200,11 +200,15 @@ class GridWavefunction:
     @classmethod
     def normalized(cls, grid, amplitudes, profile=None):
         """The state amplitudes / norm, with its profile (if any) scaled by the
-        same factor; GridError unless the norm is positive."""
+        same factor; GridError unless the norm is positive and finite."""
         raw = cls(grid=grid, amplitudes=amplitudes)
-        scale = raw.norm()
+        with np.errstate(over="ignore"):  # a norm past the float range fails below
+            scale = raw.norm()
         if not scale > 0.0:
             raise GridError("profile vanishes on the grid")
+        if scale == math.inf:
+            raise GridError("norm past the float range: max |psi| = "
+                            f"{float(np.abs(raw.amplitudes).max())!r}")
 
         def scaled(points):
             return np.asarray(profile(points), dtype=complex) / scale

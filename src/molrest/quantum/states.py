@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from ..errors import positive_finite
+from ..errors import GridError, positive_finite
 from ..lie_so3 import geodesic_distance
 from .grids import GridWavefunction, LineGrid, check_hbar
 
@@ -163,7 +163,7 @@ def oscillator_state(grid, n, hbar=1.0):
             xi = math.sqrt(1.0 / hbar) * grid.points
             return GridWavefunction.normalized(
                 grid, hermval(xi, coeff) * np.exp(-0.5 * xi * xi) + 0.0j)
-    except FloatingPointError:
+    except (FloatingPointError, GridError):  # GridError: the norm is 0 or inf
         raise ValueError(f"hbar and quantum number take H_n(x / sqrt(hbar)) out of the float "
                          f"range on the grid, got hbar={hbar!r}, n={n}") from None
 

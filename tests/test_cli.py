@@ -385,6 +385,29 @@ class TestInputErrors:
         assert invoke("frame", "--input", MOLECULE, "--trajectory", str(bad)) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_undecodable_byte_reads_the_same_from_a_pipe(self, tmp_path):
+        # past the first 64K chunk: a pipe cannot be read twice, and needs not be
+        data = bytearray((Path(TRAJECTORY).read_text() * 200).encode())
+        data[70000] = 0xFF
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(bytes(data))
+        want = "molrest: error: line 775: not UTF-8 text (byte 0xff)\n"
+        for trajectory, stdin in ((str(path), None), ("/dev/stdin", bytes(data))):
+            done = subprocess.run([sys.executable, "-m", "molrest.cli", "frame", "--input",
+                                   MOLECULE, "--trajectory", trajectory],
+                                  input=stdin, capture_output=True, env=_child_env())
+            assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", want)
+
+    def test_undecodable_molecule_byte_is_invalid_json(self, tmp_path, capsys):
+        data = bytearray(Path(MOLECULE).read_bytes())
+        data[10] = 0xFF
+        path = tmp_path / "bad.json"
+        path.write_bytes(bytes(data))
+        assert invoke("validate", "--input", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("molrest: error: invalid JSON: ")
+        assert err.count("\n") == 1
+
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_output_names_the_flag(self, where, tmp_path):
@@ -875,3 +898,25 @@ class TestBlocks:
         monkeypatch.setattr(frames, "BLOCK_ROWS", 5)  # one frame per block
         assert invoke(*args) == 2
         assert capsys.readouterr() == whole
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["frame", "decompose"])
+    @pytest.mark.parametrize("place, n_frames", [(0, 1), (2, 6)], ids=["alone", "frame-2"])
+    def test_overflowing_center_of_mass_names_the_frame(self, tmp_path, monkeypatch, capsys,
+                                                        command, place, n_frames):
+        # every number x5e307: finite and parseable, but the center of mass is not
+        huge = _frame_lines(TRAJECTORY)
+        for i, row in enumerate(huge[2:], 2):
+            species, *values = row.split()
+            huge[i] = " ".join([species] + [repr(5e307 * float(v)) for v in values])
+        chosen = [_frame_lines(TRAJECTORY, f % 3) for f in range(n_frames)]
+        chosen[place] = huge
+        path = tmp_path / "traj.xyz"
+        path.write_text("\n".join(line for frame in chosen for line in frame) + "\n")
+        args = (command, "--input", MOLECULE, "--trajectory", str(path))
+        want = (f"molrest: check failed: center-of-mass split failed at frame {place}: "
+                "its center of mass, momentum or relative data are not finite\n")
+        for size in (frames.BLOCK_ROWS, 5):  # one block, then one frame per block
+            monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+            assert invoke(*args) == 2
+            assert capsys.readouterr() == ("", want)

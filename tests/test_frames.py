@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,26 @@ def test_com_split_validates_shapes(penta):
     cfg = Configuration(nuclei_positions=np.zeros((2, 3)), nuclei_momenta=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         com_split(penta, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_com_split_names_the_first_frame_past_the_float_range(water):
+    # finite inputs: frame 1's center of mass overflows; frame 2's is finite,
+    # but nucleus 1's position relative to it is not
+    rng = np.random.default_rng(7)
+    frames_ = [random_config(water, rng) for _ in range(3)]
+    frames_[1] = replace(frames_[1], nuclei_positions=np.full((3, 3), 1.5e308))
+    apart = np.zeros((3, 3))
+    apart[:, 0] = [-5.6e306, 1.79e308, -1.79e308]
+    assert np.isfinite(water.masses @ apart).all()
+    frames_[2] = replace(frames_[2], nuclei_positions=apart)
+    message = (r"^center-of-mass split failed at frame {}: its center of mass, momentum or "
+               r"relative data are not finite$")
+    with pytest.raises(EckartSolveError, match=message.format(1)):
+        com_split(water, Configuration.stack(frames_))
+    for i in (1, 2):
+        with pytest.raises(EckartSolveError, match=message.format(0)):
+            com_split(water, frames_[i])
 
 
 def test_com_split_names_missing_electrons(water):
@@ -383,6 +404,40 @@ def test_extract_rejects_indefinite_well_conditioned_inertia():
         extract_internal(water, basis, frame, rest)
 
 
+@pytest.mark.parametrize("cond, singular", [(1e11, False), (1e13, True)])
+def test_extract_inertia_condition_edge(water, cond, singular):
+    # a displacement along one mode until cond I(Q) is 1e11, then 1e13: either
+    # side of the ceiling 1e12
+    from molrest.angmom import build_inertia, inertia_at, mode_sum
+
+    basis = build_modes(water, rng=8)
+    model = build_inertia(water, basis)
+    direction = np.zeros(basis.n_modes)
+    direction[int(np.argmax(np.linalg.norm(model.i_alpha, axis=(1, 2))))] = 1.0
+
+    def condition(q):
+        evals = np.linalg.eigvalsh(inertia_at(model, q))
+        return evals[-1] / evals[0] if evals[0] > 0.0 else np.inf
+
+    lo, hi = 0.0, 1.0
+    while condition(hi * direction) < np.inf:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if condition(mid * direction) < cond else (lo, mid)
+    disp = mode_sum(lo * direction, basis.x) / np.sqrt(water.masses)[:, None]
+    rest = Configuration(water.positions + disp, np.zeros((3, 3)), np.zeros((2, 3)),
+                         np.zeros((2, 3)))
+    frame = solve_eckart(water, water.positions)
+    if singular:
+        with pytest.raises(SingularInertiaError, match=r"frame 0 .* or cond > 1e\+12\)"):
+            extract_internal(water, basis, frame, rest)
+    else:
+        state = extract_internal(water, basis, frame, rest)
+        assert abs(condition(state.Q) / cond - 1.0) <= 1e-3
+        assert np.isfinite(state.angular_velocity).all()
+
+
 # --- trajectory file format --------------------------------------------------
 
 
@@ -666,20 +721,51 @@ def test_early_error_parses_one_block(tmp_path, monkeypatch, water):
                for rows in calls[1:])
 
 
-@pytest.mark.parametrize("where", [50, 20000, 60000])
-def test_undecodable_byte_named_in_the_file(tmp_path, monkeypatch, water, where):
-    # the file is decoded a chunk at a time; the error counts bytes from its start
+@pytest.mark.parametrize("where, bad, message", [
+    (50, b"\xff", "line 3: not UTF-8 text (byte 0xff)"),
+    (20000, b"\xff", "line 223: not UTF-8 text (byte 0xff)"),
+    (60000, b"\xff", "line 664: not UTF-8 text (byte 0xff)"),
+    (65535, b"\xff", "line 726: not UTF-8 text (byte 0xff)"),  # the last of the first chunk
+    (65536, b"\xff", "line 726: not UTF-8 text (byte 0xff)"),  # the first of the second
+    (30000, b"\xc3(", "line 333: not UTF-8 text (byte 0xc3)"),  # a lead byte, then no tail
+], ids=["50", "20000", "60000", "65535", "65536", "split-sequence"])
+def test_undecodable_byte_named_in_the_file(tmp_path, monkeypatch, water, where, bad, message):
+    # the file is read a chunk at a time; the error names the line the byte is on
     data = bytearray((WATER_TRAJ * 200).encode())
-    data[where] = 0xFF
+    data[where:where + len(bad)] = bad
+    line = data.count(b"\n", 0, where) + 1
+    assert message.startswith(f"line {line}:")
     path = tmp_path / "traj.xyz"
     path.write_bytes(bytes(data))
-    with pytest.raises(UnicodeDecodeError) as expected:
-        bytes(data).decode("utf-8")
-    assert f"position {where}:" in str(expected.value)
     monkeypatch.setattr(frames, "BLOCK_ROWS", 10 * WATER_ROWS)
-    with pytest.raises(UnicodeDecodeError) as got:
+    with pytest.raises(SchemaError) as got:
         load_trajectory(water, path)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("size", [frames.BLOCK_ROWS, WATER_ROWS])
+def test_undecodable_byte_after_a_bad_row(tmp_path, monkeypatch, water, size):
+    # two problems, line 3 first: the row is named, in one block or many
+    data = bytearray((WATER_TRAJ * 200).replace("X0 ", "e  ", 1).encode())
+    data[50000] = 0xFF
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+    with pytest.raises(SchemaError, match=r"^line 3: electron row among the first 3"):
+        load_trajectory(water, path)
+
+
+def test_utf8_text_across_chunks_reads_the_same(tmp_path, water):
+    # comments of two-byte characters, at both byte parities, across chunk boundaries
+    plain = WATER_TRAJ * 200
+    accented = plain.replace("frame 1\n", "frame 1 " + "é" * (1 << 16) + "\n", 1)
+    accented = accented.replace("frame 2\n", "frame 2  " + "é" * (1 << 16) + "\n", 1)
+    path = tmp_path / "traj.xyz"
+    path.write_text(plain)
+    want = load_trajectory(water, path)
+    path.write_text(accented, encoding="utf-8")
+    for got, expected in zip(_arrays(load_trajectory(water, path)), _arrays(want), strict=True):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("size", [frames.BLOCK_ROWS, WATER_ROWS, 2 * WATER_ROWS])

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from molrest.errors import CollinearGeometryError, SchemaError
+from molrest.modes import build_modes
 from molrest.molecule import (
     MAX_ELECTRONS,
     Molecule,
@@ -242,3 +244,35 @@ def test_load_molecule_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load_molecule(path)
+
+
+@pytest.mark.parametrize("where", [0, 10, -2])
+def test_load_molecule_names_a_byte_that_is_not_utf8(tmp_path, where):
+    # a byte that is not UTF-8 is invalid JSON, not a codec error
+    data = bytearray((Path(__file__).parent / "data" / "water.json").read_bytes())
+    data[where] = 0xFF
+    path = tmp_path / "bad.json"
+    path.write_bytes(bytes(data))
+    with pytest.raises(SchemaError, match=rf"^invalid JSON: .* byte 0xff in position "
+                                          rf"{where % len(data)}: invalid start byte$"):
+        load_molecule(path)
+
+
+@pytest.mark.parametrize("ratio, collinear", [(1e-8, False), (1e-11, True)])
+def test_collinear_gate_edge(water_raw, ratio, collinear):
+    # water flattened until its second planar moment is ratio times its first,
+    # either side of the gate at 1e-10
+    masses, pos = water_raw.masses, water_raw.positions.copy()
+    pos -= masses @ pos / masses.sum()
+    first, second = masses @ pos[:, 1:] ** 2  # the y and z moments; the yz sum is 0
+    pos[:, 2] *= np.sqrt(ratio * first / second)
+    flat = Molecule(masses=masses, positions=pos, electron_count=2, electron_mass=5.5e-4)
+    if collinear:
+        with pytest.raises(CollinearGeometryError, match="collinear"):
+            prepare_equilibrium(flat)
+    else:
+        mol = prepare_equilibrium(flat)
+        moments = np.sort(np.linalg.eigvalsh(np.einsum("m,mi,mj->ij", masses, mol.positions,
+                                                       mol.positions)))
+        assert abs(moments[1] / moments[2] / ratio - 1.0) <= 1e-6
+        assert build_modes(mol, rng=0).n_modes == 3

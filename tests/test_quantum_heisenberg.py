@@ -20,6 +20,7 @@ from molrest.quantum import (
     LineGrid,
     So3Grid,
     angmom_op,
+    commutator_residuals,
     dispersion,
     gaussian_line_state,
     heisenberg_suite,
@@ -549,6 +550,21 @@ class TestGateEdges:
             else:
                 with pytest.raises(GridError, match="quadrature failure: variance -2.000e-12"):
                     dispersion(psi, psi)
+
+    def test_seam_mass(self, ball):
+        # a gaussian moved toward the seam until its seam mass is 0.5e-8, then 2e-8
+        for center, passes in ((1.312, True), (1.385, False)):
+            psi = so3_gaussian_state(ball, center=(0.0, 0.0, center), sigma=0.3)
+            ratio = psi.boundary_mass() / BOUNDARY_MASS_TOL
+            assert 0.49 < ratio < 0.51 if passes else 1.98 < ratio < 2.0
+            verdicts = {r.satisfied for r in heisenberg_suite([psi], "rotational")}
+            if passes:
+                commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]))
+                assert verdicts <= {True, False}
+            else:
+                with pytest.raises(BoundaryMassError, match="boundary mass 1.987e-08 >= 1e-08"):
+                    commutator_residuals(psi, np.diag([1.0, 2.0, 3.0]))
+                assert verdicts == {None}
 
     def test_verdict_tolerance(self):
         # a gaussian two steps wide on 64 points: the stencil puts its product a

@@ -240,6 +240,25 @@ class TestLineMixture:
         with pytest.raises(GridError, match="profile vanishes on the grid"):
             gaussian_line_state(line, center=1e3, sigma=0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_past_the_float_range_fails_closed(self):
+        # x1e160 squares past the float range: no all-zero state, and no numpy warning
+        grid = LineGrid.make(-10.0, 10.0, 1024)
+        amps = gaussian_line_state(grid).amplitudes
+        with pytest.raises(GridError, match=r"^norm past the float range: max \|psi\| = 6\.3"):
+            GridWavefunction.normalized(grid, 1e160 * amps)
+        with pytest.raises(GridError, match="^norm past the float range"):
+            GridWavefunction.from_profile(grid, lambda x: 1e160 * np.exp(-x * x / 4.0) + 0j)
+        # x1e150 squares to 1e300 and normalizes back
+        rescaled = GridWavefunction.normalized(grid, 1e150 * amps).amplitudes
+        assert np.max(np.abs(rescaled - amps)) <= 1e-15
+
+    def test_oscillator_norm_of_zero_names_the_parameters(self, line):
+        # hbar 1e-200: the gaussian underflows at every node (0 is none of them)
+        assert not (line.points == 0.0).any()
+        with pytest.raises(ValueError, match="^hbar and quantum number take"):
+            oscillator_state(line, 0, hbar=1e-200)
+
 
 class TestMixtureProfiles:
     """The in-place orientation mixture gives the bits of the plain formula it replaced."""
