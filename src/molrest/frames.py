@@ -54,7 +54,6 @@ _ROW_DTYPE = np.dtype([("species", "U2"), ("values", float, 6)])
 # A trajectory is read, and the CLI analyzes it, a block of whole frames at a
 # time: as many as fit in this many particle rows (``frames_per_block``).
 BLOCK_ROWS = 8192
-_CHUNK_CHARS = 1 << 16  # text read at once, split into lines
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, read by surrogateescape
 
 
@@ -395,7 +394,7 @@ def frames_per_block(n_total):
 
 
 def _lines(fh):
-    r"""The lines of a text file, without their line ends, read a chunk at a time.
+    r"""The lines of a text file, without their line ends.
 
     Each NUL is made ``\x01``: "e\0" and "e\0X" would read as "e", and
     ``\x01`` is no whitespace and no digit.  A line ends at ``\n`` (text
@@ -404,17 +403,10 @@ def _lines(fh):
     a byte that is not UTF-8 as a lone surrogate (``surrogateescape``):
     the lines before it are yielded, then ``SchemaError`` names its line.
     """
-    tail, number = "", 0  # lines yielded
-    while chunk := fh.read(_CHUNK_CHARS):
-        bad = None if chunk.isascii() else _UNDECODED.search(chunk)  # isascii is O(1)
-        lines = (tail + chunk[:bad and bad.start()].replace("\0", "\x01")).split("\n")
-        tail = lines.pop()
-        number += len(lines)
-        yield from lines
-        if bad:
-            raise SchemaError(f"line {number + 1}: not UTF-8 text (byte 0x{ord(bad[0]) & 0xFF:x})")
-    if tail:
-        yield tail
+    for number, line in enumerate(fh, 1):
+        if not line.isascii() and (bad := _UNDECODED.search(line)):  # isascii is O(1)
+            raise SchemaError(f"line {number}: not UTF-8 text (byte 0x{ord(bad[0]) & 0xFF:x})")
+        yield line.rstrip("\n").replace("\0", "\x01")
 
 
 def _blocks(lines, n_total):
@@ -521,7 +513,7 @@ def load_trajectory(mol, path):
     form ``species x y z px py pz``.  Nuclei come first (any species
     label except ``e``), then the electrons (species ``e``).  The count
     must equal N + n of the molecule.  The UTF-8 file is opened once,
-    read a chunk at a time and parsed a block of whole frames at a time
+    read line by line and parsed a block of whole frames at a time
     (``BLOCK_ROWS`` particle rows, at least one frame) by one
     ``np.loadtxt`` call, so numbers follow numpy's grammar: ASCII digits,
     no ``_`` separators; ``nan`` and ``inf`` read but are rejected.  A

@@ -1,3 +1,5 @@
+import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,9 +21,9 @@ from molrest.frames import (
     to_rest,
     write_trajectory,
 )
-from molrest.lie_so3 import exp_map
+from molrest.lie_so3 import exp_map, quaternion_form
 from molrest.modes import build_modes
-from molrest.molecule import Molecule
+from molrest.molecule import Molecule, prepare_equilibrium
 
 
 def random_rotation(rng, max_angle=np.pi - 0.1):
@@ -173,6 +175,23 @@ def test_solve_eckart_flags_degeneracy(penta):
     assert frame.degenerate
 
 
+@pytest.mark.parametrize("ratio, degenerate", [(4e-10, True), (6e-10, False)])
+def test_solve_eckart_degeneracy_gap_edge(ratio, degenerate):
+    # masses 16, 1, 1 at (0, 0, 0) and (+-1, h, 0): the second planar moment is
+    # 8 h^2 / 9 of the first, and the equilibrium frame's relative quaternion gap
+    # twice that, either side of the gate at 1e-9
+    h = np.sqrt(9.0 * ratio / 8.0)
+    mol = prepare_equilibrium(Molecule(masses=np.array([16.0, 1.0, 1.0]),
+                                       positions=np.array([[0.0, 0.0, 0.0], [1.0, h, 0.0],
+                                                           [-1.0, h, 0.0]]),
+                                       electron_count=0))
+    assert build_modes(mol, rng=0).n_modes == 3
+    evals = np.linalg.eigvalsh(quaternion_form(
+        np.einsum("m,mi,mj->ij", mol.masses, mol.positions, mol.positions)))
+    assert (evals[3] - evals[2]) / evals[3] == pytest.approx(2.0 * ratio, rel=1e-6)
+    assert solve_eckart(mol, mol.positions).degenerate == degenerate
+
+
 def test_solve_eckart_requires_prepared(water_raw):
     with pytest.raises(ValueError):
         solve_eckart(water_raw, water_raw.positions)
@@ -209,6 +228,23 @@ def test_solve_eckart_names_the_first_frame_off_its_condition(water, monkeypatch
     with pytest.raises(EckartSolveError, match=r"^orientation solve failed at frame 1: residual "
                                                r"\S+ for scale \S+ \(relative \S+ > 1e-8\)$"):
         solve_eckart(water, np.stack([water.positions] * 3))
+
+
+@pytest.mark.parametrize("delta", [5e-9, 2e-8])
+def test_solve_eckart_relative_residual_edge(water, monkeypatch, delta):
+    # the solved rotation turned by delta about the normal of the planar water
+    # leaves a relative residual of delta, either side of the gate at 1e-8
+    optimal = frames.quaternion_to_matrix
+    turn = exp_map(np.array([0.0, 0.0, delta]))
+    monkeypatch.setattr(frames, "quaternion_to_matrix", lambda q: optimal(q) @ turn)
+    positions = water.positions @ exp_map(np.array([0.3, -0.2, 0.1])).T
+    if delta < 1e-8:
+        assert solve_eckart(water, positions).relative_residual == pytest.approx(delta, rel=1e-6)
+    else:
+        with pytest.raises(EckartSolveError, match=r"^orientation solve failed at frame 0: "
+                                                   r"residual \S+ for scale \S+ "
+                                                   r"\(relative 2\.000e-08 > 1e-8\)$"):
+            solve_eckart(water, positions)
 
 
 def test_to_rest_is_frame_transpose(penta):
@@ -764,6 +800,73 @@ def test_utf8_text_across_chunks_reads_the_same(tmp_path, water):
     path.write_text(plain)
     want = load_trajectory(water, path)
     path.write_text(accented, encoding="utf-8")
+    for got, expected in zip(_arrays(load_trajectory(water, path)), _arrays(want), strict=True):
+        assert np.array_equal(got, expected)
+
+
+def _line_ends(text, end):
+    """``text`` with every newline made ``end``, as UTF-8 bytes; "\udcff" is byte 0xff."""
+    return text.replace("\n", end).encode(errors="surrogateescape")
+
+
+@pytest.mark.parametrize("size", [frames.BLOCK_ROWS, WATER_ROWS])
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_read_as_newline(tmp_path, monkeypatch, water, end, size):
+    # text mode reads \r\n and a lone \r as \n: the same bits, in one block or many
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(WATER_TRAJ.encode())
+    want = load_trajectory(water, path)
+    monkeypatch.setattr(frames, "BLOCK_ROWS", size)
+    path.write_bytes(_line_ends(WATER_TRAJ, end))
+    for got, expected in zip(_arrays(load_trajectory(water, path)), _arrays(want), strict=True):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_ends_name_the_same_line(tmp_path, water, end):
+    # line 3 relabelled "e", then byte 0xff in line 9 (the second comment line)
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(_line_ends(WATER_TRAJ.replace("X0 ", "e ", 1), end))
+    with pytest.raises(SchemaError, match=r"^line 3: electron row among the first 3"):
+        load_trajectory(water, path)
+    path.write_bytes(_line_ends(WATER_TRAJ.replace("frame 1", "frame \udcff", 1), end))
+    with pytest.raises(SchemaError) as got:
+        load_trajectory(water, path)
+    assert str(got.value) == "line 9: not UTF-8 text (byte 0xff)"
+
+
+def test_crlf_split_at_65535_reads_the_same(tmp_path, water):
+    # a \r\n whose \r is character 65535, where a reader of 64K-character blocks splits it
+    plain = WATER_TRAJ * 200
+    crlf = plain.replace("\n", "\r\n")
+    pad = 65535 - crlf.rindex("\r", 0, 65536)
+    crlf = crlf.replace("frame 0", "frame 0" + " " * pad, 1)
+    assert crlf[65535:65537] == "\r\n"
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(plain.encode())
+    want = load_trajectory(water, path)
+    path.write_bytes(crlf.encode())
+    for got, expected in zip(_arrays(load_trajectory(water, path)), _arrays(want), strict=True):
+        assert np.array_equal(got, expected)
+
+
+def test_a_long_line_is_read_in_linear_time(tmp_path, water):
+    # 20 MB with no newline is one line, named in time linear in its length
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(b"1 " * 10485760)
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=r"^line 1: expected a particle count$"):
+        load_trajectory(water, path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_comment_lines_read_the_same(tmp_path, water):
+    # comment lines of 300 000 characters, each longer than a read of the file
+    plain = WATER_TRAJ * 4
+    path = tmp_path / "traj.xyz"
+    path.write_text(plain)
+    want = load_trajectory(water, path)
+    path.write_text(re.sub(r"(?m)^frame \d+$", "c" * 300000, plain))
     for got, expected in zip(_arrays(load_trajectory(water, path)), _arrays(want), strict=True):
         assert np.array_equal(got, expected)
 
