@@ -112,7 +112,9 @@ def build_modes(mol, rng=None):
     freqs = None
     if mol.mode_seed is None and mol.hessian is not None:
         hessian = mol.hessian
-        if not np.allclose(hessian, hessian.T, atol=1e-8 * max(1.0, np.abs(hessian).max())):
+        # each pair within 1e-8 of the largest entry: allclose's default rtol allows 1e-5 of each
+        if not np.allclose(hessian, hessian.T, rtol=0.0,
+                           atol=1e-8 * max(1.0, np.abs(hessian).max())):
             raise ValueError("hessian must be symmetric")
         inv_sqrt = np.repeat(1.0 / np.sqrt(mol.masses), 3)
         weighted = hessian * inv_sqrt[:, None] * inv_sqrt[None, :]

@@ -58,9 +58,6 @@ __all__ = [
 
 BOUNDARY_MASS_TOL = 1e-8
 
-# nodes left out at each end of a line grid by line_commutator_residual
-LINE_BOUNDARY_NODES = 8
-
 # chart step of angmom_op, the operator of the rotational dispersions
 ORIENTATION_STEP = 5e-3
 
@@ -218,8 +215,9 @@ def _relative(residual, scale, mask):
 def line_commutator_residual(psi, hbar=1.0, order=2):
     """Worst relative residual of [P, Q] psi + i hbar psi on a LineGrid.
 
-    P(Q psi) needs two derivative passes, so LINE_BOUNDARY_NODES nodes at
-    each end are excluded where the zero padding truncates the stencil.
+    P(Q psi) needs two derivative passes of the order-``order`` stencil,
+    which reach ``order`` nodes: those at each end are excluded, where the
+    zero padding truncates the stencil.
     """
     check_hbar(hbar)
     p_psi = momentum_op(psi, hbar=hbar, order=order)  # gates psi before any product with it
@@ -227,7 +225,7 @@ def line_commutator_residual(psi, hbar=1.0, order=2):
     qp = position_op(p_psi, component=0).amplitudes
     residual = pq - qp + 1j * hbar * psi.amplitudes
     mask = np.zeros(psi.grid.size, dtype=bool)
-    mask[LINE_BOUNDARY_NODES:-LINE_BOUNDARY_NODES] = True
+    mask[order:-order] = True
     return float(_relative(residual, hbar * float(np.abs(psi.amplitudes).max()), mask))
 
 

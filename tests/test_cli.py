@@ -148,6 +148,13 @@ class TestExitZero:
         assert report["n_frames"] == 3
         assert all(f["passed"] for f in report["frames"])
 
+    @pytest.mark.parametrize("points", [1000, 64])
+    def test_heisenberg_on_line_grid_edges(self, points, capsys):
+        # a size that is not a square, and the smallest: the plane-wave tables' edges
+        assert invoke("heisenberg", "--input", MOLECULE, "--seed", "3",
+                      "--grid-line", str(points)) == 0
+        assert capsys.readouterr().err == ""
+
 
 def _scaled_water(tmp_path, mass, length):
     """Water and its trajectory in other units: masses x mass, lengths x length.
@@ -212,10 +219,25 @@ class TestUnits:
 
 
 def _child_env():
-    """The environment of a child interpreter that imports this molrest."""
+    """The environment of a child interpreter that imports this molrest, and
+    raises every warning as an error, as the tests in this process do."""
     src = str(Path(molrest.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+
+
+def _frame_from_a_file_and_a_pipe(tmp_path, data):
+    """The exit code, stdout and stderr of ``frame`` in a child interpreter on the
+    trajectory ``data``, read from a file, then from a pipe, which cannot be read twice."""
+    path = tmp_path / "traj.xyz"
+    path.write_bytes(data)
+    runs = []
+    for trajectory, stdin in ((str(path), None), ("/dev/stdin", data)):
+        done = subprocess.run([sys.executable, "-m", "molrest.cli", "frame", "--input", MOLECULE,
+                               "--trajectory", trajectory],
+                              input=stdin, capture_output=True, env=_child_env(), timeout=10)
+        runs.append((done.returncode, done.stdout, done.stderr.decode()))
+    return runs
 
 
 def test_commands_need_numpy_only(tmp_path):
@@ -386,17 +408,16 @@ class TestInputErrors:
         assert "line" in capsys.readouterr().err
 
     def test_undecodable_byte_reads_the_same_from_a_pipe(self, tmp_path):
-        # past the first 64K chunk: a pipe cannot be read twice, and needs not be
+        # past the first 64K of the file
         data = bytearray((Path(TRAJECTORY).read_text() * 200).encode())
         data[70000] = 0xFF
-        path = tmp_path / "bad.xyz"
-        path.write_bytes(bytes(data))
-        want = "molrest: error: line 775: not UTF-8 text (byte 0xff)\n"
-        for trajectory, stdin in ((str(path), None), ("/dev/stdin", bytes(data))):
-            done = subprocess.run([sys.executable, "-m", "molrest.cli", "frame", "--input",
-                                   MOLECULE, "--trajectory", trajectory],
-                                  input=stdin, capture_output=True, env=_child_env())
-            assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", want)
+        want = (1, b"", "molrest: error: line 775: not UTF-8 text (byte 0xff)\n")
+        assert _frame_from_a_file_and_a_pipe(tmp_path, bytes(data)) == [want, want]
+
+    def test_20_mb_line_reads_the_same_from_a_pipe(self, tmp_path):
+        # 20 MB with no newline is one line, named well within the timeout
+        want = (1, b"", "molrest: error: line 1: expected a particle count\n")
+        assert _frame_from_a_file_and_a_pipe(tmp_path, b"1 " * 10485760) == [want, want]
 
     def test_undecodable_molecule_byte_is_invalid_json(self, tmp_path, capsys):
         data = bytearray(Path(MOLECULE).read_bytes())
@@ -419,23 +440,36 @@ class TestInputErrors:
         assert done.stderr.startswith("molrest: error: --output: ")
         assert "Traceback" not in done.stderr
 
-    @pytest.mark.parametrize("how", ["pipe", "closed"])
-    def test_closed_stdout_names_it(self, how):
+    @pytest.mark.parametrize("how", ["pipe", "closed", "head"])
+    def test_closed_stdout_names_it(self, how, tmp_path):
         # a pipe whose read end is closed, as under `| head -1` once head
-        # has exited, so every write fails; or no stdout at all, as `>&-`
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run([sys.executable, "-m", "molrest.cli", "frame", "--input", MOLECULE,
-                                   "--trajectory", TRAJECTORY, "--format", "csv"],
-                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  env=_child_env(),
-                                  preexec_fn=(lambda: os.close(1)) if how == "closed" else None)
-        finally:
-            os.close(write_end)
-        assert done.returncode == 1
-        assert done.stderr.startswith("molrest: error: stdout: ")
-        assert done.stderr.count("\n") == 1  # no traceback, no "Exception ignored" at exit
+        # has exited, so every write fails; no stdout at all, as `>&-`; or a
+        # reader that closes after the first line of a 3.8 MB report, as
+        # `| head -n 1` while molrest is still writing
+        trajectory = tmp_path / "traj.xyz"
+        trajectory.write_text(Path(TRAJECTORY).read_text() * (700 if how == "head" else 1))
+        args = [sys.executable, "-m", "molrest.cli", "frame", "--input", MOLECULE,
+                "--trajectory", str(trajectory), "--format", "csv"]
+        if how == "head":
+            with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=_child_env()) as proc:
+                assert proc.stdout.readline() == "command,frame\n"
+                proc.stdout.close()
+                stderr = proc.stderr.read()
+            returncode = proc.returncode
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            close = (lambda: os.close(1)) if how == "closed" else None
+            try:
+                done = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                      env=_child_env(), preexec_fn=close)
+            finally:
+                os.close(write_end)
+            returncode, stderr = done.returncode, done.stderr
+        assert returncode == 1
+        assert stderr.startswith("molrest: error: stdout: ")
+        assert stderr.count("\n") == 1  # no traceback, no "Exception ignored" at exit
 
     def test_stdout_without_descriptor_names_it(self, monkeypatch, capsys):
         class Failing(io.StringIO):  # no fileno(), and every write fails
@@ -452,7 +486,6 @@ class TestInputErrors:
         assert main(["validate", "--input", MOLECULE]) == 1
         assert capsys.readouterr().err == "molrest: error: stdout: closed\n"
 
-    @pytest.mark.filterwarnings("error")
     def test_hbar_past_the_phase_range_is_bad_input(self, capsys):
         # k x / hbar overflows in the line states' phase: exit 1 naming hbar, no numpy warning
         assert invoke("heisenberg", "--input", MOLECULE, "--hbar", "1e-308",
@@ -582,7 +615,6 @@ class TestCheckFailures:
             "molrest: check failed: dispersion out of float range")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["frame", "decompose"])
     def test_overflowing_eckart_scale_fails_the_frame(self, command, capsys):
         # water_traj.xyz with every coordinate x1e155: the scale sum M |R0| |R'|
@@ -868,7 +900,24 @@ class TestBlocks:
         assert capsys.readouterr().out == whole
         assert len(calls) == -(-12 // max(1, size // 5))
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row, edit, err", [
+        (None, None, ""),
+        (2, lambda r: "e" + r[2:],
+         "molrest: error: line 3: electron row among the first 3 (nuclei must come first)\n"),
+        (-1, lambda r: r.rsplit(" ", 1)[0],
+         "molrest: error: line 46200: expected 'species x y z px py pz' (7 fields)\n"),
+    ], ids=["whole", "line-3", "last-row"])
+    def test_past_four_blocks(self, tmp_path, capsys, row, edit, err):
+        # water_traj.xyz x2200: 6600 frames, 33000 particle rows in blocks of frames.BLOCK_ROWS
+        lines = (Path(TRAJECTORY).read_text() * 2200).splitlines()
+        assert 5 * len(lines) // 7 > 4 * frames.BLOCK_ROWS
+        if row is not None:
+            lines[row] = edit(lines[row])
+        path = tmp_path / "traj.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        code = invoke("frame", "--input", MOLECULE, "--trajectory", str(path), "--format", "csv")
+        assert (code, capsys.readouterr().err) == (1 if err else 0, err)
+
     @pytest.mark.parametrize("command", ["frame", "decompose"])
     @pytest.mark.parametrize("singular_at, eckart_at, message", [
         (None, 2, "orientation solve failed at frame 2: its scale sum M |R0| |R'| overflowed"),
@@ -899,7 +948,6 @@ class TestBlocks:
         assert invoke(*args) == 2
         assert capsys.readouterr() == whole
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["frame", "decompose"])
     @pytest.mark.parametrize("place, n_frames", [(0, 1), (2, 6)], ids=["alone", "frame-2"])
     def test_overflowing_center_of_mass_names_the_frame(self, tmp_path, monkeypatch, capsys,

@@ -97,7 +97,6 @@ def test_com_split_validates_shapes(penta):
         com_split(penta, cfg)
 
 
-@pytest.mark.filterwarnings("error")
 def test_com_split_names_the_first_frame_past_the_float_range(water):
     # finite inputs: frame 1's center of mass overflows; frame 2's is finite,
     # but nucleus 1's position relative to it is not
@@ -203,7 +202,6 @@ def test_solve_eckart_rejects_misshapen_positions(water, shape):
         solve_eckart(water, np.ones(shape))
 
 
-@pytest.mark.filterwarnings("error")
 def test_solve_eckart_fails_a_frame_whose_scale_overflows(water):
     # past 1.3e154 a squared length, and so the scale sum M |R0| |R'|, is
     # inf, and residual / scale would read a perfect 0
@@ -889,7 +887,6 @@ def test_truncated_final_frame(tmp_path, monkeypatch, water, size, frames_before
 
 
 @pytest.mark.parametrize("name", BLOCKS)
-@pytest.mark.filterwarnings("error")
 def test_configuration_rejects_complex_blocks(name):
     blocks = {b: np.zeros((2, 3)) for b in BLOCKS}
     blocks[name] = blocks[name] + 1e-3j
@@ -912,7 +909,6 @@ def test_configuration_rejects_malformed_blocks(block, value, message):
         Configuration(**blocks)
 
 
-@pytest.mark.filterwarnings("error")
 def test_inertia_gate_holds_at_extreme_amplitudes(water):
     # At x1e300 the spectrum is finite but MAX_INERTIA_COND times its
     # smallest eigenvalue is not; at x1.7e308 the amplitudes, and I(Q), are

@@ -16,6 +16,7 @@ from molrest.lie_so3 import (
     log_map,
     quaternion_to_matrix,
     quaternion_to_vector,
+    relative,
     skew,
     unit_quaternion,
     vee,
@@ -92,6 +93,23 @@ def test_exp_map_rejects_bad_input():
         exp_map(np.zeros(4))
     with pytest.raises(ValueError):
         exp_map(np.array([np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("excess, inside", [(5e-11, True), (2e-10, False)])
+def test_ball_edge(excess, inside):
+    # the canonical ball reaches pi + 1e-10, a margin for the round-off of |omega|
+    omega = (np.pi + excess) * np.array([1.0, 2.0, 2.0]) / 3.0
+    if inside:
+        assert exp_map(omega).shape == (3, 3)
+    else:
+        with pytest.raises(ValueError, match="outside the canonical ball"):
+            exp_map(omega)
+
+
+def test_relative_floors_the_scale_at_1e_300():
+    # a scale above the floor divides as given, one below it is read as 1e-300
+    assert relative(1e-299, 1e-299) == 1.0
+    assert relative(1e-299, 1e-301) == 10.0
 
 
 def test_stacks_name_the_first_bad_vector():

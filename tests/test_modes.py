@@ -1,10 +1,11 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from molrest.errors import CollinearGeometryError
-from molrest.molecule import Molecule, prepare_equilibrium
+from molrest.molecule import Molecule, load_molecule, prepare_equilibrium
 from molrest.modes import ModeBasis, build_modes, external_subspace, verify_eckart
 
 
@@ -90,6 +91,19 @@ def test_build_modes_rejects_rank_deficient_candidate(water):
         build_modes(replace(water, mode_seed=cand))
 
 
+@pytest.mark.parametrize("scale, deficient", [(5e-11, True), (2e-10, False)])
+def test_candidate_rank_gate_edge(water, scale, deficient):
+    # orthonormal internal candidates, the last scaled: the R factor's diagonal
+    # ratio is scale, either side of the gate at 1e-10
+    cols = np.transpose(build_modes(water, rng=0).x, (0, 2, 1)).reshape(9, 3)
+    seeded = replace(water, mode_seed=cols * [1.0, 1.0, scale])
+    if deficient:
+        with pytest.raises(ValueError, match="rank-deficient"):
+            build_modes(seeded)
+    else:
+        assert build_modes(seeded).n_modes == 3
+
+
 def test_build_modes_rejects_bad_seed_shape(water):
     with pytest.raises(ValueError):
         build_modes(replace(water, mode_seed=np.zeros((9, 5))))
@@ -125,6 +139,20 @@ def test_build_modes_rejects_asymmetric_hessian(water):
     h = np.arange(81, dtype=float).reshape(9, 9)
     with pytest.raises(ValueError):
         build_modes(replace(water, hessian=h))
+
+
+@pytest.mark.parametrize("factor, symmetric", [(0.5, True), (2.0, False)])
+def test_hessian_symmetry_gate_edge(factor, symmetric):
+    # water.json's entry (1, 4), -4.13, raised by factor times the gate 1e-8 max|H|:
+    # a relative tolerance of 1e-5 on it would accept 250 times the gate
+    mol = prepare_equilibrium(load_molecule(Path(__file__).parent / "data" / "water.json"))
+    hessian = mol.hessian.copy()
+    hessian[1, 4] += factor * 1e-8 * np.abs(hessian).max()
+    if symmetric:
+        assert build_modes(replace(mol, hessian=hessian)).frequencies is not None
+    else:
+        with pytest.raises(ValueError, match="^hessian must be symmetric$"):
+            build_modes(replace(mol, hessian=hessian))
 
 
 def test_build_modes_uses_molecule_payload(water):

