@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EckartViolationError
+from .gates import INERTIA_SYMMETRY, MAX_INERTIA_COND
 from .lie_so3 import cross_sum
 from .modes import verify_eckart
 from .molecule import equilibrium_inertia
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 
-# Largest condition number of I(Q) that ``extract_internal`` still inverts.
-MAX_INERTIA_COND = 1e12
-
-
 @dataclass(frozen=True)
 class InertiaModel:
     """Equilibrium inertia i0 and per-mode coupling tensors i_alpha."""
@@ -51,7 +48,7 @@ class InertiaModel:
     i_alpha: np.ndarray  # (K, 3, 3)
 
 
-def build_inertia(mol, basis, symmetry_tol=1e-10):
+def build_inertia(mol, basis, symmetry_tol=INERTIA_SYMMETRY):
     """Assemble the InertiaModel for a molecule and mode basis.
 
     Raises ``EckartViolationError`` when the basis violates the
@@ -81,7 +78,7 @@ def inertia_at(model, q):
     ``q`` is (K,) for one frame or (T, K) for a stack, giving (3, 3) or
     (T, 3, 3).  The spectrum is not checked here: ``extract_internal``,
     the one caller that inverts I(Q), gates it against
-    ``MAX_INERTIA_COND``.
+    ``gates.MAX_INERTIA_COND``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     k = model.i_alpha.shape[0]

@@ -44,6 +44,8 @@ from .errors import (
 )
 from .frames import (BLOCKS, Configuration, analyze, frames_per_block, load_trajectory,
                      reconstruct)
+from .gates import (ANGVEL_TOL, BODY_TOL, CHART_TOL, LINE_CANONICAL_TOL, TOL_ECKART, TOL_QUAD,
+                    TOL_ROUNDTRIP)
 from .lie_so3 import component_length, relative
 from .modes import build_modes, verify_eckart
 from .molecule import equilibrium_inertia, load_molecule, prepare_equilibrium
@@ -65,18 +67,9 @@ __all__ = ["RunConfig", "Table", "parse_args", "run", "main"]
 
 COMMANDS = ("validate", "modes", "frame", "decompose", "heisenberg", "commutators")
 
-# residual ceilings for the commutator table; the canonical line check
-# runs the 2nd-order stencil so its measured convergence order is
-# meaningful, the orientation checks their fixed 4th-order one
-LINE_CANONICAL_TOL = 1e-6
-CHART_TOL = 1e-5
-BODY_TOL = 1e-5
-ANGVEL_TOL = 1e-4
-
-# fixed policy, no flags: the reconstruction and decomposition gate is an
-# internal consistency check, and the line grid always spans
-# [-LINE_EXTENT, LINE_EXTENT]
-TOL_ROUNDTRIP = 1e-9
+# fixed policy, no flags: the commutator ceilings and the reconstruction and
+# decomposition gate (``gates.TOL_ROUNDTRIP``) are internal consistency
+# checks, and the line grid always spans [-LINE_EXTENT, LINE_EXTENT]
 LINE_EXTENT = 10.0
 
 
@@ -89,8 +82,8 @@ class RunConfig:
     trajectory_path: str = None
     output_path: str = None
     format: str = "json"
-    tol_eckart: float = 1e-10
-    tol_quad: float = 1e-6
+    tol_eckart: float = TOL_ECKART
+    tol_quad: float = TOL_QUAD
     grid_line: int = 16384
     grid_theta: int = 64
     grid_dirs: int = 128

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .angmom import (MAX_INERTIA_COND, build_inertia, deformation_angmom, inertia_at, mode_sum,
-                     relative_angmom)
+from .angmom import build_inertia, deformation_angmom, inertia_at, mode_sum, relative_angmom
 from .errors import EckartSolveError, SchemaError, SingularInertiaError
+from .gates import ECKART_GAP, ECKART_RESIDUAL, MAX_INERTIA_COND
 from .lie_so3 import (component_length, cross, cross_sum, first_failure, quaternion_form,
                       quaternion_to_matrix, quaternion_to_vector, relative)
 
@@ -218,10 +218,11 @@ def solve_eckart(mol, positions):
     positions : (N, 3) or (T, N, 3) relative nuclear positions.
 
     Returns an ``EckartFrame``; ``degenerate`` is set when the top
-    eigenvalue is (nearly) repeated, its gap below 1e-9 of the top
-    eigenvalue, and the orientation is arbitrary within the degenerate
-    subspace.  Raises ``EckartSolveError`` naming the first frame whose
-    scale overflows or whose residual exceeds 1e-8 of its scale.
+    eigenvalue is (nearly) repeated, its gap below ``gates.ECKART_GAP``
+    of the top eigenvalue, and the orientation is arbitrary within the
+    degenerate subspace.  Raises ``EckartSolveError`` naming the first
+    frame whose scale overflows or whose residual exceeds
+    ``gates.ECKART_RESIDUAL`` of its scale.
     """
     if not mol.prepared:
         raise ValueError("solve_eckart requires a prepared molecule")
@@ -247,14 +248,16 @@ def solve_eckart(mol, positions):
         raise EckartSolveError(f"orientation solve failed at frame {first_failure(overflow)[0]}: "
                                "its scale sum M |R0| |R'| overflowed")
     frame = EckartFrame(rotation=rotation, orientation=quaternion_to_vector(quaternion),
-                        residual=residual, scale=scale, degenerate=(gap < 1e-9)[()])
+                        residual=residual, scale=scale, degenerate=(gap < ECKART_GAP)[()])
     rel = frame.relative_residual
-    failed = ~(rel <= 1e-8)  # a residual that is not finite fails too
+    failed = ~(rel <= ECKART_RESIDUAL)  # a residual that is not finite fails too
     if failed.any():
         i, (res, sc, r) = first_failure(failed, frame.residual, frame.scale, rel)
+        # the gate as gates.py writes it, its exponent not zero-padded
+        ceiling = np.format_float_scientific(ECKART_RESIDUAL, trim="-", exp_digits=1)
         raise EckartSolveError(
             f"orientation solve failed at frame {i}: residual {res:.3e} for scale {sc:.3e} "
-            f"(relative {r:.3e} > 1e-8)"
+            f"(relative {r:.3e} > {ceiling})"
         )
     return frame
 
@@ -298,7 +301,7 @@ def extract_internal(mol, basis, frame, rest):
 
     Raises ``SingularInertiaError``, naming the first such frame, when
     the instantaneous inertia is not finite, not positive-definite, or
-    has a condition number above ``MAX_INERTIA_COND``.
+    has a condition number above ``gates.MAX_INERTIA_COND``.
     """
     _check_config(mol, rest)
     sqrt_m = np.sqrt(mol.masses)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
+from .gates import BALL_EDGE, EPS_BOUNDARY, ORTHOGONALITY, RELATIVE_FLOOR, THETA_FLOOR
 
 __all__ = [
     "EPS_BOUNDARY",
@@ -62,9 +63,6 @@ __all__ = [
 # lose 1e-9 or more to cancellation (1 - cos, theta - sin).
 SERIES_SWITCH = 1e-3
 
-# Frame field is singular on the sphere ||omega|| = pi; reject a layer near it.
-EPS_BOUNDARY = 1e-6
-
 
 def skew(v):
     """Cross-product matrix: skew(v) @ x == cross(v, x).
@@ -90,7 +88,8 @@ def vee(a):
 
 
 def _check_omega(omega):
-    """Validated (..., 3) rotation vectors and their angles."""
+    """Validated (..., 3) rotation vectors and their angles: finite, and no longer
+    than pi + ``gates.BALL_EDGE``, the canonical ball."""
     omega = np.asarray(omega, dtype=float)
     if omega.ndim < 1 or omega.shape[-1] != 3:
         raise ValueError(f"orientation vector must have shape (..., 3), got {omega.shape}")
@@ -98,7 +97,7 @@ def _check_omega(omega):
     if infinite.any():
         raise ValueError("orientation vector has non-finite entries" + _where(infinite))
     theta = component_length(omega)
-    outside = theta > np.pi + 1e-10
+    outside = theta > np.pi + BALL_EDGE
     if outside.any():
         _, (first,) = first_failure(outside, theta)
         raise ValueError(f"orientation vector norm {first:.6f} outside the canonical ball"
@@ -156,11 +155,12 @@ def _where(bad):
 
 
 def _check_rotation(r):
+    """(..., 3, 3) rotations: R^T R within ``gates.ORTHOGONALITY`` of 1, det R > 0."""
     r = np.asarray(r, dtype=float)
     if r.ndim < 2 or r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must have shape (..., 3, 3), got {r.shape}")
     gram = np.swapaxes(r, -1, -2) @ r
-    skewed = ~np.isclose(gram, np.eye(3), rtol=0.0, atol=1e-8).all(axis=(-2, -1))
+    skewed = ~np.isclose(gram, np.eye(3), rtol=0.0, atol=ORTHOGONALITY).all(axis=(-2, -1))
     if skewed.any():
         raise ValueError("matrix is not orthogonal" + _where(skewed))
     improper = np.linalg.det(r) < 0.0
@@ -200,9 +200,9 @@ def cross_sum(a, b):
 
 
 def relative(residual, scale):
-    """residual / scale, the scale floored at 1e-300: every Eckart condition is
-    |sum w a o b| / sum w |a| |b|, a ratio free of the units of mass and length."""
-    return residual / np.maximum(scale, 1e-300)
+    """residual / scale, the scale floored at ``gates.RELATIVE_FLOOR``: every Eckart condition
+    is |sum w a o b| / sum w |a| |b|, a ratio free of the units of mass and length."""
+    return residual / np.maximum(scale, RELATIVE_FLOOR)
 
 
 def log_map(r):
@@ -259,7 +259,7 @@ def killing_frame(omega):
     Raises
     ------
     GridError
-        If ``||omega|| >= pi - EPS_BOUNDARY``, where the frame field is
+        If ``||omega|| >= pi - gates.EPS_BOUNDARY``, where the frame field is
         (nearly) singular, naming the first such index of a stack.
     """
     omega, theta = _check_omega(omega)
@@ -286,7 +286,8 @@ def _quaternion_parts(omega):
     omega = np.asarray(omega, dtype=float)
     theta = component_length(omega)
     half = 0.5 * theta
-    scale = np.divide(np.sin(half), theta, out=np.full_like(theta, 0.5), where=theta >= 1e-12)
+    scale = np.divide(np.sin(half), theta, out=np.full_like(theta, 0.5),
+                      where=theta >= THETA_FLOOR)
     return np.cos(half), omega * scale[..., None]
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearGeometryError
+from .gates import COLLINEAR_RTOL, HESSIAN_SYMMETRY, RANK_RATIO
 from .lie_so3 import component_length, cross, cross_sum, relative
-from .molecule import _COLLINEAR_RTOL, equilibrium_inertia, fix_column_signs
+from .molecule import equilibrium_inertia, fix_column_signs
 
 __all__ = ["ModeBasis", "EckartResiduals", "external_subspace", "build_modes", "verify_eckart"]
 
@@ -75,7 +76,7 @@ def external_subspace(mol):
     if not mol.prepared:
         raise ValueError("a prepared molecule is required (run prepare_equilibrium)")
     moments = np.diag(equilibrium_inertia(mol))
-    if relative(np.min(moments), np.max(moments)) <= _COLLINEAR_RTOL:
+    if relative(np.min(moments), np.max(moments)) <= COLLINEAR_RTOL:
         raise CollinearGeometryError("rotational directions degenerate: collinear geometry")
     sqrt_m = np.sqrt(mol.masses)[:, None]
     cols = np.zeros((3 * mol.n_nuclei, 6))
@@ -112,9 +113,9 @@ def build_modes(mol, rng=None):
     freqs = None
     if mol.mode_seed is None and mol.hessian is not None:
         hessian = mol.hessian
-        # each pair within 1e-8 of the largest entry: allclose's default rtol allows 1e-5 of each
+        # each pair within the gate times the largest entry: allclose's default rtol allows 1e-5
         if not np.allclose(hessian, hessian.T, rtol=0.0,
-                           atol=1e-8 * max(1.0, np.abs(hessian).max())):
+                           atol=HESSIAN_SYMMETRY * max(1.0, np.abs(hessian).max())):
             raise ValueError("hessian must be symmetric")
         inv_sqrt = np.repeat(1.0 / np.sqrt(mol.masses), 3)
         weighted = hessian * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -127,7 +128,7 @@ def build_modes(mol, rng=None):
             candidate = gen.normal(size=internal.shape)
         turn, r = np.linalg.qr(internal.T @ candidate)
         diag = np.abs(np.diag(r))
-        if relative(diag.min(), diag.max()) <= 1e-10:
+        if relative(diag.min(), diag.max()) <= RANK_RATIO:
             raise ValueError("candidate directions are rank-deficient after projection")
 
     cols = fix_column_signs(internal @ turn)

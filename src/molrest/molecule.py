@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CollinearGeometryError, SchemaError, positive_finite
+from .gates import COINCIDENT_NUCLEI, COLLINEAR_RTOL
 from .lie_so3 import component_length, cross
 
 __all__ = [
@@ -23,10 +24,6 @@ __all__ = [
     "prepare_equilibrium",
     "equilibrium_inertia",
 ]
-
-# Relative floor on the second planar moment below which the geometry is
-# treated as collinear (3N-6 internal coordinates assume a non-linear frame).
-_COLLINEAR_RTOL = 1e-10
 
 # Largest electrons.count an input may give.  heisenberg reports a row
 # for each of the (3 * count)^2 pairs of electronic line states; it takes
@@ -91,11 +88,15 @@ class Molecule:
             seed = np.asarray(self.mode_seed, dtype=float)
             if seed.shape != (n3, n3 - 6):
                 raise ValueError(f"mode_seed must have shape ({n3}, {n3 - 6})")
+            if not np.all(np.isfinite(seed)):
+                raise ValueError("mode_seed must be finite")
             object.__setattr__(self, "mode_seed", seed)
         if self.hessian is not None:
             hess = np.asarray(self.hessian, dtype=float)
             if hess.shape != (n3, n3):
                 raise ValueError(f"hessian must have shape ({n3}, {n3})")
+            if not np.all(np.isfinite(hess)):
+                raise ValueError("hessian must be finite")
             object.__setattr__(self, "hessian", hess)
 
     @property
@@ -130,7 +131,7 @@ def _principal_axes(masses, centered):
     evals = evals[order]
     vecs = vecs[:, order]
     scale = max(evals[0], 0.0)
-    if scale <= 0.0 or evals[1] <= _COLLINEAR_RTOL * scale:
+    if scale <= 0.0 or evals[1] <= COLLINEAR_RTOL * scale:
         raise CollinearGeometryError(
             "equilibrium geometry is collinear; a non-linear reference is required"
         )
@@ -150,9 +151,9 @@ def prepare_equilibrium(mol):
 
     Returns a new prepared ``Molecule``.  Raises
     ``CollinearGeometryError`` for collinear or coincident-nucleus
-    geometries (coincident: closer than 1e-9 of the extent, in any
-    units), ``ValueError`` for fewer than 3 nuclei or an extent whose
-    square overflows.
+    geometries (coincident: within ``gates.COINCIDENT_NUCLEI`` of the
+    extent, in any units), ``ValueError`` for fewer than 3 nuclei or an
+    extent whose square overflows.
     """
     if mol.n_nuclei < 3:
         raise ValueError("preparation requires at least 3 nuclei")
@@ -164,7 +165,7 @@ def prepare_equilibrium(mol):
     diffs = pos[:, None, :] - pos[None, :, :]
     dist = component_length(diffs)
     np.fill_diagonal(dist, np.inf)
-    if np.min(dist) <= 1e-9 * extent:
+    if np.min(dist) <= COINCIDENT_NUCLEI * extent:
         raise CollinearGeometryError("coincident nuclei in the equilibrium geometry")
 
     com = mol.masses @ pos / mol.masses.sum()

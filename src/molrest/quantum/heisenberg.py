@@ -25,16 +25,17 @@ allocates once.  The rotational branch makes one call of ``angmom_op``
 per state, whose single stencil sweep yields all three chart components
 (12 profile evaluations per state).  Every variance, ``dispersion``'s
 included, goes through one gate, ``_settle``: a negative <A^2> or a
-variance below -1e-12 is a quadrature failure, then a variance outside
-the float range a range failure.
+variance below -``gates.QUADRATURE_CLAMP`` is a quadrature failure, then
+a variance outside the float range a range failure.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
 meaningful for states concentrated away from the chart seam: when the
-boundary mass of a state reaches 1e-8 its records' satisfied field is
-None (indeterminate) rather than a verdict; ``angmom_op`` itself has no
-seam gate.  Its chart components are Haar-symmetrized, so the operator
-is hermitian under the weighted quadrature.
+boundary mass of a state reaches ``gates.BOUNDARY_MASS_TOL`` its
+records' satisfied field is None (indeterminate) rather than a
+verdict; ``angmom_op`` itself has no seam gate.  Its chart components
+are Haar-symmetrized, so the operator is hermitian under the weighted
+quadrature.
 """
 
 import math
@@ -42,9 +43,9 @@ import math
 import numpy as np
 
 from ..errors import GridError, positive_finite
+from ..gates import BOUNDARY_MASS_TOL, NORMALIZATION, QUADRATURE_CLAMP, TOL_QUAD
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar
-from .operators import (BOUNDARY_MASS_TOL, angmom_op, central_difference, check_decay,
-                        position_op)
+from .operators import angmom_op, central_difference, check_decay, position_op
 
 __all__ = ["dispersion", "heisenberg_suite"]
 
@@ -53,20 +54,20 @@ def dispersion(psi, a_psi):
     """sqrt(<A^2> - <A>^2) for a normalized state psi, given a_psi = A psi.
 
     a_psi is a GridWavefunction on psi's grid.  Variances inside
-    [-1e-12, 0) are clamped to zero (quadrature rounding); a negative
-    <A^2> or a more negative variance signals a broken quadrature and
-    raises, as does a variance beyond the float range or an <A^2> that
-    underflows it while A psi is nonzero.
+    [-``gates.QUADRATURE_CLAMP``, 0) are clamped to zero (quadrature
+    rounding); a negative <A^2> or a more negative variance signals a
+    broken quadrature and raises, as does a variance beyond the float
+    range or an <A^2> that underflows it while A psi is nonzero.
     """
     _check_normalized(psi)
     return _spread(psi, a_psi)
 
 
 def _check_normalized(psi):
-    """Raise GridError unless psi's norm is 1 within 1e-8."""
+    """Raise GridError unless psi's norm is 1 within ``gates.NORMALIZATION``."""
     with np.errstate(over="ignore"):  # a norm past the float range fails below
         norm = psi.norm()
-    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
+    if not abs(norm - 1.0) <= NORMALIZATION:  # a NaN norm fails too
         raise GridError(f"dispersion needs a normalized state, got norm {norm!r}")
 
 
@@ -86,17 +87,17 @@ def _settle(second, mean, nonzero, scale=1.0):
     <A^2> = scale * second and |<A>|^2 = scale * |mean|^2; the variance is
     scale * (second - |mean|^2), so a common factor of A costs one
     rounding, not one per term.  A negative <A^2> or a variance below
-    -1e-12 is a quadrature failure; then a variance beyond the float
-    range, or an <A^2> below it while A psi is nonzero, is a range
-    failure.  ``nonzero()`` says whether A psi has a nonzero amplitude;
-    it runs only when <A^2> is below the range.
+    -``gates.QUADRATURE_CLAMP`` is a quadrature failure; then a variance
+    beyond the float range, or an <A^2> below it while A psi is nonzero,
+    is a range failure.  ``nonzero()`` says whether A psi has a nonzero
+    amplitude; it runs only when <A^2> is below the range.
     """
     try:  # float ** raises where float * would give inf
         variance = scale * (second - (mean.real**2 + mean.imag**2))
     except OverflowError:
         variance = math.inf
     second *= scale
-    if second < 0.0 or variance < -1e-12:
+    if second < 0.0 or variance < -QUADRATURE_CLAMP:
         raise GridError(f"quadrature failure: variance {variance:.3e}")
     if not math.isfinite(variance) or (second < np.finfo(float).tiny and nonzero()):
         raise GridError(f"dispersion out of float range: <A^2> = {second:.3e}")
@@ -229,11 +230,11 @@ def heisenberg_suite(psi_set, kind, hbar=1.0, tolerance=None):
     dispersions are taken as it arrives and it is released before the
     next is drawn, so a generator keeps one line state alive at once.
     hbar and tolerance must be positive and finite; tolerance defaults
-    to the quadrature allowance 1e-6 * hbar.
+    to the quadrature allowance ``gates.TOL_QUAD`` * hbar.
     """
     check_hbar(hbar)
     if tolerance is None:
-        tolerance = 1e-6 * hbar
+        tolerance = TOL_QUAD * hbar
     if not positive_finite(tolerance):
         raise GridError(f"tolerance must be positive and finite, got {tolerance!r}")
     half = 0.5 * hbar

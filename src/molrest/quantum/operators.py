@@ -41,6 +41,7 @@ import math
 import numpy as np
 
 from ..errors import BoundaryMassError, GridError, SingularInertiaError
+from ..gates import BOUNDARY_MASS_TOL, EDGE_DECAY, I0_SYMMETRY
 from ..lie_so3 import frame_fields, log_density_gradient
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar, wrap_to_ball
 
@@ -55,8 +56,6 @@ __all__ = [
     "body_commutator_residuals",
     "angvel_commutator_check",
 ]
-
-BOUNDARY_MASS_TOL = 1e-8
 
 # chart step of angmom_op, the operator of the rotational dispersions
 ORIENTATION_STEP = 5e-3
@@ -84,8 +83,8 @@ def position_op(psi, component=0):
 
 def check_decay(rho, amp):
     """Raise BoundaryMassError unless rho = |psi|^2 at the two outermost nodes
-    on each end of a line is below 1e-16 of its peak (|psi| below 1e-8 of
-    its peak), where the stencils' zero padding would corrupt a derivative.
+    on each end of a line is at most ``gates.EDGE_DECAY`` of its peak, where
+    the stencils' zero padding would corrupt a derivative.
 
     GridError first if the peak is not finite, naming the cause: a NaN or
     inf among the amplitudes ``amp``, or finite ones whose |psi|^2 is past
@@ -97,7 +96,7 @@ def check_decay(rho, amp):
             raise GridError(f"|psi|^2 past the float range: max |psi| = {np.abs(amp).max():.3e}")
         raise GridError(f"non-finite amplitudes: peak |psi|^2 = {peak!r}")
     edge = float(max(rho[:2].max(), rho[-2:].max()))
-    if peak == 0.0 or not edge <= 1e-16 * peak:
+    if peak == 0.0 or not edge <= EDGE_DECAY * peak:
         raise BoundaryMassError(
             f"insufficient decay at grid ends: edge/peak = "
             f"{math.sqrt(edge / peak) if peak else math.inf:.3e}"
@@ -139,9 +138,10 @@ def momentum_op(psi, hbar=1.0, order=4):
     dispersions (``heisenberg.heisenberg_suite`` takes it through
     ``central_difference`` without forming P psi); 2
     ``line_commutator_residual``, whose convergence order is measured.
-    The stencil assumes the state vanishes beyond the grid; amplitudes at
-    the two outermost nodes on each end must be below 1e-8 of the peak
-    (``check_decay``) or the zero padding would corrupt the derivative.
+    The stencil assumes the state vanishes beyond the grid; |psi|^2 at
+    the two outermost nodes on each end must be at most
+    ``gates.EDGE_DECAY`` of its peak (``check_decay``) or the zero padding
+    would corrupt the derivative.
     """
     check_hbar(hbar)
     if not isinstance(psi.grid, LineGrid):
@@ -238,15 +238,19 @@ def commutator_residuals(psi, i0, hbar=1.0):
                   the body field (rigid-rotor angular velocity Omega = I0^-1 L).
     Entries are worst residuals off the grid's seam shells relative to
     hbar * max|psi|: on the seam the wrapped coordinate jumps by 2 pi even
-    when the state is smooth.  A state with a NaN or inf amplitude raises
-    GridError; one whose seam mass reaches BOUNDARY_MASS_TOL raises
-    BoundaryMassError.
+    when the state is smooth.  An i0 that is not a finite, symmetric (to
+    ``gates.I0_SYMMETRY``), positive-definite 3x3 matrix raises
+    SingularInertiaError; a state with a NaN or inf amplitude raises
+    GridError; one whose seam mass reaches ``gates.BOUNDARY_MASS_TOL``
+    raises BoundaryMassError.
     """
     check_hbar(hbar)
     i0 = np.asarray(i0, dtype=float)
     if i0.shape != (3, 3):
         raise SingularInertiaError("equilibrium inertia must be a 3x3 matrix")
-    if np.abs(i0 - i0.T).max() > 1e-12 * np.abs(i0).max():
+    if not np.isfinite(i0).all():
+        raise SingularInertiaError(f"equilibrium inertia not finite: {i0.tolist()}")
+    if np.abs(i0 - i0.T).max() > I0_SYMMETRY * np.abs(i0).max():
         raise SingularInertiaError(f"equilibrium inertia not symmetric: {i0.tolist()}")
     eigs = np.linalg.eigvalsh(i0)
     if eigs.min() <= 0.0 or not np.all(np.isfinite(eigs)):

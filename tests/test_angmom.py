@@ -45,6 +45,28 @@ def test_broken_basis_fails_symmetry_assertion(water):
     assert err.value.residual > 1e-3
 
 
+@pytest.mark.parametrize("factor, violates", [(0.5, False), (2.0, True)])
+def test_rotational_sum_rule_gate_edge(water, factor, violates):
+    # mode 0 tilted toward a rotation until its relative rotation residual is
+    # factor times build_inertia's default ceiling, 1e-10
+    basis = build_modes(water, rng=2)
+    rot_dir = np.sqrt(water.masses)[:, None] * np.cross([0.0, 0.0, 1.0], water.positions)
+
+    def tilted(eps):
+        x = basis.x.copy()
+        x[:, 0, :] += eps * rot_dir
+        return ModeBasis(x=x, x_dual=basis.x_dual)
+
+    per_eps = verify_eckart(water, tilted(1e-6)).rotation / 1e-6
+    broken = tilted(factor * 1e-10 / per_eps)
+    assert abs(verify_eckart(water, broken).rotation / (factor * 1e-10) - 1.0) <= 1e-3
+    if violates:
+        with pytest.raises(EckartViolationError, match="violates the rotational sum rule"):
+            build_inertia(water, broken)
+    else:
+        assert build_inertia(water, broken).i_alpha.shape == (3, 3, 3)
+
+
 def test_violation_carries_the_relative_rotation_residual(penta):
     basis = build_modes(penta, rng=4)
     rng = np.random.default_rng(11)

@@ -106,6 +106,29 @@ def test_ball_edge(excess, inside):
             exp_map(omega)
 
 
+@pytest.mark.parametrize("margin, near", [(2e-6, False), (5e-7, True)])
+def test_killing_frame_seam_edge(margin, near):
+    # the frame field is refused within 1e-6 of the seam at pi
+    omega = (np.pi - margin) * np.array([0.0, 0.0, 1.0])
+    if near:
+        with pytest.raises(GridError, match="killing frame near-singular"):
+            killing_frame(omega)
+    else:
+        assert killing_frame(omega).n.shape == (3, 3)
+
+
+@pytest.mark.parametrize("offset, orthogonal", [(5e-9, True), (2e-8, False)])
+def test_log_map_gram_edge(offset, orthogonal):
+    # R^T R may be off the identity by 1e-8 per entry; a rotation scaled by
+    # 1 + offset/2 has R^T R = (1 + offset + offset^2/4) I
+    r = exp_map(np.array([0.3, -0.2, 0.5])) * (1.0 + 0.5 * offset)
+    if orthogonal:
+        assert np.allclose(log_map(r), [0.3, -0.2, 0.5], rtol=0.0, atol=1e-8)
+    else:
+        with pytest.raises(ValueError, match="not orthogonal"):
+            log_map(r)
+
+
 def test_relative_floors_the_scale_at_1e_300():
     # a scale above the floor divides as given, one below it is read as 1e-300
     assert relative(1e-299, 1e-299) == 1.0

@@ -40,6 +40,18 @@ def test_constructor_validation():
         Molecule(**good, hessian=np.eye(6))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mode_seed", "hessian"])
+def test_constructor_rejects_non_finite_seed_and_hessian(field, value):
+    # named as masses and positions are: past the constructor a NaN seed gives
+    # an all-NaN basis, and a NaN Hessian reads as an asymmetric one
+    shape = {"mode_seed": (9, 3), "hessian": (9, 9)}[field]
+    entries = np.ones(shape)
+    entries[4, 2] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        Molecule(masses=np.ones(3), positions=np.eye(3), **{field: entries})
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_constructor_rejects_bool_electron_count(flag):
     # load_molecule rejects a JSON true already; True is no count of one electron

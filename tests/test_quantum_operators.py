@@ -402,6 +402,18 @@ class TestAngvelCommutator:
         with pytest.raises(SingularInertiaError):
             angvel_commutator_check(i0, interior)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("check", [commutator_residuals,
+                                       lambda psi, i0: angvel_commutator_check(i0, psi)],
+                             ids=["residuals", "angvel"])
+    def test_non_finite_inertia_named(self, interior, check, value):
+        # named before the symmetry gate, whose inf - inf would warn, and before
+        # eigvalsh, which reads a NaN matrix as a wrong spectrum
+        i0 = np.diag([value, 1.0, 1.0])
+        with pytest.raises(SingularInertiaError,
+                           match=r"^equilibrium inertia not finite: \[\[(inf|nan), 0\.0"):
+            check(interior, i0)
+
     @pytest.mark.parametrize("factor, symmetric", [(0.5, True), (2.0, False)])
     def test_inertia_symmetry_gate_edge(self, interior, factor, symmetric):
         # one off-diagonal entry raised by factor times the gate, 1e-12 of the largest
