@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import GridError, positive_finite
-from ..lie_so3 import component_length
+from ..lie_so3 import component_length, log_density_gradient
 
 __all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "MAX_LINE_POINTS", "MAX_SHELLS",
            "MAX_DIRS", "LineGrid", "So3Grid", "GridWavefunction", "wrap_to_ball", "check_hbar"]
@@ -79,18 +79,24 @@ def check_hbar(hbar):
 
 
 def wrap_to_ball(points):
-    """Map axis-angle points with norm > pi through the antipode.
+    """Map axis-angle points with norm > pi into the ball, keeping their rotation.
 
-    omega and omega (1 - 2 pi/||omega||) represent the same rotation;
-    the image has norm 2 pi - ||omega||.  Used when finite-difference
-    stencils poke outside the canonical ball.
+    omega and omega (1 - 2 pi k/||omega||) represent the same rotation for
+    every integer k.  Below 3 pi, k = 1 (the antipode) and the image has
+    norm |2 pi - ||omega|| |.  From 3 pi on, k is the integer nearest
+    ||omega|| / 2 pi, which leaves a norm of at most pi.  Non-finite
+    points pass through unchanged.  Used when finite-difference stencils
+    poke outside the canonical ball.
     """
     points = np.asarray(points, dtype=float)
     norms = component_length(points)
     outside = norms > np.pi
     if np.any(outside):
         points = points.copy()
-        factor = 1.0 - 2.0 * np.pi / norms[outside]
+        norms = norms[outside]
+        turns = np.where((norms >= 3 * np.pi) & (norms < math.inf),
+                         np.rint(norms / (2.0 * np.pi)), 1.0)
+        factor = 1.0 - 2.0 * np.pi * turns / norms
         points[outside] = points[outside] * factor[..., None]
     return points
 
@@ -158,10 +164,34 @@ class So3Grid:
         return self.nodes.shape[0]
 
     @cached_property
+    def node_angles(self):
+        """(K,) rotation angles ||omega|| of the nodes, ``component_length(nodes)``."""
+        return component_length(self.nodes)
+
+    @cached_property
+    def log_density_gradient(self):
+        """(K, 3) gradient d_j ln rho of the Haar density at the nodes
+        (``lie_so3.log_density_gradient``): the drift of ``angmom_op``."""
+        return log_density_gradient(self.nodes)
+
+    @cached_property
     def seam_mask(self):
         """The two outermost rotation-angle shells, next to the chart seam at pi:
         ``boundary_mass`` weighs them and the commutator checks leave them out."""
-        return component_length(self.nodes) >= np.pi - 2 * self.radial_step
+        return self.node_angles >= np.pi - 2 * self.radial_step
+
+
+def _scaled(values, inverse):
+    """values / s as a new complex array, given inverse = 1 / s for a real s.
+
+    numpy divides a complex a by a real s with Smith's method at a zero
+    imaginary part: (a_r + a_i 0) (1 / s) and (a_i - a_r 0) (1 / s).  That
+    is each float of a times 1 / s, the product taken here on the float
+    view; at most the sign of an exactly zero part can differ.
+    """
+    values = np.asarray(values, dtype=complex)
+    return np.multiply(np.ascontiguousarray(values).reshape(-1).view(float),
+                       inverse).view(complex).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -200,7 +230,11 @@ class GridWavefunction:
     @classmethod
     def normalized(cls, grid, amplitudes, profile=None):
         """The state amplitudes / norm, with its profile (if any) scaled by the
-        same factor; GridError unless the norm is positive and finite."""
+        same factor; GridError unless the norm is positive and finite.
+
+        Both are scaled as ``_scaled`` does it: the float view times 1 / norm,
+        which is numpy's complex-by-real division without its complex steps.
+        """
         raw = cls(grid=grid, amplitudes=amplitudes)
         with np.errstate(over="ignore"):  # a norm past the float range fails below
             scale = raw.norm()
@@ -209,11 +243,12 @@ class GridWavefunction:
         if scale == math.inf:
             raise GridError("norm past the float range: max |psi| = "
                             f"{float(np.abs(raw.amplitudes).max())!r}")
+        inverse = 1.0 / scale
 
         def scaled(points):
-            return np.asarray(profile(points), dtype=complex) / scale
+            return _scaled(profile(points), inverse)
 
-        return cls(grid=grid, amplitudes=raw.amplitudes / scale,
+        return cls(grid=grid, amplitudes=_scaled(raw.amplitudes, inverse),
                    profile=None if profile is None else scaled)
 
     @classmethod

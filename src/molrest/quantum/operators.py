@@ -7,9 +7,11 @@ psi[i+2]) / 12h for the dispersions.  ``central_difference`` is the one
 copy of both numerators, with zeros beyond the grid ends, and
 ``check_decay`` the one edge-decay gate; ``momentum_op`` and the
 Heisenberg suite's line kernel share them.  Orientation-space operators
-differentiate the state's generating profile along chart directions,
-wrapping stencil points outside the axis-angle ball through the
-antipode.  D_j = -i hbar d/dw^j realizes n_(j)(w) . L; body components
+differentiate the state's generating profile along chart directions.  A
+stencil point lies within 2h of its node, so only the points of nodes
+with angle above pi - 3h can leave the axis-angle ball; those are passed
+through ``wrap_to_ball``, which maps a point outside back in with the
+same rotation.  D_j = -i hbar d/dw^j realizes n_(j)(w) . L; body components
 follow from the dual frame (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
 
 Every orientation derivative comes from one sweep, ``_chart_sweep``, at
@@ -42,7 +44,7 @@ import numpy as np
 
 from ..errors import BoundaryMassError, GridError, SingularInertiaError
 from ..gates import BOUNDARY_MASS_TOL, EDGE_DECAY, I0_SYMMETRY
-from ..lie_so3 import frame_fields, log_density_gradient
+from ..lie_so3 import frame_fields
 from .grids import GridWavefunction, LineGrid, So3Grid, check_hbar, wrap_to_ball
 
 __all__ = [
@@ -171,13 +173,20 @@ def _chart_sweep(psi, step, coordinates):
     psi has passed ``_check_chart_state``; step is the chart step, chosen
     by the caller.  coordinates=False gives None for d(w^k psi): only the
     commutator checks need it, and it is most of the sweep's memory.
+
+    A stencil point lies within 2 step of its node, so only the points of
+    nodes with angle above pi - 3 step can leave the ball: those alone go
+    through ``wrap_to_ball``, once per stencil point, and every other point
+    is the unwrapped node + off step e_j it would have returned.
     """
     nodes = psi.grid.nodes
+    near = np.flatnonzero(psi.grid.node_angles > np.pi - 3 * step)
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
     d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
     for j, unit in enumerate(np.eye(3)):
         for off, weight in _CHART_STENCIL:
-            pts = wrap_to_ball(nodes + (off * step) * unit)
+            pts = nodes + (off * step) * unit
+            pts[near] = wrap_to_ball(pts[near])
             vals = np.asarray(psi.profile(pts), dtype=complex)
             d_psi[j] += weight * vals
             if coordinates:
@@ -194,13 +203,14 @@ def angmom_op(psi, hbar=1.0):
     (n_(j)(w) . L) psi = -i hbar (d/dw^j + (1/2) d_j ln rho) psi, from one
     sweep at ORIENTATION_STEP.  The Haar drift (1/2) d_j ln rho makes each
     component hermitian under the weighted quadrature and cancels in
-    commutators with coordinate functions.  No seam gate: the dispersion
-    suite marks a state with seam mass indeterminate instead.
+    commutators with coordinate functions; d_j ln rho is the grid's
+    ``So3Grid.log_density_gradient``, formed once per grid.  No seam gate:
+    the dispersion suite marks a state with seam mass indeterminate instead.
     """
     check_hbar(hbar)
     _check_chart_state(psi)
     d_psi, _ = _chart_sweep(psi, ORIENTATION_STEP, False)
-    d_psi += 0.5 * log_density_gradient(psi.grid.nodes).T * psi.amplitudes
+    d_psi += 0.5 * psi.grid.log_density_gradient.T * psi.amplitudes
     return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None)
                  for a in -1j * hbar * d_psi)
 

@@ -73,7 +73,8 @@ def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
     a_i e^{i k_i x_{Ib}} from a coarse table times e^{i k_i (x_J - x_0)}
     from a fine one: about 2 sqrt(n) complex exponentials per term
     instead of n.  Each term's wave is formed in one buffer, scaled by its
-    envelope in place and added to the sum.
+    envelope in place and added to the sum; the first is formed in the sum
+    itself.
     """
     x = grid.points
     n = x.size
@@ -90,14 +91,15 @@ def _line_mixture(grid, centers, sigmas, wavenumbers, amps):
     # trimming and regrowing the heap for every state (minor faults of one seed-1 cluster
     # heisenberg run: 24.5k with two allocations, 7.7k with one)
     total, wave = np.empty((2, coarse.shape[1], b), dtype=complex)
-    total.fill(0.0)  # from +0, as np.sum starts
-    for coarse_i, fine_i, envelope_i in zip(coarse, fine, envelope):
-        np.multiply(coarse_i[:, None], fine_i, out=wave)
+    for i, (coarse_i, fine_i, envelope_i) in enumerate(zip(coarse, fine, envelope)):
+        term = wave if i else total  # the first term is the sum so far
+        np.multiply(coarse_i[:, None], fine_i, out=term)
         # the envelope is real: scale both parts rather than form a complex product
-        part = wave.reshape(-1)[:n]
+        part = term.reshape(-1)[:n]
         part.real *= envelope_i
         part.imag *= envelope_i
-        total += wave
+        if i:
+            total += wave
     return GridWavefunction.normalized(grid, total.reshape(-1)[:n])
 
 

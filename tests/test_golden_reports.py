@@ -54,6 +54,18 @@ whose ``analyze`` still took an inertia model:
 
 The frame CSV is also the report of ``water_traj.xyz`` with ``\\r\\n`` or
 lone ``\\r`` line ends.
+
+The two ``theta256`` references pin the quantum reports on a ball of
+256 shells x 32 directions.  It is the one CLI grid where the
+``angmom_op`` stencil at ``ORIENTATION_STEP`` leaves the ball: the 32
+nodes of its outer shell have stencil points past pi, which
+``wrap_to_ball`` maps back.  They were generated by the implementation that passed every stencil point of
+every node through ``wrap_to_ball``:
+
+    molrest heisenberg --input tests/data/water.json --seed 3 \
+        --grid-theta 256 --grid-dirs 32 --format csv
+    molrest commutators --input tests/data/water.json \
+        --grid-theta 256 --grid-dirs 32 --format json
 """
 
 import csv
@@ -69,6 +81,8 @@ DATA = Path(__file__).parent / "data"
 MOLECULE = ["--input", str(DATA / "water.json")]
 ARGS = [*MOLECULE, "--trajectory", str(DATA / "water_traj.xyz")]
 EXEMPT = {"relative_residual"}
+# the one CLI ball whose ORIENTATION_STEP stencil leaves the ball (its outer shell)
+THETA256 = ["--grid-theta", "256", "--grid-dirs", "32"]
 
 
 def _number(value):
@@ -134,8 +148,12 @@ def test_frame_json_matches_reference(tmp_path):
     ("commutators", "json", [*MOLECULE, "--hbar", "0.37"], "water_commutators_report_hbar037.json"),
     ("frame", "csv", ARGS, "water_frame_report.csv"),
     ("decompose", "json", ARGS, "water_decompose_report.json"),
+    ("heisenberg", "csv", [*MOLECULE, "--seed", "3", *THETA256],
+     "water_heisenberg_report_theta256.csv"),
+    ("commutators", "json", [*MOLECULE, *THETA256], "water_commutators_report_theta256.json"),
 ], ids=["heisenberg-json", "heisenberg-csv", "commutators-json", "heisenberg-json-hbar0.37",
-        "commutators-json-hbar0.37", "frame-csv", "decompose-json"])
+        "commutators-json-hbar0.37", "frame-csv", "decompose-json", "heisenberg-csv-theta256",
+        "commutators-json-theta256"])
 def test_report_is_byte_identical_to_reference(tmp_path, command, fmt, args, reference):
     _run(tmp_path, command, fmt, args)
     reference = (DATA / reference).read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from molrest.errors import GridError
-from molrest.lie_so3 import exp_map
+from molrest.lie_so3 import component_length, exp_map, log_density_gradient
 from molrest.quantum import (
     GridWavefunction,
     LineGrid,
@@ -108,6 +108,19 @@ class TestSo3Grid:
         assert g.seam_mask.sum() == 2 * (g.size // 24)
         assert g.seam_mask is g.seam_mask
 
+    @pytest.mark.parametrize("shape", [(16, 32), (64, 128), (256, 32)], ids=str)
+    def test_cached_angles_and_gradient_are_the_functions_bits(self, shape):
+        g = So3Grid.make(*shape)
+        bare = So3Grid(nodes=g.nodes, haar_weights=g.haar_weights, radial_step=g.radial_step,
+                       n_theta=g.n_theta, n_dirs=g.n_dirs)
+        for grid in (g, bare):
+            for cached, want in ((grid.node_angles, component_length(g.nodes)),
+                                 (grid.log_density_gradient, log_density_gradient(g.nodes))):
+                assert cached.shape == want.shape
+                assert np.array_equal(cached.view(np.int64), want.view(np.int64))
+            assert grid.node_angles is grid.node_angles
+            assert grid.log_density_gradient is grid.log_density_gradient
+
     def test_grid_built_without_make_keeps_its_boundary(self):
         g = So3Grid.make(24, 48)
         bare = So3Grid(nodes=g.nodes, haar_weights=g.haar_weights, radial_step=g.radial_step,
@@ -127,6 +140,33 @@ class TestWrapToBall:
         v = np.array([0.0, 0.0, 3.3])
         w = wrap_to_ball(v[None, :])[0]
         assert abs(np.linalg.norm(w) - (2 * np.pi - 3.3)) <= 1e-12
+
+    def test_up_to_three_pi_the_antipode_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(200, 3))
+        v = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(np.pi, 3 * np.pi, size=(200, 1))
+        norms = component_length(v)
+        v = v[(norms > np.pi) & (norms < 3 * np.pi)]
+        want = v * (1.0 - 2.0 * np.pi / component_length(v))[:, None]
+        assert np.array_equal(wrap_to_ball(v).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("norm, wrapped", [
+        (10.0, 10.0 - 4.0 * np.pi),  # 3.717 before: past 3 pi the antipode stays outside
+        (4.0 * np.pi, 0.0),  # the identity, not 2 pi
+        (7.0, 7.0 - 2.0 * np.pi),
+        (9.0, 9.0 - 2.0 * np.pi),
+    ])
+    def test_past_three_pi_the_nearest_whole_turn(self, norm, wrapped):
+        w = wrap_to_ball(np.array([[0.0, 0.0, norm]]))[0]
+        assert np.abs(w - [0.0, 0.0, wrapped]).max() <= 4e-15
+        assert np.linalg.norm(w) <= np.pi
+
+    def test_non_finite_points_pass_through(self):
+        pts = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 5.0], [0.0, -np.inf, np.inf],
+                        [np.nan, np.inf, 0.0], [0.0, 0.0, 10.0]])
+        out = wrap_to_ball(pts)
+        assert np.array_equal(out[:4], pts[:4], equal_nan=True)
+        assert np.linalg.norm(out[4]) <= np.pi
 
     def test_wrap_preserves_rotation(self):
         rng = np.random.default_rng(4)

@@ -29,6 +29,7 @@ from molrest.quantum import (
     position_op,
     random_line_state,
     so3_gaussian_state,
+    wrap_to_ball,
 )
 from molrest.quantum.operators import ORIENTATION_STEP, _chart_sweep
 
@@ -454,6 +455,30 @@ class TestStencilSweep:
             assert len(angmom_op(psi)) == 3
         assert len(seen) == 12
         assert all(shape == interior.grid.nodes.shape for shape in seen)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (64, 128), (256, 32)], ids=str)
+    def test_profile_sees_the_wrapped_stencil_points(self, shape):
+        # only near-seam nodes go through wrap_to_ball, yet every point is the one
+        # wrap_to_ball gives for the whole stencil row, bit for bit
+        grid = So3Grid.make(*shape)
+        state = so3_gaussian_state(grid, sigma=0.3)
+        wrapped = 0
+        for step in (ORIENTATION_STEP, min(grid.radial_step, 0.02), grid.radial_step):
+            seen = []
+
+            def profile(pts, seen=seen):
+                seen.append(pts.copy())
+                return state.profile(pts)
+
+            psi = GridWavefunction(grid=grid, amplitudes=state.amplitudes, profile=profile)
+            _chart_sweep(psi, step, False)
+            assert len(seen) == 12
+            for got, (j, off) in zip(seen, [(j, off) for j in range(3) for off in (-2, -1, 1, 2)]):
+                raw = grid.nodes + (off * step) * np.eye(3)[j]
+                want = wrap_to_ball(raw)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                wrapped += int(np.count_nonzero((want != raw).any(axis=1)))
+        assert wrapped > 0  # every ball has points past pi at its radial step
 
     def test_profile_evaluations_per_rotational_state(self, interior):
         # the rotational dispersion suite differentiates each state once

@@ -3,7 +3,7 @@
 Usage: python tools/compare_reports.py PARENT CHANGE
 
 Runs ``python -m molrest.cli`` against each checkout's ``src/`` on one
-fixed set of 74 invocations and compares stdout, stderr and the exit
+fixed set of 76 invocations and compares stdout, stderr and the exit
 code.  Both sides read the same inputs, built once in a temporary
 directory from PARENT:
 
@@ -113,6 +113,11 @@ def invocations():
     runs += [[command, "--input", "water.json", "--format", "csv", "--grid-line", "1024",
               "--grid-theta", "32", "--grid-dirs", "64"]
              for command in ("heisenberg", "commutators")]
+    # the one CLI ball whose ORIENTATION_STEP stencil leaves the ball
+    runs += [["heisenberg", "--input", "water.json", "--seed", "3", "--grid-theta", "256",
+              "--grid-dirs", "32", "--format", "csv"],
+             ["commutators", "--input", "water.json", "--grid-theta", "256", "--grid-dirs", "32",
+              "--format", "json"]]
     runs += [["validate", "--input", "water.json", "--tol-eckart", "1e-30"],
              ["modes", "--input", "water.json", "--tol-eckart", "1e-30"],
              ["frame", "--input", "water.json", "--trajectory", "water_traj.xyz",
