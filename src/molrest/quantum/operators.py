@@ -18,7 +18,10 @@ Every orientation derivative comes from one sweep, ``_chart_sweep``, at
 the step h its caller passes: d f/dw^j = (f(w - 2h e_j) - 8 f(w - h e_j)
 + 8 f(w + h e_j) - f(w + 2h e_j)) / 12h, 12 profile calls per state.  It
 forms D_j psi and, for the commutator checks, D_j(w^k psi) (at a stencil
-point, the wrapped coordinate times the profile).  Each job has one policy:
+point, the wrapped coordinate times the profile).  Each stencil term goes
+through one (3, K) buffer, and the sums are scaled by 1 / h on their
+float view, the product numpy's complex-by-real division forms.  Each job
+has one policy:
 
 - ``angmom_op`` (the rotational dispersions of
   ``heisenberg.heisenberg_suite``, once per state) returns the three
@@ -31,8 +34,11 @@ point, the wrapped coordinate times the profile).  Each job has one policy:
   with w^k.  Each check reports the worst node off the grid's two seam
   shells (``So3Grid.seam_mask``, where the finite-difference wrap stops
   being exact for the coordinate functions themselves) relative to
-  hbar * max|psi|.  The chart, body and angular-velocity entry points
-  read its three tables.
+  hbar * max|psi|.  The three residual fields are formed BLOCK_NODES
+  nodes at a time in three (3, 3, BLOCK_NODES) buffers, and only their
+  running maxima outlive a block; every step is per node, so the tables
+  do not depend on the block size.  The chart, body and angular-velocity
+  entry points read its three tables.
 
 Every operator and check raises GridError for an hbar that is not
 positive and finite (``grids.check_hbar``) before it differentiates.
@@ -61,6 +67,9 @@ __all__ = [
 
 # chart step of angmom_op, the operator of the rotational dispersions
 ORIENTATION_STEP = 5e-3
+
+# nodes whose chart, body and angular-velocity residuals commutator_residuals forms at a time
+BLOCK_NODES = 1024
 
 # the 4th-order central first-derivative stencil: (offset, weight) pairs
 _CHART_STENCIL = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
@@ -178,22 +187,31 @@ def _chart_sweep(psi, step, coordinates):
     nodes with angle above pi - 3 step can leave the ball: those alone go
     through ``wrap_to_ball``, once per stencil point, and every other point
     is the unwrapped node + off step e_j it would have returned.
+
+    Each stencil term, weight times the profile (or times the wrapped
+    coordinate and the profile), is written into one (3, K) buffer and
+    added in stencil order.  The sums are then scaled by 1 / step on their
+    float view, which is what numpy's complex-by-real division computes
+    (``grids._scaled``).
     """
     nodes = psi.grid.nodes
     near = np.flatnonzero(psi.grid.node_angles > np.pi - 3 * step)
     d_psi = np.zeros((3, psi.grid.size), dtype=complex)
     d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
+    term = np.empty((3, psi.grid.size), dtype=complex)
     for j, unit in enumerate(np.eye(3)):
         for off, weight in _CHART_STENCIL:
             pts = nodes + (off * step) * unit
             pts[near] = wrap_to_ball(pts[near])
             vals = np.asarray(psi.profile(pts), dtype=complex)
-            d_psi[j] += weight * vals
+            d_psi[j] += np.multiply(weight, vals, out=term[0])
             if coordinates:
-                d_xpsi[j] += weight * (pts.T * vals)
-    d_psi /= step
-    if coordinates:
-        d_xpsi /= step
+                np.multiply(pts.T, vals, out=term)
+                d_xpsi[j] += np.multiply(weight, term, out=term)
+            del pts, vals  # freed before the next profile call: a lower peak
+    for field in (d_psi, d_xpsi) if coordinates else (d_psi,):
+        floats = field.view(float)
+        floats *= 1 / step
     return d_psi, d_xpsi
 
 
@@ -215,10 +233,15 @@ def angmom_op(psi, hbar=1.0):
                  for a in -1j * hbar * d_psi)
 
 
-def _relative(residual, scale, mask):
-    """Worst interior-node |residual| over the last axis, relative to scale = hbar * max|psi|."""
+def _check_interior(mask):
+    """Raise GridError unless the boundary exclusion ``mask`` keeps a node."""
     if not mask.any():
         raise GridError("the boundary exclusion leaves no node to check")
+
+
+def _relative(residual, scale, mask):
+    """Worst interior-node |residual| over the last axis, relative to scale = hbar * max|psi|."""
+    _check_interior(mask)
     return np.abs(residual).max(axis=-1, where=mask, initial=0.0) / scale
 
 
@@ -239,6 +262,12 @@ def line_commutator_residual(psi, hbar=1.0, order=2):
     return float(_relative(residual, hbar * float(np.abs(psi.amplitudes).max()), mask))
 
 
+def _fold_worst(worst, field, magnitude, keep):
+    """worst = max(worst, max over the last axis of |field| where keep); |field| goes into magnitude."""
+    np.abs(field, out=magnitude)
+    np.maximum(worst, magnitude.max(axis=-1, where=keep, initial=0.0), out=worst)
+
+
 def commutator_residuals(psi, i0, hbar=1.0):
     """Chart, body and angular-velocity commutator residuals, three (3, 3) matrices.
 
@@ -253,6 +282,17 @@ def commutator_residuals(psi, i0, hbar=1.0):
     SingularInertiaError; a state with a NaN or inf amplitude raises
     GridError; one whose seam mass reaches ``gates.BOUNDARY_MASS_TOL``
     raises BoundaryMassError.
+
+    After the sweep, -i hbar scales its two fields in place.  The residual
+    fields are then formed BLOCK_NODES nodes at a time, with the frame
+    fields of that block's nodes: chart, then body and angular velocity as
+    real-factor times complex products summed over i = 0, 1, 2 and
+    l = 0, 1, 2, each block's masked maximum of |r| folded into a running
+    one.  Only the three (3, 3, BLOCK_NODES) blocks are held, never a whole
+    field.  Every product has one real factor (or a zero real part), so it
+    is one rounded multiplication per float, whatever the operand order;
+    with the fixed summation order and an exact maximum the tables are
+    bit for bit those of whole-grid fields, at any block size.
     """
     check_hbar(hbar)
     i0 = np.asarray(i0, dtype=float)
@@ -279,16 +319,42 @@ def commutator_residuals(psi, i0, hbar=1.0):
     # stay below the shell spacing but cap so 4th-order truncation of
     # sigma >= 0.1 states lands under the commutator tolerances
     d_psi, d_xpsi = _chart_sweep(psi, min(psi.grid.radial_step, 0.02), True)
-    chart = -1j * hbar * d_xpsi - psi.grid.nodes.T * (-1j * hbar * d_psi)[:, None, :]
-    chart += 1j * hbar * np.eye(3)[:, :, None] * psi.amplitudes
-    _, m = frame_fields(psi.grid.nodes)
-    m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
-    body = 0.0  # index [k, j]: sum_i m[:, i, k] chart[i, j], summed i = 0, 1, 2
-    for i in range(3):
-        body = body + m_t[i] * chart[i, None]
-    angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)  # index [k, j]
-    mask = ~psi.grid.seam_mask
-    return tuple(_relative(r, hbar * peak, mask) for r in (chart, body, angvel))
+    keep = ~psi.grid.seam_mask
+    _check_interior(keep)
+    d_psi *= -1j * hbar  # -i hbar D_j psi
+    d_xpsi *= -1j * hbar  # -i hbar D_j (w^k psi)
+    i0_inv = np.linalg.inv(i0)
+    nodes, amp = psi.grid.nodes, psi.amplitudes
+    width = min(BLOCK_NODES, psi.grid.size)
+    chart, body, angvel = (np.empty((3, 3, width), dtype=complex) for _ in range(3))
+    i_hbar_psi = np.empty(width, dtype=complex)
+    magnitude = np.empty((3, 3, width))
+    worst = np.zeros((3, 3, 3))  # running maxima of |chart|, |body|, |angvel|
+
+    for start in range(0, psi.grid.size, width):
+        block = slice(start, start + width)
+        n = min(width, psi.grid.size - start)
+        c, b, a, mag = chart[..., :n], body[..., :n], angvel[..., :n], magnitude[..., :n]
+        # chart[j, k] = -i hbar D_j (w^k psi) - w^k (-i hbar D_j psi) + i hbar delta_jk psi
+        np.multiply(nodes[block].T, d_psi[:, None, block], out=c)
+        np.subtract(d_xpsi[..., block], c, out=c)
+        np.multiply(1j * hbar, amp[block], out=i_hbar_psi[:n])
+        for j in range(3):
+            c[j, j] += i_hbar_psi[:n]
+        _fold_worst(worst[0], c, mag, keep[block])
+        # body[k, j] = sum_i m[:, i, k] chart[i, j], summed i = 0, 1, 2; angvel holds each term
+        _, m = frame_fields(nodes[block])
+        m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
+        np.multiply(m_t[0], c[0, None], out=b)
+        for i in (1, 2):
+            b += np.multiply(m_t[i], c[i, None], out=a)
+        _fold_worst(worst[1], b, mag, keep[block])
+        # angvel[k, j] = sum_l I0^-1[j, l] body[l, k], summed l = 0, 1, 2; chart holds each term
+        np.multiply(i0_inv[:, 0, None], b[0, :, None, :], out=a)
+        for l in (1, 2):
+            a += np.multiply(i0_inv[:, l, None], b[l, :, None, :], out=c)
+        _fold_worst(worst[2], a, mag, keep[block])
+    return tuple(worst / (hbar * peak))
 
 
 def chart_commutator_residuals(psi, hbar=1.0):

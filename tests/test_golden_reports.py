@@ -83,6 +83,8 @@ ARGS = [*MOLECULE, "--trajectory", str(DATA / "water_traj.xyz")]
 EXEMPT = {"relative_residual"}
 # the one CLI ball whose ORIENTATION_STEP stencil leaves the ball (its outer shell)
 THETA256 = ["--grid-theta", "256", "--grid-dirs", "32"]
+# 3456 nodes: a partial last block for commutator_residuals at any power-of-two block of 256-2048
+THETA48 = ["--grid-theta", "48", "--grid-dirs", "64"]
 
 
 def _number(value):
@@ -151,9 +153,10 @@ def test_frame_json_matches_reference(tmp_path):
     ("heisenberg", "csv", [*MOLECULE, "--seed", "3", *THETA256],
      "water_heisenberg_report_theta256.csv"),
     ("commutators", "json", [*MOLECULE, *THETA256], "water_commutators_report_theta256.json"),
+    ("commutators", "json", [*MOLECULE, *THETA48], "water_commutators_report_theta48.json"),
 ], ids=["heisenberg-json", "heisenberg-csv", "commutators-json", "heisenberg-json-hbar0.37",
         "commutators-json-hbar0.37", "frame-csv", "decompose-json", "heisenberg-csv-theta256",
-        "commutators-json-theta256"])
+        "commutators-json-theta256", "commutators-json-theta48"])
 def test_report_is_byte_identical_to_reference(tmp_path, command, fmt, args, reference):
     _run(tmp_path, command, fmt, args)
     reference = (DATA / reference).read_bytes()

@@ -6,6 +6,8 @@ frame duality (n- and m-contractions must invert each other node by
 node) and parity cancellations on the antipodally symmetric grid.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,12 @@ from molrest.quantum import (
     oscillator_state,
     position_op,
     random_line_state,
+    random_so3_state,
     so3_gaussian_state,
     wrap_to_ball,
 )
-from molrest.quantum.operators import ORIENTATION_STEP, _chart_sweep
+from molrest.quantum import operators
+from molrest.quantum.operators import _CHART_STENCIL, BLOCK_NODES, ORIENTATION_STEP, _chart_sweep
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +490,91 @@ class TestStencilSweep:
         rows = heisenberg_suite([psi for psi, _ in counted], "rotational")
         assert len(rows) == 18
         assert [len(seen) for _, seen in counted] == [12, 12]
+
+
+def whole_grid_residuals(psi, i0, hbar):
+    """The three tables of ``commutator_residuals`` from whole-grid fields: the chart
+    residual field, body[k, j] = sum_i m[:, i, k] chart[i, j] summed from 0.0, and
+    angvel = I0^-1 body by einsum, each reduced to its worst off-seam |r| relative
+    to hbar * max|psi|."""
+    chart = chart_residual_field(psi, hbar)
+    _, m = frame_fields(psi.grid.nodes)
+    m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
+    body = 0.0
+    for i in range(3):
+        body = body + m_t[i] * chart[i, None]
+    angvel = np.einsum("jl,lkn->kjn", np.linalg.inv(i0), body)
+    keep = ~psi.grid.seam_mask
+    scale = hbar * float(np.abs(psi.amplitudes).max())
+    return tuple(np.abs(r).max(axis=-1, where=keep, initial=0.0) / scale
+                 for r in (chart, body, angvel))
+
+
+NON_DIAGONAL_I0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.1], [0.0, -0.1, 3.0]])
+
+
+class TestBlockedResiduals:
+    """``commutator_residuals`` forms its fields BLOCK_NODES nodes at a time and
+    gives the tables of the whole-grid fields bit for bit."""
+
+    # 512 nodes (below one block), 8192 (a whole number of blocks), 3456 (a partial
+    # last block) and 8192 on 256 shells (stencil points past pi, wrapped)
+    @pytest.mark.parametrize("shape", [(16, 32), (64, 128), (48, 64), (256, 32)], ids=str)
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    def test_tables_equal_the_whole_grid_formula(self, shape, hbar):
+        grid = So3Grid.make(*shape)
+        for seed in (0, 1, 2):
+            psi = random_so3_state(grid, np.random.default_rng(seed))
+            got = commutator_residuals(psi, NON_DIAGONAL_I0, hbar)
+            want = whole_grid_residuals(psi, NON_DIAGONAL_I0, hbar)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_block_sizes_cover_every_case(self):
+        sizes = [So3Grid.make(*shape).size for shape in ((16, 32), (64, 128), (48, 64))]
+        assert sizes[0] < BLOCK_NODES and sizes[1] % BLOCK_NODES == 0
+        assert sizes[2] > BLOCK_NODES and sizes[2] % BLOCK_NODES != 0
+
+    @pytest.mark.parametrize("block", [1, 7, 256, 1 << 20])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, block):
+        psi = random_so3_state(So3Grid.make(16, 32), np.random.default_rng(5))
+        want = commutator_residuals(psi, NON_DIAGONAL_I0, 0.37)
+        monkeypatch.setattr(operators, "BLOCK_NODES", block)
+        got = commutator_residuals(psi, NON_DIAGONAL_I0, 0.37)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_working_set(self, ball):
+        # whole-grid (3, 3, 8192) complex fields peaked at 6.9e6 traced bytes on this ball
+        psi = random_so3_state(ball, np.random.default_rng(1))
+        commutator_residuals(psi, NON_DIAGONAL_I0)  # the grid's cached geometry
+        tracemalloc.start()
+        try:
+            commutator_residuals(psi, NON_DIAGONAL_I0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.45e6
+
+
+class TestSweepSums:
+    """``_chart_sweep``'s accumulators are the stencil sums sum weight * term / step."""
+
+    @pytest.mark.parametrize("shape", [(16, 32), (256, 32)], ids=str)
+    def test_accumulators_are_the_stencil_sums(self, shape):
+        grid = So3Grid.make(*shape)
+        psi = random_so3_state(grid, np.random.default_rng(2))
+        step = commutator_step(psi)
+        d_psi, d_xpsi = _chart_sweep(psi, step, True)
+        for j in range(3):
+            want_psi = np.zeros(grid.size, dtype=complex)
+            want_xpsi = np.zeros((3, grid.size), dtype=complex)
+            for off, weight in _CHART_STENCIL:
+                pts = wrap_to_ball(grid.nodes + (off * step) * np.eye(3)[j])
+                vals = psi.profile(pts)
+                want_psi += weight * vals
+                want_xpsi += weight * (pts.T * vals)
+            assert np.array_equal(d_psi[j], want_psi / step)
+            assert np.array_equal(d_xpsi[j], want_xpsi / step)
+        assert np.array_equal(_chart_sweep(psi, step, False)[0], d_psi)
 
 
 # a bool, an int past the float range and a string are no positive float either

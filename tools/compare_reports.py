@@ -3,7 +3,7 @@
 Usage: python tools/compare_reports.py PARENT CHANGE
 
 Runs ``python -m molrest.cli`` against each checkout's ``src/`` on one
-fixed set of 76 invocations and compares stdout, stderr and the exit
+fixed set of 77 invocations and compares stdout, stderr and the exit
 code.  Both sides read the same inputs, built once in a temporary
 directory from PARENT:
 
@@ -117,6 +117,9 @@ def invocations():
     runs += [["heisenberg", "--input", "water.json", "--seed", "3", "--grid-theta", "256",
               "--grid-dirs", "32", "--format", "csv"],
              ["commutators", "--input", "water.json", "--grid-theta", "256", "--grid-dirs", "32",
+              "--format", "json"],
+             # 3456 nodes: a partial last block of commutator_residuals
+             ["commutators", "--input", "water.json", "--grid-theta", "48", "--grid-dirs", "64",
               "--format", "json"]]
     runs += [["validate", "--input", "water.json", "--tol-eckart", "1e-30"],
              ["modes", "--input", "water.json", "--tol-eckart", "1e-30"],
