@@ -17,16 +17,19 @@ observables per kind:
 
 ``dispersion`` takes the state and the already-applied A psi and checks
 the state's normalization; the suite checks each state's normalization
-once.  Its line branch forms neither P psi nor Q psi: one kernel per
-family (``_line_kernel``) measures each state from rho = |psi|^2 and
-D psi, the order-4 central-difference numerator that ``momentum_op``
-divides by 12h (``operators.central_difference``), in buffers it
-allocates once.  The rotational branch makes one call of ``angmom_op``
-per state, whose single stencil sweep yields all three chart components
-(12 profile evaluations per state).  Every variance, ``dispersion``'s
-included, goes through one gate, ``_settle``: a negative <A^2> or a
-variance below -``gates.QUADRATURE_CLAMP`` is a quadrature failure, then
-a variance outside the float range a range failure.
+once, and every check goes through one gate on the norm value
+(``_gate_norm``).  Its line branch forms neither P psi nor Q psi: one
+kernel per family (``_line_kernel``) measures each state from rho =
+|psi|^2 and D psi, the order-4 central-difference numerator that
+``momentum_op`` divides by 12h (``operators.central_difference``), in
+buffers it allocates once; the norm it gates is sqrt(sum w rho), so a
+line state's norm is taken once.  The rotational branch makes one call
+of ``angmom_op`` per state, whose single stencil sweep yields all three
+chart components (12 profile evaluations per state).  Every variance,
+``dispersion``'s included, goes through one gate, ``_settle``: a
+negative <A^2> or a variance below -``gates.QUADRATURE_CLAMP`` is a
+quadrature failure, then a variance outside the float range a range
+failure.
 
 ``heisenberg_suite`` returns one numpy record array with a record per
 pair, built column by column.  Rotational dispersions are only
@@ -65,8 +68,13 @@ def dispersion(psi, a_psi):
 
 def _check_normalized(psi):
     """Raise GridError unless psi's norm is 1 within ``gates.NORMALIZATION``."""
-    with np.errstate(over="ignore"):  # a norm past the float range fails below
-        norm = psi.norm()
+    with np.errstate(over="ignore"):  # a norm past the float range fails _gate_norm
+        _gate_norm(psi.norm())
+
+
+def _gate_norm(norm):
+    """Raise GridError unless the float norm is 1 within ``gates.NORMALIZATION``: the one gate
+    of ``_check_normalized`` and the line kernel, which takes the norm from its own rho."""
     if not abs(norm - 1.0) <= NORMALIZATION:  # a NaN norm fails too
         raise GridError(f"dispersion needs a normalized state, got norm {norm!r}")
 
@@ -127,13 +135,14 @@ def _line_kernel(grid, hbar):
 
     Each state is measured from two arrays, each computed once: rho =
     |psi|^2 and D psi, 12h times the order-4 central derivative that
-    ``momentum_op`` takes (``central_difference``).  <Q> and <Q^2> are
-    sums of rho against w x and w x^2; with c = hbar / 12h, <P^2> =
-    c^2 sum w |D psi|^2 and <P> = -i c M, M = sum w conj(psi) D psi.  The
-    gates run in ``momentum_op`` and ``dispersion``'s order: edge decay,
-    normalization, then the momentum and the position variance through
-    ``_settle``.  rho, D psi and one work array are allocated here and
-    reused for every state.
+    ``momentum_op`` takes (``central_difference``).  The norm is
+    sqrt(sum w rho), and <Q> and <Q^2> are sums of rho against w x and
+    w x^2; with c = hbar / 12h, <P^2> = c^2 sum w |D psi|^2 and <P> =
+    -i c M, M = sum w conj(psi) D psi.  The gates run in ``momentum_op``
+    and ``dispersion``'s order: edge decay, normalization (``_gate_norm``,
+    on a norm within a few ulp of ``GridWavefunction.norm``'s), then the
+    momentum and the position variance through ``_settle``.  rho, D psi
+    and one work array are allocated here and reused for every state.
     """
     n = grid.size
     w, x = grid.weights, grid.points
@@ -156,7 +165,8 @@ def _line_kernel(grid, hbar):
             np.square(amp.view(float), out=work_floats)
             np.add(work_floats[0::2], work_floats[1::2], out=rho)
         check_decay(rho, amp)
-        _check_normalized(psi)
+        with np.errstate(over="ignore"):  # a norm past the float range fails _gate_norm
+            _gate_norm(math.sqrt(total(w, rho, work_floats[:n])))
         central_difference(amp, 4, d, work)
         d_sq = total(w_pairs, np.square(d_floats, out=work_floats), work_floats)
         cross = np.multiply(np.conjugate(amp, out=work), d, out=work).view(float)

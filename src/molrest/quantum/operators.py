@@ -18,15 +18,18 @@ Every orientation derivative comes from one sweep, ``_chart_sweep``, at
 the step h its caller passes: d f/dw^j = (f(w - 2h e_j) - 8 f(w - h e_j)
 + 8 f(w + h e_j) - f(w + 2h e_j)) / 12h, 12 profile calls per state.  It
 forms D_j psi and, for the commutator checks, D_j(w^k psi) (at a stencil
-point, the wrapped coordinate times the profile).  Each stencil term goes
-through one (3, K) buffer, and the sums are scaled by 1 / h on their
+point, the wrapped coordinate times the profile).  A stencil point is a
+copy of the nodes with off h added to column j.  The first stencil term
+of each direction is written into the sums, the later ones go through one
+(3, K) buffer and are added, and the sums are scaled by 1 / h on their
 float view, the product numpy's complex-by-real division forms.  Each job
 has one policy:
 
 - ``angmom_op`` (the rotational dispersions of
   ``heisenberg.heisenberg_suite``, once per state) returns the three
   Haar-symmetrized chart components at step ORIENTATION_STEP, with no
-  seam gate: the suite marks a state with seam mass indeterminate.
+  seam gate: the suite marks a state with seam mass indeterminate.  The
+  drift and -i hbar are applied in place on the sweep's (3, K) array.
 - ``commutator_residuals`` raises BoundaryMassError on seam mass, then
   sweeps at step min(shell spacing, 0.02) and forms the chart residual
   field [D_j, w^k] psi + i hbar delta_jk psi.  It reads the body and
@@ -183,31 +186,42 @@ def _chart_sweep(psi, step, coordinates):
     by the caller.  coordinates=False gives None for d(w^k psi): only the
     commutator checks need it, and it is most of the sweep's memory.
 
-    A stencil point lies within 2 step of its node, so only the points of
-    nodes with angle above pi - 3 step can leave the ball: those alone go
-    through ``wrap_to_ball``, once per stencil point, and every other point
-    is the unwrapped node + off step e_j it would have returned.
+    A stencil point is a copy of the nodes with off step added to column j:
+    the bits of node + (off step) e_j, since x + 0.0 is x for every x but
+    -0.0, which no ``So3Grid.make`` node holds, and x + -0.0 is x.  It lies
+    within 2 step of its node, so only the points of nodes with angle above
+    pi - 3 step can leave the ball: those alone go through
+    ``wrap_to_ball``, once per stencil point, and every other point is the
+    unwrapped one it would have returned.
 
-    Each stencil term, weight times the profile (or times the wrapped
-    coordinate and the profile), is written into one (3, K) buffer and
-    added in stencil order.  The sums are then scaled by 1 / step on their
-    float view, which is what numpy's complex-by-real division computes
-    (``grids._scaled``).
+    Each stencil term is weight times the profile (or times the wrapped
+    coordinate and the profile).  A direction's first term is written
+    straight into its rows of the sums, which are never zero-filled; each
+    later one is written into one (3, K) buffer and added, in stencil
+    order.  The sums are then scaled by 1 / step on their float view, which
+    is what numpy's complex-by-real division computes (``grids._scaled``).
     """
     nodes = psi.grid.nodes
     near = np.flatnonzero(psi.grid.node_angles > np.pi - 3 * step)
-    d_psi = np.zeros((3, psi.grid.size), dtype=complex)
-    d_xpsi = np.zeros((3, 3, psi.grid.size), dtype=complex) if coordinates else None
+    d_psi = np.empty((3, psi.grid.size), dtype=complex)
+    d_xpsi = np.empty((3, 3, psi.grid.size), dtype=complex) if coordinates else None
     term = np.empty((3, psi.grid.size), dtype=complex)
-    for j, unit in enumerate(np.eye(3)):
-        for off, weight in _CHART_STENCIL:
-            pts = nodes + (off * step) * unit
+    for j in range(3):
+        for term_no, (off, weight) in enumerate(_CHART_STENCIL):
+            pts = nodes.copy()
+            pts[:, j] += off * step
             pts[near] = wrap_to_ball(pts[near])
             vals = np.asarray(psi.profile(pts), dtype=complex)
-            d_psi[j] += np.multiply(weight, vals, out=term[0])
+            if term_no == 0:  # written into the sum, which has no zero fill
+                np.multiply(weight, vals, out=d_psi[j])
+            else:
+                d_psi[j] += np.multiply(weight, vals, out=term[0])
             if coordinates:
                 np.multiply(pts.T, vals, out=term)
-                d_xpsi[j] += np.multiply(weight, term, out=term)
+                if term_no == 0:
+                    np.multiply(weight, term, out=d_xpsi[j])
+                else:
+                    d_xpsi[j] += np.multiply(weight, term, out=term)
             del pts, vals  # freed before the next profile call: a lower peak
     for field in (d_psi, d_xpsi) if coordinates else (d_psi,):
         floats = field.view(float)
@@ -222,15 +236,21 @@ def angmom_op(psi, hbar=1.0):
     sweep at ORIENTATION_STEP.  The Haar drift (1/2) d_j ln rho makes each
     component hermitian under the weighted quadrature and cancels in
     commutators with coordinate functions; d_j ln rho is the grid's
-    ``So3Grid.log_density_gradient``, formed once per grid.  No seam gate:
-    the dispersion suite marks a state with seam mass indeterminate instead.
+    ``So3Grid.log_density_gradient``, formed once per grid.  The drift is
+    added and -i hbar applied in place on the sweep's (3, K) array, whose
+    rows are returned; the drift is taken in complex, (0.5 + 0j) times the
+    gradient times psi, the product numpy forms for 0.5 * gradient * psi.
+    No seam gate: the dispersion suite marks a state with seam mass
+    indeterminate instead.
     """
     check_hbar(hbar)
     _check_chart_state(psi)
     d_psi, _ = _chart_sweep(psi, ORIENTATION_STEP, False)
-    d_psi += 0.5 * psi.grid.log_density_gradient.T * psi.amplitudes
-    return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None)
-                 for a in -1j * hbar * d_psi)
+    drift = np.multiply(0.5, psi.grid.log_density_gradient.T, dtype=complex)
+    drift *= psi.amplitudes
+    d_psi += drift
+    d_psi *= -1j * hbar
+    return tuple(GridWavefunction(grid=psi.grid, amplitudes=a, profile=None) for a in d_psi)
 
 
 def _check_interior(mask):

@@ -43,14 +43,31 @@ def test_no_float_gate_outside_the_table():
     assert found == []
 
 
-def test_every_entry_gets_its_two_mutants():
-    # tools/mutants.py reads the table as NAME = <float> lines; an entry
-    # written any other way would go unmutated
+def _mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_every_entry_gets_its_two_mutants():
+    # tools/mutants.py reads the table as NAME = <float> lines; an entry
+    # written any other way would go unmutated
+    mutants = _mutants()
     source = (PACKAGE / "gates.py").read_text(encoding="utf-8")
     labels = [label for label, *_ in mutants.gate_mutants(source)]
     entries = sorted(name for name in vars(gates) if name.isupper())
     assert all(type(getattr(gates, name)) is float for name in entries)
     assert sorted(labels) == sorted(f"{name} {tag}" for name in entries for tag in ("x1e3", "/1e3"))
+
+
+def test_every_source_mutant_applies():
+    # tools/mutants.py substitutes a text that occurs exactly once in its file;
+    # a text the source no longer holds would leave its mutant "not applied".
+    # In a mutant's own copy the replacement stands in its place, and this
+    # test must not be what kills it.
+    counts = {}
+    for label, path, text, replacement in _mutants().SOURCE_MUTANTS:
+        source = (ROOT / path).read_text(encoding="utf-8")
+        counts[label] = (source.count(text), source.count(replacement))
+    assert all(count in ((1, 0), (0, 1)) for count in counts.values()), counts

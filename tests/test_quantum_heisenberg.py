@@ -31,6 +31,7 @@ from molrest.quantum import (
     random_so3_state,
     so3_gaussian_state,
 )
+from molrest.quantum import heisenberg
 from molrest.quantum.heisenberg import _line_kernel
 
 
@@ -475,18 +476,38 @@ class TestNormalizationChecks:
         monkeypatch.setattr(GridWavefunction, "norm", counted)
         return calls
 
-    def test_one_check_per_state(self, line, ball, norm_calls):
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = []
+        gate = heisenberg._gate_norm
+
+        def counted(norm):
+            calls.append(norm)
+            return gate(norm)
+
+        monkeypatch.setattr(heisenberg, "_gate_norm", counted)
+        return calls
+
+    def test_one_check_per_state(self, line, ball, gate_calls):
+        # state i is scaled by 1 + i 1e-9, inside the gate, so the gated norms
+        # name the states they were taken from
         rng = np.random.default_rng(4)
-        modes = [random_line_state(line, rng) for _ in range(2)]
-        triple = [random_line_state(line, rng) for _ in range(3)]
-        orientations = [random_so3_state(ball, rng) for _ in range(2)]
-        norm_calls.clear()
+
+        def scaled(states):
+            return [GridWavefunction(grid=s.grid, amplitudes=(1.0 + i * 1e-9) * s.amplitudes,
+                                     profile=s.profile) for i, s in enumerate(states)]
+
+        modes = scaled(random_line_state(line, rng) for _ in range(2))
+        triple = scaled(random_line_state(line, rng) for _ in range(3))
+        orientations = scaled(random_so3_state(ball, rng) for _ in range(2))
         for states, kind, checked in ((modes, "vibrational", modes),
                                       ([triple], "electronic", triple),
                                       (orientations, "rotational", orientations)):
+            gate_calls.clear()
             heisenberg_suite(states, kind)
-            assert [id(s) for s in norm_calls] == [id(s) for s in checked]
-            norm_calls.clear()
+            assert len(gate_calls) == len(checked)
+            for norm, s in zip(gate_calls, checked):
+                assert abs(norm - s.norm()) <= 4e-16  # a few ulp of 1, against 1e-9 apart
 
     def test_direct_call_still_checks(self, line, norm_calls):
         psi = gaussian_line_state(line)
@@ -525,15 +546,19 @@ class TestGateEdges:
                 with pytest.raises(BoundaryMassError, match="insufficient decay"):
                     momentum_op(edged)
 
-    def test_normalization(self, line):
+    @pytest.mark.parametrize("call", [
+        lambda psi: dispersion(psi, position_op(psi)),
+        lambda psi: heisenberg_suite([psi], "vibrational"),  # the line kernel's sqrt(sum w rho)
+    ], ids=["dispersion", "vibrational"])
+    def test_normalization(self, line, call):
         psi = gaussian_line_state(line)
         for excess, passes in ((0.5e-8, True), (2e-8, False)):
             scaled = GridWavefunction(grid=line, amplitudes=(1.0 + excess) * psi.amplitudes)
             if passes:
-                dispersion(scaled, position_op(scaled))
+                call(scaled)
             else:
                 with pytest.raises(GridError, match="dispersion needs a normalized state"):
-                    dispersion(scaled, position_op(scaled))
+                    call(scaled)
 
     def test_variance_clamp(self):
         # the identity operator on a norm^2 = 1 + eps state: variance (1 + eps) - (1 + eps)^2

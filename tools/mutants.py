@@ -38,7 +38,7 @@ SOURCE_MUTANTS = (
     ("truncated frame <= to <", "src/molrest/frames.py",
      "if len(frame) <= count:", "if len(frame) < count:"),
     ("Haar drift sign", "src/molrest/quantum/operators.py",
-     "d_psi += 0.5 * log_density_gradient", "d_psi -= 0.5 * log_density_gradient"),
+     "d_psi += drift", "d_psi -= drift"),
     ("trapezoid end weights", "src/molrest/quantum/grids.py",
      "weights[0] = weights[-1] = 0.5 * step", "weights[0] = weights[-1] = step"),
 )
