@@ -63,7 +63,7 @@ from .quantum import (
 from .quantum.grids import (MAX_DIRS, MAX_LINE_POINTS, MAX_SHELLS, MIN_DIRS, MIN_LINE_POINTS,
                             MIN_SHELLS)
 
-__all__ = ["RunConfig", "Table", "parse_args", "run", "main"]
+__all__ = ["COLUMNS", "Column", "RunConfig", "Table", "parse_args", "run", "main"]
 
 COMMANDS = ("validate", "modes", "frame", "decompose", "heisenberg", "commutators")
 
@@ -500,6 +500,158 @@ def _cmd_commutators(config, mol, rng):
         "checks": checks,
         "passed": bool(all(c["passed"] for c in checks.values())),
     }
+
+
+# --- report columns --------------------------------------------------------
+
+# dimensions as exponents of (mass, length, time); mode coordinates carry a
+# square root of mass, so halves occur
+ONE = (0, 0, 0)
+LENGTH = (0, 1, 0)
+RATE = (0, 0, -1)
+MOMENTUM = (1, 1, -1)
+INERTIA = (1, 2, 0)
+INVERSE_INERTIA = (-1, -2, 0)
+ACTION = (1, 2, -1)
+MODE_AMPLITUDE = (0.5, 1, 0)
+MODE_MOMENTUM = (0.5, 1, -1)
+NO_UNIT = None  # a maximum taken over quantities of different dimensions
+
+
+@dataclass(frozen=True)
+class Column:
+    """One key path of a report.
+
+    kind: the type of its leaves, "float", "int", "bool" or "str", with
+    "|null" when a leaf may be None.  dim: their dimension, ``NO_UNIT``,
+    or a dict of dimensions keyed by observable family (a label's leading
+    letters).  A tolerance's dim is that of the quantity it bounds.
+    gate: the ``gates.py`` entry or the flag that turns the column into a
+    verdict or a check error, "" when none does.
+    """
+
+    kind: str
+    dim: object
+    meaning: str
+    gate: str = ""
+
+
+def _check(name, residual, dim, gate):
+    """The residual, tolerance and passed columns of one ``commutators`` check."""
+    return {f"checks.{name}.residual": Column("float", dim, residual, gate),
+            f"checks.{name}.tolerance": Column("float", dim, f"the value of {gate}"),
+            f"checks.{name}.passed": Column("bool", ONE, "residual <= tolerance")}
+
+
+_REPORT = {
+    "command": Column("str", ONE, "the command that wrote the report"),
+    "passed": Column("bool", ONE, "the verdict, and the exit code: 0 when true, 2 when false"),
+}
+_FRAMES = {
+    "n_frames": Column("int", ONE, "number of trajectory frames"),
+    "frames.index": Column("int", ONE, "frame number t, from 0 in file order"),
+}
+_HBAR = Column("float", ACTION, "hbar of the molecule file, or --hbar")
+_VALIDATE = {
+    **_REPORT,
+    "n_modes": Column("int", ONE, "number of internal modes, 3N - 6"),
+    "residuals.translation": Column(
+        "float", ONE, "translation sum rule |sum sqrt(M) X| / sum sqrt(M) |X|, worst mode",
+        "--tol-eckart"),
+    "residuals.rotation": Column(
+        "float", ONE, "rotation sum rule |sum sqrt(M) R0 x X| / sum sqrt(M) |R0| |X|, worst mode",
+        "--tol-eckart"),
+    "residuals.duality": Column("float", ONE, "largest entry of |X . X_dual - 1|",
+                                "--tol-eckart"),
+    "residuals.com_norm": Column("float", ONE, "centre-of-mass condition |sum M R0| / sum M |R0|",
+                                 "--tol-eckart"),
+    "residuals.inertia_offdiagonal": Column(
+        "float", INERTIA, "largest off-diagonal entry of the equilibrium inertia tensor"),
+    "tolerance": Column("float", ONE, "the value of --tol-eckart"),
+}
+
+# every key path of every report: command -> key path -> Column; a table
+# column is "<table>.<column>", a nested dict's key "<key>.<key>"
+COLUMNS = {
+    "validate": _VALIDATE,
+    "modes": {
+        **_VALIDATE,
+        "frequencies": Column("float|null", RATE,
+                              "harmonic frequency per mode; null when the file has no hessian"),
+    },
+    "frame": {
+        **_REPORT, **_FRAMES,
+        "frames.orientation": Column("float", ONE, "rotation vector of the Eckart orientation"),
+        "frames.residual": Column("float", INERTIA, "Eckart residual |sum M R0 x R'|"),
+        "frames.relative_residual": Column(
+            "float", ONE, "|sum M R0 x R'| / sum M |R0| |R'|", "--tol-eckart"),
+        "frames.degenerate": Column(
+            "bool", ONE, "top quaternion eigen-gap too small to fix the orientation",
+            "ECKART_GAP"),
+        "frames.com_position": Column("float", LENGTH, "centre of mass"),
+        "frames.com_momentum": Column("float", MOMENTUM, "total momentum"),
+        "frames.mode_amplitudes": Column("float", MODE_AMPLITUDE, "mode amplitudes Q"),
+        "frames.mode_momenta": Column("float", MODE_MOMENTUM, "mode momenta P"),
+        "frames.electron_positions": Column("float", LENGTH, "rest-frame electron positions q"),
+        "frames.electron_momenta": Column("float", MOMENTUM, "rest-frame electron momenta p"),
+        "frames.angular_velocity": Column("float", RATE, "angular velocity of the frame"),
+        "frames.angular_momentum": Column("float", ACTION, "rest-frame angular momentum"),
+        "frames.roundtrip_error": Column(
+            "float", NO_UNIT, "largest |input - reconstruction| over positions and momenta",
+            "TOL_ROUNDTRIP"),
+        "frames.passed": Column(
+            "bool", ONE, "relative_residual and roundtrip_error within their gates, "
+                         "not degenerate"),
+        "tolerance.eckart": Column("float", ONE, "the value of --tol-eckart"),
+        "tolerance.roundtrip": Column("float", NO_UNIT, "the value of TOL_ROUNDTRIP"),
+    },
+    "decompose": {
+        **_REPORT, **_FRAMES,
+        "frames.rotational": Column("float", ACTION, "rotational angular momentum term"),
+        "frames.deformation": Column("float", ACTION, "deformation (vibrational) term"),
+        "frames.electronic": Column("float", ACTION, "electronic term"),
+        "frames.total": Column("float", ACTION, "sum of the three terms"),
+        "frames.rest_angular_momentum": Column("float", ACTION, "rest-frame angular momentum"),
+        "frames.residual": Column("float", ACTION, "largest |total - rest_angular_momentum|",
+                                  "TOL_ROUNDTRIP"),
+        "frames.passed": Column("bool", ONE, "residual within its gate"),
+        "tolerance": Column("float", ACTION, "the value of TOL_ROUNDTRIP"),
+    },
+    "heisenberg": {
+        **_REPORT,
+        "hbar": _HBAR,
+        "tolerance": Column("float", ACTION, "--tol-quad times hbar"),
+        "n_rows": Column("int", ONE, "number of rows"),
+        "rows.observable_a": Column("str", ONE, "momentum-like label: P_i, p_(nu)_j or n_(j).L"),
+        "rows.observable_b": Column("str", ONE, "coordinate label: Q^i, q_(nu)^j or omega^k"),
+        "rows.delta_a": Column("float", {"P": MODE_MOMENTUM, "p": MOMENTUM, "n": ACTION},
+                               "dispersion of observable_a"),
+        "rows.delta_b": Column("float", {"Q": MODE_AMPLITUDE, "q": LENGTH, "omega": ONE},
+                               "dispersion of observable_b"),
+        "rows.product": Column("float", ACTION, "delta_a * delta_b", "--tol-quad"),
+        "rows.bound": Column("float", ACTION, "hbar / 2 for a conjugate pair, 0 otherwise"),
+        "rows.satisfied": Column("bool|null", ONE,
+                                 "bound - product <= tolerance; null at seam mass"),
+        "rows.boundary_mass": Column("float", ONE, "probability on the ball's seam shells, "
+                                     "0 for line states", "BOUNDARY_MASS_TOL"),
+    },
+    "commutators": {
+        **_REPORT,
+        "hbar": _HBAR,
+        "boundary_mass": Column("float", ONE, "seam-shell probability of the orientation state",
+                                "BOUNDARY_MASS_TOL"),
+        **_check("line_canonical", "worst |[P, Q] psi + i hbar psi| / hbar max|psi|", ONE,
+                 "LINE_CANONICAL_TOL"),
+        **_check("chart_angmom",
+                 "worst |[n_(j).L, w^k] psi + i hbar delta_jk psi| / hbar max|psi|", ONE,
+                 "CHART_TOL"),
+        **_check("body_angmom", "worst |[L_k, w^j] psi + i hbar m[j, k] psi| / hbar max|psi|",
+                 ONE, "BODY_TOL"),
+        **_check("angular_velocity",
+                 "worst |[Omega^j, w^k] psi + i hbar (I0^-1 m)^j psi| / hbar max|psi|",
+                 INVERSE_INERTIA, "ANGVEL_TOL"),
+    },
+}
 
 
 _DISPATCH = {

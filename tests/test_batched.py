@@ -5,10 +5,9 @@ import pytest
 
 from molrest.angmom import build_inertia, decompose_angmom, mode_sum
 from molrest.frames import BLOCKS, Configuration, analyze, reconstruct, solve_eckart
+from molrest.gates import TOL_ROUNDTRIP
 from molrest.lie_so3 import exp_map, log_map
 from molrest.modes import build_modes
-
-TOL_ROUNDTRIP = 1e-9  # the CLI's round-trip gate
 
 
 def _same(batched, single):

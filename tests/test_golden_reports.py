@@ -76,6 +76,7 @@ from pathlib import Path
 import pytest
 
 from molrest.cli import main
+from molrest.gates import TOL_ECKART
 
 DATA = Path(__file__).parent / "data"
 MOLECULE = ["--input", str(DATA / "water.json")]
@@ -98,7 +99,7 @@ def _compare(new, old, path, problems):
             return
         for key in old:
             if key in EXEMPT:
-                if not 0.0 <= new[key] <= 1e-10:
+                if not 0.0 <= new[key] <= TOL_ECKART:
                     problems.append(f"{path}.{key}: {new[key]!r} above the Eckart tolerance")
                 continue
             _compare(new[key], old[key], f"{path}.{key}", problems)

@@ -22,13 +22,18 @@ flag out of range, an ``--output`` in a missing directory and the short
 final frame.
 
 Each checkout's own path in stderr (a numpy warning names its source
-file) is written as ``src``.  Prints every invocation that differs and a
-summary line; exits 1 on any difference.
+file) is written as ``src``, and the line number of a warning line,
+``<file>.py:<n>: <Category>Warning: ...``, as ``<n>``, so a change that
+only moves source lines does not read as a changed report; the file, the
+category, the message and the source line printed under it still
+compare.  Prints every invocation that differs and a summary line; exits
+1 on any difference.
 """
 
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -143,13 +148,21 @@ def invocations():
     return runs
 
 
+WARNING_LINE = re.compile(rb"^(.*\.py):\d+: (\w+Warning): ", re.M)
+
+
+def masked(stderr):
+    """``stderr`` with the line number of each warning line written as ``<n>``."""
+    return WARNING_LINE.sub(rb"\1:<n>: \2: ", stderr)
+
+
 def run(root, argv, cwd):
     """(stdout, stderr, exit code) of one invocation against ``root/src``."""
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-m", "molrest.cli", *argv], cwd=cwd, env=env,
                           capture_output=True)
-    return done.stdout, done.stderr.replace(src.encode(), b"src"), done.returncode
+    return done.stdout, masked(done.stderr.replace(src.encode(), b"src")), done.returncode
 
 
 def main(argv=None):

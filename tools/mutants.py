@@ -4,9 +4,11 @@ Usage: python tools/mutants.py
 
 Every entry of ``src/molrest/gates.py`` (a ``NAME = <float>`` line) gives
 two mutants, its value times 1e3 and divided by 1e3; ``SOURCE_MUTANTS``
-adds the non-numeric ones.  Each mutant is one text substitution, applied
-to a fresh copy of this checkout in a temporary directory, where the
-tier-1 tests then run with ``-x``.  The unmutated copy runs first and
+adds the non-numeric ones.  The checkout is copied once, at the start,
+into a temporary directory; each mutant is one text substitution, applied
+to a fresh copy of that snapshot, where the tier-1 tests then run with
+``-x``.  So every run sees one version of the code and tests, whatever
+is saved in the checkout meanwhile.  The unmutated copy runs first and
 must pass.
 
 Prints one line per mutant: ``killed by <first failing test>``,
@@ -83,14 +85,14 @@ def run_tier1(tree):
     return done.returncode, first[1] if first else None, tail
 
 
-def run_copy(scratch, substitutions):
-    """Tier-1 on a fresh copy of the checkout with each (file, text, replacement) applied.
+def run_copy(scratch, snapshot, substitutions):
+    """Tier-1 on a fresh copy of ``snapshot`` with each (file, text, replacement) applied.
 
     Returns ``run_tier1``'s triple, or None when a text is not in its file exactly once.
     """
     tree = Path(tempfile.mkdtemp(dir=scratch))
     try:
-        shutil.copytree(ROOT, tree, ignore=COPY_IGNORE, dirs_exist_ok=True)
+        shutil.copytree(snapshot, tree, dirs_exist_ok=True)
         for path, text, replacement in substitutions:
             source = (tree / path).read_text(encoding="utf-8")
             if source.count(text) != 1:
@@ -117,15 +119,18 @@ def fate(label, result):
 
 
 def main():
-    mutants = [*gate_mutants((ROOT / GATES).read_text(encoding="utf-8")), *SOURCE_MUTANTS]
     counts = {"killed": 0, "equivalent": 0, "bad": 0}
     with tempfile.TemporaryDirectory(prefix="molrest-mutants-") as scratch:
-        code, killer, tail = run_copy(scratch, [])
+        snapshot = Path(scratch) / "snapshot"
+        shutil.copytree(ROOT, snapshot, ignore=COPY_IGNORE)
+        mutants = [*gate_mutants((snapshot / GATES).read_text(encoding="utf-8")),
+                   *SOURCE_MUTANTS]
+        code, killer, tail = run_copy(scratch, snapshot, [])
         if code != 0:
             print(f"mutants: tier-1 fails on the unmutated checkout ({killer}): {tail}")
             return 1
         for label, path, text, replacement in mutants:
-            kind, line = fate(label, run_copy(scratch, [(path, text, replacement)]))
+            kind, line = fate(label, run_copy(scratch, snapshot, [(path, text, replacement)]))
             counts[kind] += 1
             print(f"{label:<26} {line}", flush=True)
     print(f"{len(mutants)} mutants: {counts['killed']} killed, {counts['equivalent']} marked "
