@@ -161,32 +161,12 @@ class TestExitZero:
 
 
 def _scaled_water(tmp_path, mass, length, time=1.0, hbar=1.0):
-    """Water and its trajectory in other units: masses x mass, lengths x length,
-    times x time, and hbar x hbar.
-
-    Force constants scale with mass / time^2 and momenta with mass x
-    length / time.  hbar is scaled only by its own factor, so that a
-    caller can keep it representable: mass x length^2 / time gives water
-    in consistent units.  Returns the molecule and trajectory paths.
-    """
-    mol = json.loads(Path(MOLECULE).read_text())
-    for nucleus in mol["nuclei"]:
-        nucleus["mass"] *= mass
-        nucleus["position"] = [length * v for v in nucleus["position"]]
-    mol["electrons"]["mass"] *= mass
-    mol["hessian"] = [mass / time**2 * v for v in mol["hessian"]]
-    mol["hbar"] *= hbar
-    rows = []
-    for line in Path(TRAJECTORY).read_text().splitlines():
-        fields = line.split()
-        if len(fields) == 7:
-            values = [length * float(v) for v in fields[1:4]]
-            values += [mass * length / time * float(v) for v in fields[4:]]
-            line = " ".join([fields[0]] + [repr(v) for v in values])
-        rows.append(line)
+    """``compare_reports._scaled`` water, written to ``tmp_path``: the molecule
+    and trajectory paths."""
+    mol, traj = compare_reports._scaled(*compare_reports._water(DATA), mass, length, time, hbar)
     mol_path, traj_path = tmp_path / "scaled.json", tmp_path / "scaled.xyz"
     mol_path.write_text(json.dumps(mol))
-    traj_path.write_text("\n".join(rows) + "\n")
+    traj_path.write_text(traj)
     return str(mol_path), str(traj_path)
 
 
@@ -216,9 +196,7 @@ class TestUnits:
         assert all(f["passed"] for f in frames)
 
     def test_coincident_nuclei_rejected_in_any_units(self, tmp_path, capsys):
-        mol = json.loads(Path(MOLECULE).read_text())
-        for nucleus in mol["nuclei"]:
-            nucleus["position"] = [1e-10 * v for v in nucleus["position"]]
+        mol, _ = compare_reports._scaled(*compare_reports._water(DATA), 1.0, 1e-10)
         mol["nuclei"][2]["position"] = mol["nuclei"][1]["position"]
         path = tmp_path / "coincident.json"
         path.write_text(json.dumps(mol))
@@ -835,7 +813,7 @@ class TestReports:
         assert float(rows["residuals.translation"]) <= 1e-10
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("command", ["frame", "heisenberg"])
+    @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_output_file_matches_stdout(self, command, fmt, tmp_path, capsys):
         args = [command, "--input", MOLECULE, "--trajectory", TRAJECTORY, "--format", fmt,
                 "--grid-line", "1024", "--grid-theta", "24", "--grid-dirs", "48"]

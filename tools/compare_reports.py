@@ -2,14 +2,17 @@
 
 Usage: python tools/compare_reports.py PARENT CHANGE
 
-Runs ``python -m molrest.cli`` against each checkout's ``src/`` on one
-fixed set of 77 invocations and compares stdout, stderr and the exit
-code.  Both sides read the same inputs, built once in a temporary
-directory from PARENT:
+Runs ``python -m molrest.cli`` against each checkout's ``src/`` on the
+fixed set of invocations that ``invocations()`` lists, and compares the
+sha256 of stdout, stderr and the exit code.  The invocations include
+every entry of ``GOLDEN``, the table of reports that ``tests/data`` pins
+byte for byte.  Both sides read the same inputs, built once in a
+temporary directory from PARENT:
 
 - ``tests/data/water.json`` and ``water_traj.xyz``;
 - the output of ``perfbench/gen.py --seed 1`` for ``traj-cluster`` and
-  ``traj-water`` (1000 frames each), run as it is;
+  ``traj-water`` (1000 frames each), run as it is, and the
+  ``traj-cluster`` trajectory repeated 10 times (10^4 frames);
 - waters derived from ``tests/data``: one without electrons, with its
   trajectory's electron rows dropped; one with masses x1e6 and lengths
   x1e3, with and without its Hessian; one with masses x1e300; and
@@ -31,6 +34,7 @@ compare.  Prints every invocation that differs and a summary line; exits
 """
 
 import collections
+import hashlib
 import json
 import os
 import re
@@ -44,21 +48,28 @@ def _water(data):
     return json.loads((data / "water.json").read_text()), (data / "water_traj.xyz").read_text()
 
 
-def _scaled(mol, traj, mass, length):
-    """Water in other units: masses x mass, lengths x length, momenta and
-    force constants scaled to match (the unit of time is kept)."""
+def _scaled(mol, traj, mass, length, time=1.0, hbar=1.0):
+    """Water in other units: masses x mass, lengths x length, times x time,
+    and hbar x hbar.
+
+    Force constants scale with mass / time^2 and momenta with mass x
+    length / time.  hbar is scaled only by its own factor, so that a
+    caller can keep it representable: mass x length^2 / time gives water
+    in consistent units.
+    """
     mol = json.loads(json.dumps(mol))
     for nucleus in mol["nuclei"]:
         nucleus["mass"] *= mass
         nucleus["position"] = [length * v for v in nucleus["position"]]
     mol["electrons"]["mass"] *= mass
-    mol["hessian"] = [mass * v for v in mol["hessian"]]
+    mol["hessian"] = [mass / time**2 * v for v in mol["hessian"]]
+    mol["hbar"] *= hbar
     lines = []
     for line in traj.splitlines():
         fields = line.split()
         if len(fields) == 7:
             values = [length * float(v) for v in fields[1:4]]
-            values += [mass * length * float(v) for v in fields[4:]]
+            values += [mass * length / time * float(v) for v in fields[4:]]
             line = " ".join([fields[0]] + [repr(v) for v in values])
         lines.append(line)
     return mol, "\n".join(lines) + "\n"
@@ -83,6 +94,7 @@ def build_inputs(parent, out):
         subprocess.run([sys.executable, str(parent / "perfbench" / "gen.py"), "--inputs", input_set,
                         "--seed", "1", "--out", str(out / folder), "--root", str(parent)],
                        check=True)
+    (out / LONG_CLUSTER).write_text((out / "cluster" / "traj.xyz").read_text() * 10)
     mol, traj = _water(data)
     derived = {
         "free": _without_electrons(mol, traj),
@@ -98,9 +110,35 @@ def build_inputs(parent, out):
     (out / "short.xyz").write_text("".join(traj.splitlines(keepends=True)[:-1]))
 
 
+# Each report that tests/data pins byte for byte, and the invocation that writes it, relative
+# to the inputs' directory as in invocations(); tests/data holds the same water.json and
+# water_traj.xyz.  tests/test_golden_reports.py says why each file exists.
+GOLDEN = {name: command.split() for name, command in {
+    "water_heisenberg_report.json": "heisenberg --input water.json --seed 3 --format json",
+    "water_heisenberg_report.csv": "heisenberg --input water.json --seed 3 --format csv",
+    "water_commutators_report.json": "commutators --input water.json --format json",
+    "water_heisenberg_report_hbar037.json":
+        "heisenberg --input water.json --seed 3 --hbar 0.37 --format json",
+    "water_commutators_report_hbar037.json":
+        "commutators --input water.json --hbar 0.37 --format json",
+    "water_frame_report.csv":
+        "frame --input water.json --trajectory water_traj.xyz --format csv",
+    "water_decompose_report.json":
+        "decompose --input water.json --trajectory water_traj.xyz --format json",
+    "water_heisenberg_report_theta256.csv":
+        "heisenberg --input water.json --seed 3 --grid-theta 256 --grid-dirs 32 --format csv",
+    "water_commutators_report_theta256.json":
+        "commutators --input water.json --grid-theta 256 --grid-dirs 32 --format json",
+    "water_commutators_report_theta48.json":
+        "commutators --input water.json --grid-theta 48 --grid-dirs 64 --format json",
+}.items()}
+
+LONG_CLUSTER = "cluster/traj-1e4.xyz"  # the traj-cluster trajectory repeated 10 times
+
+
 def invocations():
-    """The argument lists, relative to the inputs' directory."""
-    runs = []
+    """The distinct argument lists, relative to the inputs' directory."""
+    runs = [*GOLDEN.values()]
     for mol, traj in (("water.json", "water_traj.xyz"),
                       ("cluster/molecule.json", "cluster/traj.xyz"),
                       ("bench-water/molecule.json", "bench-water/traj.xyz"),
@@ -114,18 +152,10 @@ def invocations():
     runs.append(["heisenberg", "--input", "free.json"])
     runs += [["heisenberg", "--input", "water.json", "--hbar", h]
              for h in ("1e150", "1e160", "1e-300", "1e-3")]
-    runs += [["commutators", "--input", "water.json", "--hbar", h] for h in ("0.37", "1e-3")]
+    runs.append(["commutators", "--input", "water.json", "--hbar", "1e-3"])
     runs += [[command, "--input", "water.json", "--format", "csv", "--grid-line", "1024",
               "--grid-theta", "32", "--grid-dirs", "64"]
              for command in ("heisenberg", "commutators")]
-    # the one CLI ball whose ORIENTATION_STEP stencil leaves the ball
-    runs += [["heisenberg", "--input", "water.json", "--seed", "3", "--grid-theta", "256",
-              "--grid-dirs", "32", "--format", "csv"],
-             ["commutators", "--input", "water.json", "--grid-theta", "256", "--grid-dirs", "32",
-              "--format", "json"],
-             # 3456 nodes: a partial last block of commutator_residuals
-             ["commutators", "--input", "water.json", "--grid-theta", "48", "--grid-dirs", "64",
-              "--format", "json"]]
     runs += [["validate", "--input", "water.json", "--tol-eckart", "1e-30"],
              ["modes", "--input", "water.json", "--tol-eckart", "1e-30"],
              ["frame", "--input", "water.json", "--trajectory", "water_traj.xyz",
@@ -145,7 +175,9 @@ def invocations():
              ["frame", "--input", "water.json", "--trajectory", "short.xyz"]]
     runs += [[command, "--input", "water.json", "--grid-line", n]
              for command in ("heisenberg", "commutators") for n in ("64", "65")]
-    return runs
+    runs += [["frame", "--input", "cluster/molecule.json", "--trajectory", LONG_CLUSTER,
+              "--format", fmt] for fmt in ("json", "csv")]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, runs))]
 
 
 WARNING_LINE = re.compile(rb"^(.*\.py):\d+: (\w+Warning): ", re.M)
@@ -157,12 +189,15 @@ def masked(stderr):
 
 
 def run(root, argv, cwd):
-    """(stdout, stderr, exit code) of one invocation against ``root/src``."""
+    """(sha256 of stdout, stderr, exit code) of one invocation against ``root/src``.
+
+    A 10^4-frame report runs to 82 MB, so only its digest is kept.
+    """
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-m", "molrest.cli", *argv], cwd=cwd, env=env,
                           capture_output=True)
-    return done.stdout, masked(done.stderr.replace(src.encode(), b"src")), done.returncode
+    return hashlib.sha256(done.stdout).digest(), masked(done.stderr.replace(src.encode(), b"src")), done.returncode
 
 
 def main(argv=None):
