@@ -53,7 +53,7 @@ EPS_BOUNDARY = 1e-6
 # _check_rotation: an entry of R^T R off the identity by more than it is "not orthogonal" (~5e7 ulp)
 ORTHOGONALITY = 1e-8
 
-# _quaternion_parts: below this angle sin(theta/2)/theta is its limit 1/2, exact to the bit there
+# _quaternion_parts: angle floor; sin(theta/2)/theta is 1/2 there and cos(theta/2) 1 below, exactly
 THETA_FLOOR = 1e-12
 
 # relative: floor of every residual's scale, so a zero scale gives a finite ratio, not nan

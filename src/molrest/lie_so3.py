@@ -10,9 +10,12 @@ derivatives in the chart and body-frame angular momentum components:
     m = n^-1                               (rows are the dual frame)
 
 The frame fields are closed-form polynomials in the cross-product matrix
-``[omega]x`` with scalar coefficients in the angle.  Every coefficient
-comes from ``chart_coefficients``, which switches to the Taylor series
-below ``SERIES_SWITCH`` so nothing degrades at the origin.
+``[omega]x`` with scalar coefficients in the angle.  Each coefficient is
+written once: n's pair (c2, c3) in ``n_coefficients``, m's d in
+``m_coefficient``, both switching to their Taylor series below
+``SERIES_SWITCH`` so nothing degrades at the origin.  ``frame_fields``
+reads both, or only d when asked for m alone, as the commutator check's
+block loop does; ``log_density_gradient`` reads d alone.
 
 Unit quaternions are scalar-first, (w, x, y, z), and are converted here
 only.  Both directions of the chart go through them, at every angle:
@@ -45,7 +48,8 @@ __all__ = [
     "component_length",
     "relative",
     "first_failure",
-    "chart_coefficients",
+    "n_coefficients",
+    "m_coefficient",
     "exp_map",
     "log_map",
     "frame_fields",
@@ -56,6 +60,7 @@ __all__ = [
     "quaternion_form",
     "quaternion_to_matrix",
     "geodesic_distance",
+    "geodesic_distance_to",
 ]
 
 # Angle below which the chart coefficients switch to their series: there
@@ -105,30 +110,45 @@ def _check_omega(omega):
     return omega, theta
 
 
-def chart_coefficients(theta):
-    """The scalar coefficients of the chart at angles ``theta`` (any shape).
+def _series_parts(theta):
+    """theta^2, the mask of angles below ``SERIES_SWITCH``, and theta with 1 there."""
+    theta = np.asarray(theta, dtype=float)
+    small = theta < SERIES_SWITCH
+    return theta * theta, small, np.where(small, 1.0, theta)
 
-    Returns ``(c2, c3, d)``:
 
-        c2 = (1 - cos(theta)) / theta^2          (n)
-        c3 = (theta - sin(theta)) / theta^3      (n)
-        d  = (2/theta - cot(theta/2)) / (2 theta)   (m = n^-1, log_density_gradient)
+def n_coefficients(theta):
+    """The n-frame coefficients of the chart at angles ``theta`` (any shape).
+
+    Returns ``(c2, c3)``:
+
+        c2 = (1 - cos(theta)) / theta^2
+        c3 = (theta - sin(theta)) / theta^3
 
     Below ``SERIES_SWITCH`` each is its quartic Taylor series.
     """
-    theta = np.asarray(theta, dtype=float)
-    t2 = theta * theta
-    small = theta < SERIES_SWITCH
-    safe = np.where(small, 1.0, theta)
+    t2, small, safe = _series_parts(theta)
     safe2 = safe * safe
     with np.errstate(invalid="ignore", divide="ignore"):
         c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                       (1.0 - np.cos(safe)) / safe2)
         c3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                       (safe - np.sin(safe)) / (safe2 * safe))
-        d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                     (2.0 / safe - 1.0 / np.tan(0.5 * safe)) / (2.0 * safe))
-    return c2, c3, d
+    return c2, c3
+
+
+def m_coefficient(theta):
+    """The m-frame (m = n^-1) coefficient of the chart at angles ``theta`` (any shape),
+    read by ``frame_fields`` and ``log_density_gradient``:
+
+        d = (2/theta - cot(theta/2)) / (2 theta)
+
+    Below ``SERIES_SWITCH`` it is its quartic Taylor series.
+    """
+    t2, small, safe = _series_parts(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                        (2.0 / safe - 1.0 / np.tan(0.5 * safe)) / (2.0 * safe))
 
 
 def exp_map(omega):
@@ -236,20 +256,24 @@ class KillingFrame:
     m: np.ndarray
 
 
-def frame_fields(omega):
+def frame_fields(omega, dual_only=False):
     """n- and m-matrices at one chart point or a stack, shape (..., 3, 3).
 
     n = 1 - c2 K + c3 K^2 and its inverse m = 1 + K/2 + d K^2 with
-    K = skew(omega).  No input or boundary check: ``killing_frame`` is
-    the checked form.
+    K = skew(omega).  With ``dual_only`` it returns m alone and forms
+    neither n nor its coefficients: the commutator check reads m only.
+    No input or boundary check: ``killing_frame`` is the checked form.
     """
     omega = np.asarray(omega, dtype=float)
-    c2, c3, d = chart_coefficients(component_length(omega))
+    theta = component_length(omega)
     k = skew(omega)
     k2 = k @ k
     eye = np.broadcast_to(np.eye(3), k.shape)
+    m = eye + 0.5 * k + m_coefficient(theta)[..., None, None] * k2
+    if dual_only:
+        return m
+    c2, c3 = n_coefficients(theta)
     n = eye - c2[..., None, None] * k + c3[..., None, None] * k2
-    m = eye + 0.5 * k + d[..., None, None] * k2
     return n, m
 
 
@@ -275,26 +299,36 @@ def killing_frame(omega):
 def log_density_gradient(omega):
     """Gradient of log(haar density), d_j ln rho = -2 d(theta) omega_j, for (..., 3) stacks.
 
-    d = (2/theta - cot(theta/2)) / (2 theta) is the m-matrix coefficient of ``chart_coefficients``.
+    d = (2/theta - cot(theta/2)) / (2 theta) is ``m_coefficient``.
     """
     omega = np.asarray(omega, dtype=float)
-    return -2.0 * chart_coefficients(component_length(omega))[2][..., None] * omega
+    return -2.0 * m_coefficient(component_length(omega))[..., None] * omega
 
 
 def _quaternion_parts(omega):
-    """Scalar and vector parts of the unit quaternions of rotation vectors, (...) and (..., 3)."""
+    """Scalar and vector parts of the unit quaternions of rotation vectors, (...) and (3, ...).
+
+    The angle is floored at ``THETA_FLOOR``, in place: there
+    sin(theta/2)/theta is its limit 1/2 to the bit, and cos(theta/2) is 1
+    at every angle below, so one unmasked division fills in 1/2 for every
+    shorter vector, the zero one included.  The vector part is component
+    first, omega's components times the ratio, each written as one
+    contiguous row.
+    """
     omega = np.asarray(omega, dtype=float)
-    theta = component_length(omega)
+    theta = np.asarray(component_length(omega))
+    np.maximum(theta, THETA_FLOOR, out=theta)
     half = 0.5 * theta
-    scale = np.divide(np.sin(half), theta, out=np.full_like(theta, 0.5),
-                      where=theta >= THETA_FLOOR)
-    return np.cos(half), omega * scale[..., None]
+    scale = np.sin(half)
+    scale /= theta
+    v = np.multiply(np.moveaxis(omega, -1, 0), scale, out=np.empty((3,) + scale.shape))
+    return np.cos(half), v
 
 
 def unit_quaternion(omega):
     """Unit quaternions (w, x, y, z) of rotation vectors, (..., 3) -> (..., 4)."""
     w, v = _quaternion_parts(omega)
-    return np.concatenate([w[..., None], v], axis=-1)
+    return np.stack((w, *v), axis=-1)
 
 
 def quaternion_to_vector(q):
@@ -341,6 +375,27 @@ def quaternion_to_matrix(q):
     ).reshape(q.shape[:-1] + (3, 3))
 
 
+def geodesic_distance_to(centers):
+    """``geodesic_distance(omegas, centers)`` as a function of omegas, the centers
+    converted to quaternions once."""
+    # the parts, not the packed (..., 4) array: strided access slowed the grid profiles
+    w2, v2 = _quaternion_parts(centers)
+
+    def distance(omegas):
+        w1, v1 = _quaternion_parts(omegas)
+        w = w2.reshape(w2.shape + (1,) * w1.ndim)
+        v = v2.reshape((3,) + w.shape)
+        dot = np.asarray(w1 * w)  # 0-d for one omega and one center, so that out= can take it
+        dot += v1[0] * v[0] + v1[1] * v[1] + v1[2] * v[2]
+        np.abs(dot, out=dot)
+        np.minimum(dot, 1.0, out=dot)
+        np.arccos(dot, out=dot)
+        dot *= 2.0
+        return dot[()]
+
+    return distance
+
+
 def geodesic_distance(omegas, centers):
     """Rotation angle between R(omega) and R(center), vectorized.
 
@@ -348,15 +403,4 @@ def geodesic_distance(omegas, centers):
     shape (...) for omegas (..., 3), or a stack (C, 3), which gives
     (C, ...) distances from one quaternion conversion of the omegas.
     """
-    # the parts, not the packed (..., 4) array: strided access slowed the grid profiles
-    w1, v1 = _quaternion_parts(omegas)
-    w2, v2 = _quaternion_parts(centers)
-    w2 = w2.reshape(w2.shape + (1,) * w1.ndim)
-    v2 = v2.reshape(w2.shape + (3,))
-    dot = np.asarray(w1 * w2)  # 0-d for one omega and one center, so that out= can take it
-    dot += _component_dot(v1, v2)
-    np.abs(dot, out=dot)
-    np.clip(dot, -1.0, 1.0, out=dot)
-    np.arccos(dot, out=dot)
-    dot *= 2.0
-    return dot[()]
+    return geodesic_distance_to(centers)(omegas)

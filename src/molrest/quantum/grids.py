@@ -27,7 +27,7 @@ __all__ = ["MIN_LINE_POINTS", "MIN_SHELLS", "MIN_DIRS", "MAX_LINE_POINTS", "MAX_
 # smallest and largest grids ``make`` builds: line points, angle shells,
 # directions per shell.  The largest are 4x the reference grids (a
 # 262144-point line, a 128 x 2048 ball); at all three ceilings a
-# commutators run peaks at 467 MB and a heisenberg run at 412 MB of
+# commutators run peaks at 458 MB and a heisenberg run at 404 MB of
 # resident memory (water, numpy 2.4, x86_64).
 MIN_LINE_POINTS = 64
 MIN_SHELLS = 16

@@ -12,7 +12,8 @@ stencil point lies within 2h of its node, so only the points of nodes
 with angle above pi - 3h can leave the axis-angle ball; those are passed
 through ``wrap_to_ball``, which maps a point outside back in with the
 same rotation.  D_j = -i hbar d/dw^j realizes n_(j)(w) . L; body components
-follow from the dual frame (``lie_so3.frame_fields``), L_k = sum_j m[j, k] D_j.
+follow from the dual frame, L_k = sum_j m[j, k] D_j, which the commutator
+check's block loop forms alone (``lie_so3.frame_fields`` with ``dual_only``).
 
 Every orientation derivative comes from one sweep, ``_chart_sweep``, at
 the step h its caller passes: d f/dw^j = (f(w - 2h e_j) - 8 f(w - h e_j)
@@ -304,8 +305,9 @@ def commutator_residuals(psi, i0, hbar=1.0):
     raises BoundaryMassError.
 
     After the sweep, -i hbar scales its two fields in place.  The residual
-    fields are then formed BLOCK_NODES nodes at a time, with the frame
-    fields of that block's nodes: chart, then body and angular velocity as
+    fields are then formed BLOCK_NODES nodes at a time, with the dual
+    frame m of that block's nodes (n is never formed): chart, then body and
+    angular velocity as
     real-factor times complex products summed over i = 0, 1, 2 and
     l = 0, 1, 2, each block's masked maximum of |r| folded into a running
     one.  Only the three (3, 3, BLOCK_NODES) blocks are held, never a whole
@@ -363,7 +365,7 @@ def commutator_residuals(psi, i0, hbar=1.0):
             c[j, j] += i_hbar_psi[:n]
         _fold_worst(worst[0], c, mag, keep[block])
         # body[k, j] = sum_i m[:, i, k] chart[i, j], summed i = 0, 1, 2; angvel holds each term
-        _, m = frame_fields(nodes[block])
+        m = frame_fields(nodes[block], dual_only=True)
         m_t = np.moveaxis(m, 0, -1)[:, :, None, :]  # m_t[i, k, 0] = m[:, i, k]
         np.multiply(m_t[0], c[0, None], out=b)
         for i in (1, 2):

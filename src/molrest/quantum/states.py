@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from ..errors import GridError, positive_finite
-from ..lie_so3 import geodesic_distance
+from ..lie_so3 import geodesic_distance_to
 from .grids import GridWavefunction, LineGrid, check_hbar
 
 __all__ = [
@@ -114,17 +114,27 @@ def _phase_checked(build, message):
 
 
 def _so3_mixture(grid, centers, sigmas, waves, amps):
-    """Normalized sum of a_i exp(-d(omega, c_i)^2/4 s_i^2 + i w_i . omega) over the terms."""
+    """Normalized sum of a_i exp(-d(omega, c_i)^2/4 s_i^2 + i w_i . omega) over the terms.
 
-    def profile(pts, c=centers, s=sigmas, w=waves, a=amps):
+    The centers' quaternions and -4 s_i^2 are formed once per state, not
+    per profile call; -(d^2) / 4 s^2 and d^2 / -4 s^2 are the same float.
+    """
+    distance = geodesic_distance_to(centers)
+    scale = -4.0 * sigmas * sigmas
+
+    def profile(pts):
         pts = np.asarray(pts, dtype=float)
-        d = geodesic_distance(pts, c)
-        s, a = (_leading(v, d.ndim - 1) for v in (s, a))
+        d = distance(pts)
+        s, a = (_leading(v, d.ndim - 1) for v in (scale, amps))
         z = np.empty(d.shape, dtype=complex)  # the exponent, then its exp
-        np.divide(-(d * d), 4.0 * s * s, out=z.real)
-        for z_term, w_term in zip(z, w):
+        d *= d
+        np.divide(d, s, out=z.real)
+        for z_term, w_term in zip(z, waves):
             z_term.imag = pts @ w_term
-        return (a * np.exp(z, out=z)).sum(axis=0)
+        np.exp(z, out=z)
+        # the amplitude first: a * z and z * a round differently on this numpy
+        np.multiply(a, z, out=z)
+        return z.sum(axis=0)
 
     return GridWavefunction.from_profile(grid, profile)
 

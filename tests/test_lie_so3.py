@@ -5,15 +5,20 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from molrest.errors import GridError
+from molrest.gates import THETA_FLOOR
 from molrest.lie_so3 import (
     EPS_BOUNDARY,
     SERIES_SWITCH,
-    chart_coefficients,
+    component_length,
     exp_map,
     first_failure,
+    frame_fields,
+    geodesic_distance,
     killing_frame,
     log_density_gradient,
     log_map,
+    m_coefficient,
+    n_coefficients,
     quaternion_to_matrix,
     quaternion_to_vector,
     relative,
@@ -21,6 +26,12 @@ from molrest.lie_so3 import (
     unit_quaternion,
     vee,
 )
+from molrest.quantum import So3Grid
+
+
+def chart_coefficients(theta):
+    # c2, c3 and d, the order of _COEFFICIENT_SERIES below
+    return (*n_coefficients(theta), m_coefficient(theta))
 
 
 def haar_density(omega):
@@ -356,3 +367,63 @@ def test_log_density_gradient_small_angle_series():
         omega = theta * np.array([0.6, -0.8, 0.0])
         ref = (-1.0 / 6.0 - theta**2 / 360.0 - theta**4 / 15120.0) * omega
         assert np.allclose(log_density_gradient(omega), ref, rtol=1e-7, atol=1e-18)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def reference_quaternion_parts(omega):
+    # the masked division and (..., 3) x (..., 1) product that _quaternion_parts replaced
+    theta = component_length(omega)
+    half = 0.5 * theta
+    scale = np.divide(np.sin(half), theta, out=np.full_like(theta, 0.5),
+                      where=theta >= THETA_FLOOR)
+    return np.cos(half), omega * scale[..., None]
+
+
+def reference_geodesic_distance(omegas, center):
+    # the two-sided clip that the one-sided cap replaced
+    w1, v1 = reference_quaternion_parts(omegas)
+    w2, v2 = reference_quaternion_parts(center)
+    dot = np.abs(w1 * w2 + (v1[..., 0] * v2[0] + v1[..., 1] * v2[1] + v1[..., 2] * v2[2]))
+    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+
+
+def floor_vectors():
+    # each angle at, below or above THETA_FLOOR, and pi, on axes with -0.0 entries (0 * -0.0
+    # is -0.0 too), as each single vector, the (20, 3) stack and a (2, 4, 3) stack
+    axes = np.array([[1.0, 0.0, 0.0], [-0.0, 1.0, 0.0], [0.6, -0.0, -0.8], [-0.0, -0.0, -1.0]])
+    stack = np.concatenate([theta * axes for theta in (0.0, 1e-13, THETA_FLOOR, 1e-11, np.pi)])
+    return [*stack, stack, stack[4:12].reshape(2, 4, 3)]
+
+
+def test_unit_quaternion_is_the_masked_division_bit_for_bit():
+    for omega in floor_vectors():
+        w, v = reference_quaternion_parts(omega)
+        assert_same_bits(unit_quaternion(omega), np.concatenate([w[..., None], v], axis=-1))
+    assert np.isnan(unit_quaternion(np.array([np.nan, 0.0, 0.0]))[0])
+
+
+def test_geodesic_distance_is_the_two_sided_clip_bit_for_bit():
+    vectors = floor_vectors()
+    for omegas in vectors:
+        for center in (vectors[0], vectors[9], vectors[14], np.array([0.3, -0.0, 2.9])):
+            assert_same_bits(geodesic_distance(omegas, center),
+                             reference_geodesic_distance(omegas, center))
+    nan = np.array([np.nan, 0.0, 0.0])
+    assert np.isnan(geodesic_distance(nan, np.zeros(3)))
+    assert np.isnan(geodesic_distance(np.zeros((2, 3)), nan)).all()
+
+
+@pytest.mark.parametrize("where", ["default-ball", "series-switch"])
+def test_dual_frame_alone_is_the_m_of_both_frames(where):
+    if where == "default-ball":
+        omega = So3Grid.make(64, 128).nodes
+    else:
+        thetas = SERIES_SWITCH * np.array([1 - 1e-3, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-3])
+        omega = thetas[:, None] * np.array([0.6, -0.0, -0.8])
+        assert_same_bits(frame_fields(omega[1], dual_only=True), frame_fields(omega[1])[1])
+    assert_same_bits(frame_fields(omega, dual_only=True), frame_fields(omega)[1])

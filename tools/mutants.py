@@ -48,12 +48,16 @@ SOURCE_MUTANTS = (
 # label -> the measurement that shows the mutant computes what the original does
 EQUIVALENT = {
     "THETA_FLOOR x1e3": (
-        "sin(theta/2)/theta is exactly 0.5, the value the floor fills in, for 800 002 theta "
-        "in [1e-12, 1e-8] (400 001 linear, 400 001 geometric); the first theta where it is "
-        "not is 4.3e-8"),
+        "sin(theta/2)/theta is exactly 0.5 and cos(theta/2) exactly 1 for 800 002 theta in "
+        "[1e-12, 1e-8] (400 001 linear, 400 001 geometric), so flooring the angle at 1e-9 "
+        "instead of 1e-12 changes no bit: unit_quaternion on three axes, at those angles and "
+        "at 0, 5e-324 and 1e-310 to 1e-20, is bit-identical; the ratio first leaves 0.5 at "
+        "4.3e-8 and the cosine 1 at 2.1e-8"),
     "THETA_FLOOR /1e3": (
-        "sin(theta/2)/theta is exactly 0.5 for 800 002 theta in [1e-15, 1e-12] (400 001 "
-        "linear, 400 001 geometric), so the floor fills in the value the division gives"),
+        "sin(theta/2)/theta is exactly 0.5 and cos(theta/2) exactly 1 for 800 002 theta in "
+        "[1e-15, 1e-12] (400 001 linear, 400 001 geometric), so flooring the angle at 1e-15 "
+        "instead of 1e-12 changes no bit: unit_quaternion on three axes, at those angles and "
+        "at 0, 5e-324 and 1e-310 to 1e-20, is bit-identical"),
 }
 
 
